@@ -319,12 +319,12 @@ def run_criteria(numbers=None, keyword: str | None = None) -> list[CriterionResu
             continue
         if keyword is not None and keyword.lower() not in title.lower():
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed criterion is a failed criterion
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         if ok and dt > limit:
             ok, detail = False, f"over budget: {detail}"
         out.append(CriterionResult(number, title, ok, blocking, dt, limit, detail))

@@ -16,6 +16,9 @@ from typing import Sequence
 from .tsystem import Orbit
 
 
+MIN_DEGREES = 12  # shortest degree sequence entropy_estimate accepts
+
+
 class TooShort(ValueError):
     pass
 
@@ -148,8 +151,8 @@ def entropy_estimate(d) -> EntropyEstimate:
     log-log degree estimate.
     """
     seq = list(d.d) if isinstance(d, DegreeSequence) else [max(0, int(v)) for v in d]
-    if len(seq) < 12:
-        raise TooShort(f"need at least 12 degrees, got {len(seq)}")
+    if len(seq) < MIN_DEGREES:
+        raise TooShort(f"need at least {MIN_DEGREES} degrees, got {len(seq)}")
     hit = _poly_by_differences(seq)
     if hit is not None:
         deg, stride, start = hit

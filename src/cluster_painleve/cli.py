@@ -296,6 +296,9 @@ def _cmd_entropy(args) -> int:
     n = len(p.a) + 1
     if args.variable < 1 or args.variable > n:
         raise ConfigInvalid(f"--variable must be in 1..{n}")
+    if n + args.steps < analysis.MIN_DEGREES:
+        raise ConfigInvalid(f"--steps must be at least {analysis.MIN_DEGREES - n} "
+                            f"for {p.name} (entropy needs {analysis.MIN_DEGREES} degrees)")
     if args.mode == "tropical":
         init = [0] * n
         init[args.variable - 1] = -1
@@ -303,7 +306,10 @@ def _cmd_entropy(args) -> int:
     else:
         orb = iterate_t(TStencil(p.a), None, args.steps, mode="symbolic")
         ds = analysis.degree_sequence(orb, args.variable)
-    est = analysis.entropy_estimate(ds)
+    try:
+        est = analysis.entropy_estimate(ds)
+    except analysis.TooShort as exc:
+        raise ConfigInvalid(f"{exc}; raise --steps") from exc
     payload = {
         "system": p.name,
         "mode": args.mode,
@@ -322,15 +328,27 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+def _read_orbit(path: str):
+    """An orbit file written by `run`; anything else is a config error."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid(f"cannot read orbit file: {exc}") from exc
+    if not (isinstance(data, dict) and isinstance(data.get("stencil"), list)
+            and isinstance(data.get("values"), list)):
+        raise ConfigInvalid(f"{path} is not an orbit file: expected an object "
+                            "with 'stencil' and 'values' lists")
+    try:
+        return orbit_from_json(data)
+    except (ValueError, TypeError, KeyError, AttributeError, ArithmeticError) as exc:
+        raise ConfigInvalid(f"{path} is not a valid orbit file: {exc}") from exc
+
+
 def _cmd_linrel(args) -> int:
     if args.orbit:
         if getattr(args, "preset", None) or getattr(args, "tuple", None):
             raise ConfigInvalid("--orbit and --preset/--tuple are mutually exclusive")
-        try:
-            data = json.loads(Path(args.orbit).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigInvalid(f"cannot read orbit file: {exc}") from exc
-        orb = orbit_from_json(data)
+        orb = _read_orbit(args.orbit)
         name = args.orbit
     else:
         p = _resolve_system(args)
@@ -506,6 +524,8 @@ def main(argv=None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "steps", 0) < 0:
+            raise ConfigInvalid("--steps must be nonnegative")
         return args.handler(args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

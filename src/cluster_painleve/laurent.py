@@ -1,57 +1,155 @@
 """Exact multivariate Laurent polynomials over arbitrary-precision integers.
 
 A :class:`LaurentPoly` is a finite sum ``sum(c * x^e)`` where ``c`` is a
-nonzero Python int and ``e`` is a dense vector of (possibly negative) integer
+nonzero Python int and ``e`` is a vector of (possibly negative) integer
 exponents, one slot per variable.  All arithmetic is exact; no floating point
 enters anywhere in this module.  The canonical term order used for leading
 terms, printing and serialisation is lexicographic on the exponent vector,
 largest first.
+
+Internally each exponent vector is packed into one Python int (Kronecker
+packing): variable ``i`` of ``n`` owns the ``FIELD_BITS``-wide bit field at
+shift ``FIELD_BITS * (n - 1 - i)`` and stores ``e_i + 2**(FIELD_BITS - 2)``.
+Variable 0 sits in the most significant field, so int order on keys is lex
+order on exponent vectors, and a product key is ``ka + kb - offset``.  Every
+stored field keeps its top bit clear; a sum or difference of two keys whose
+fields leave that range shows a set top bit (or a borrow into one), so one
+mask test detects overflow and, in division, a non-divisible monomial.
+Exponents are limited to ``[EXP_MIN, EXP_MAX]``; anything outside raises
+:class:`ExponentOverflowError` rather than wrapping into a neighbouring field.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
+from operator import or_
+from typing import Iterator, Sequence
+
+FIELD_BITS = 32
+_BIAS = 1 << (FIELD_BITS - 2)
+_FIELD = (1 << FIELD_BITS) - 1
+EXP_MIN = -_BIAS
+EXP_MAX = _BIAS - 1
 
 
 class ZeroDivisorError(ZeroDivisionError):
     """Division by the zero Laurent polynomial."""
 
 
-def _add_vec(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+class ExponentOverflowError(OverflowError):
+    """An exponent left the packed range ``[EXP_MIN, EXP_MAX]``."""
 
 
-def _sub_vec(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[int, int, tuple[int, ...]]:
+    """``(offset, mask, shifts)`` for ``n`` variables.
+
+    ``offset`` is the key of the zero exponent vector, ``mask`` has the top
+    bit of every field set, ``shifts[i]`` is the bit position of variable i.
+    """
+    shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+    offset = sum(_BIAS << s for s in shifts)
+    return offset, offset << 1, shifts
+
+
+def _pack(exps: Sequence[int], n: int) -> int:
+    if len(exps) != n:
+        raise ValueError(f"exponent vector {tuple(exps)} does not match {n} variables")
+    k = 0
+    for e in exps:
+        if not EXP_MIN <= e <= EXP_MAX:
+            raise ExponentOverflowError(f"exponent {e} outside [{EXP_MIN}, {EXP_MAX}]")
+        k = (k << FIELD_BITS) | (e + _BIAS)
+    return k
+
+
+def _unpack(k: int, shifts: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([((k >> s) & _FIELD) - _BIAS for s in shifts])
+
+
+def _check_fields(keys, mask: int) -> None:
+    """Raise unless every key keeps the top bit of every field clear."""
+    if reduce(or_, keys, 0) & mask:
+        raise ExponentOverflowError(
+            f"an exponent left the packed range [{EXP_MIN}, {EXP_MAX}]")
+
+
+def _make(variables: tuple[str, ...], packed: dict[int, int]) -> "LaurentPoly":
+    r = LaurentPoly.__new__(LaurentPoly)
+    r.vars, r._packed = variables, packed
+    return r
+
+
+class TermsView(Mapping):
+    """Read-only ``{exponent tuple: coefficient}`` view of a polynomial."""
+
+    __slots__ = ("_packed", "_shifts")
+
+    def __init__(self, packed: dict[int, int], shifts: tuple[int, ...]):
+        self._packed, self._shifts = packed, shifts
+
+    def __getitem__(self, exps) -> int:
+        try:
+            k = _pack(exps, len(self._shifts))
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(exps) from None
+        return self._packed[k]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        shifts = self._shifts
+        return (_unpack(k, shifts) for k in self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def items(self):
+        return _TermItems(self)
+
+    def values(self):
+        return self._packed.values()
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._packed.values())
 
 
 class LaurentPoly:
     """Immutable-in-spirit sparse Laurent polynomial.
 
-    ``terms`` maps exponent tuples to nonzero integer coefficients.  The
-    variable list is fixed per instance; binary operations require both
-    operands to carry the same variable list.
+    ``terms`` is a read-only view mapping exponent tuples to nonzero integer
+    coefficients.  The variable list is fixed per instance; binary operations
+    require both operands to carry the same variable list.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_packed")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], int] | None = None):
         self.vars = tuple(variables)
-        clean: dict[tuple[int, ...], int] = {}
+        packed: dict[int, int] = {}
         if terms:
             width = len(self.vars)
             for exp, coef in terms.items():
                 if coef == 0:
                     continue
-                e = tuple(int(v) for v in exp)
-                if len(e) != width:
-                    raise ValueError(f"exponent vector {e} does not match {width} variables")
-                clean[e] = clean.get(e, 0) + int(coef)
-                if clean[e] == 0:
-                    del clean[e]
-        self.terms = clean
+                k = _pack(tuple(int(v) for v in exp), width)
+                s = packed.get(k, 0) + int(coef)
+                if s:
+                    packed[k] = s
+                else:
+                    del packed[k]
+        self._packed = packed
+
+    @property
+    def terms(self) -> TermsView:
+        return TermsView(self._packed, _layout(len(self.vars))[2])
 
     # -- constructors ------------------------------------------------------
 
@@ -77,35 +175,36 @@ class LaurentPoly:
     # -- predicates / inspection -------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._packed) == 1
 
     def is_one(self) -> bool:
-        z = (0,) * len(self.vars)
-        return self.terms == {z: 1}
+        return self._packed == {_layout(len(self.vars))[0]: 1}
 
     def n_terms(self) -> int:
-        return len(self.terms)
+        return len(self._packed)
 
     def min_exponent(self, var_index: int) -> int:
-        if not self.terms:
+        if not self._packed:
             raise ValueError("zero polynomial has no exponents")
-        return min(e[var_index] for e in self.terms)
+        s = _layout(len(self.vars))[2][var_index]
+        return min((k >> s) & _FIELD for k in self._packed) - _BIAS
 
     def max_exponent(self, var_index: int) -> int:
-        if not self.terms:
+        if not self._packed:
             raise ValueError("zero polynomial has no exponents")
-        return max(e[var_index] for e in self.terms)
+        s = _layout(len(self.vars))[2][var_index]
+        return max((k >> s) & _FIELD for k in self._packed) - _BIAS
 
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Lex-largest term as ``(exponents, coefficient)``."""
-        e = max(self.terms)
-        return e, self.terms[e]
+        k = max(self._packed)
+        return _unpack(k, _layout(len(self.vars))[2]), self._packed[k]
 
     def coefficients_positive(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
+        return all(c > 0 for c in self._packed.values())
 
     # -- ring operations -----------------------------------------------------
 
@@ -115,67 +214,69 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compat(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        out = dict(self._packed)
+        for k, c in other._packed.items():
+            s = out.get(k, 0) + c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.vars, r.terms = self.vars, out
-        return r
+                out.pop(k, None)
+        return _make(self.vars, out)
 
     def __neg__(self) -> "LaurentPoly":
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.vars = self.vars
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
+        return _make(self.vars, {k: -c for k, c in self._packed.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compat(other)
-        a, b = self.terms, other.terms
+        a, b = self._packed, other._packed
         if not a or not b:
             return LaurentPoly.zero(self.vars)
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
+        offset, mask, _ = _layout(len(self.vars))
         if len(a) == 1:
             # monomial fast path
-            (ea, ca), = a.items()
-            for eb, cb in b.items():
-                out[_add_vec(ea, eb)] = ca * cb
+            (ka, ca), = a.items()
+            d = ka - offset
+            out = {d + kb: ca * cb for kb, cb in b.items()}
         else:
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    k = _add_vec(ea, eb)
-                    s = out.get(k, 0) + ca * cb
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.vars, r.terms = self.vars, out
-        return r
+            out = {}
+            get = out.get
+            bitems = list(b.items())
+            for ka, ca in a.items():
+                d = ka - offset
+                for kb, cb in bitems:
+                    k = d + kb
+                    out[k] = get(k, 0) + ca * cb
+        # checked before cancelled terms are dropped, so that no out-of-range
+        # key can hide behind a zero coefficient
+        _check_fields(out, mask)
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return _make(self.vars, out)
 
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
             return LaurentPoly.zero(self.vars)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.vars = self.vars
-        r.terms = {e: c * v for e, v in self.terms.items()}
-        return r
+        return _make(self.vars, {k: c * v for k, v in self._packed.items()})
 
     def shift(self, exps: Sequence[int]) -> "LaurentPoly":
         """Multiply by the monomial ``x^exps``."""
+        _, mask, shifts = _layout(len(self.vars))
         d = tuple(exps)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.vars = self.vars
-        r.terms = {_add_vec(e, d): c for e, c in self.terms.items()}
-        return r
+        if len(d) != len(shifts):
+            raise ValueError(f"shift {d} does not match {len(shifts)} variables")
+        # a shift of 2 * _BIAS or more leaves the range from any exponent; a
+        # smaller one keeps every field sum within reach of the mask test
+        if any(not -2 * _BIAS < v < 2 * _BIAS for v in d):
+            raise ExponentOverflowError(f"shift {d} leaves the packed range")
+        dk = sum(v << s for v, s in zip(d, shifts))
+        out = {k + dk: c for k, c in self._packed.items()}
+        _check_fields(out, mask)
+        return _make(self.vars, out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -203,11 +304,11 @@ class LaurentPoly:
         return (
             isinstance(other, LaurentPoly)
             and self.vars == other.vars
-            and self.terms == other.terms
+            and self._packed == other._packed
         )
 
     def __hash__(self):  # canonical frozen view
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.vars, frozenset(self._packed.items())))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -235,15 +336,9 @@ class LaurentPoly:
 
     def monomial_content(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (zero poly -> zeros)."""
-        if not self.terms:
+        if not self._packed:
             return (0,) * len(self.vars)
-        its = iter(self.terms)
-        lo = list(next(its))
-        for e in its:
-            for i, v in enumerate(e):
-                if v < lo[i]:
-                    lo[i] = v
-        return tuple(lo)
+        return tuple(self.min_exponent(i) for i in range(len(self.vars)))
 
     def try_div(self, q: "LaurentPoly") -> "LaurentPoly | None":
         return laurent_try_div(self, q)
@@ -265,11 +360,13 @@ class LaurentPoly:
 
     # -- serialisation / display ----------------------------------------------
 
+    def _sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """Terms in lex order, largest first (int order of the packed keys)."""
+        shifts = _layout(len(self.vars))[2]
+        return [(_unpack(k, shifts), c) for k, c in sorted(self._packed.items(), reverse=True)]
+
     def to_json(self) -> dict:
-        terms = [
-            {"exp": list(e), "coef": str(c)}
-            for e, c in sorted(self.terms.items(), reverse=True)
-        ]
+        terms = [{"exp": list(e), "coef": str(c)} for e, c in self._sorted_terms()]
         return {"vars": list(self.vars), "terms": terms}
 
     @classmethod
@@ -279,10 +376,10 @@ class LaurentPoly:
         return cls(data["vars"], {tuple(t["exp"]): int(t["coef"]) for t in data["terms"]})
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
+        for e, c in self._sorted_terms():
             factors = []
             for name, k in zip(self.vars, e):
                 if k == 1:
@@ -305,6 +402,16 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+def _field_extent(packed: dict[int, int], shifts: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Per-variable minimum and maximum of the biased field values."""
+    lo, hi = [], []
+    for s in shifts:
+        col = [(k >> s) & _FIELD for k in packed]
+        lo.append(min(col))
+        hi.append(max(col))
+    return lo, hi
+
+
 def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """Exact division in the Laurent ring: return ``r`` with ``q * r == p``.
 
@@ -313,6 +420,13 @@ def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     componentwise-minimal exponent zero, then reduced by lex leading terms.
     Over the integers the reduction is both sound and complete: if ``q``
     divides ``p`` every intermediate leading term stays divisible.
+
+    The shifted keys carry plain (unbiased) exponents.  The remainder is a
+    dict with a max-heap of its keys; a cancelled term stays behind with
+    coefficient 0 and is skipped when popped.  An exact quotient has degree
+    ``deg p - deg q`` in every variable, so a quotient term outside that box
+    proves there is none; the box also keeps every remainder key inside the
+    degree range of ``p``, far from the field limits.
     """
     if q.is_zero():
         raise ZeroDivisorError("division by the zero Laurent polynomial")
@@ -321,34 +435,49 @@ def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     if p.is_zero():
         return LaurentPoly.zero(p.vars)
 
-    mp, mq = p.monomial_content(), q.monomial_content()
-    pw = p.shift(tuple(-v for v in mp))
-    qw = q.shift(tuple(-v for v in mq))
+    offset, mask, shifts = _layout(len(p.vars))
+    plo, phi = _field_extent(p._packed, shifts)
+    qlo, qhi = _field_extent(q._packed, shifts)
+    box = 0
+    for s, pl, ph, ql, qh in zip(shifts, plo, phi, qlo, qhi):
+        room = (ph - pl) - (qh - ql)
+        if room < 0:
+            return None
+        box += room << s
+    kmp = sum(v << s for v, s in zip(plo, shifts))
+    kmq = sum(v << s for v, s in zip(qlo, shifts))
 
-    lead_q = max(qw.terms)
-    cq = qw.terms[lead_q]
-    rem = dict(pw.terms)
-    quot: dict[tuple[int, ...], int] = {}
-    qitems = list(qw.terms.items())
+    rem = {k - kmp: c for k, c in p._packed.items()}
+    qterms = sorted(((k - kmq, c) for k, c in q._packed.items()), reverse=True)
+    (lead_q, cq), tail = qterms[0], qterms[1:]
+    heap = [-k for k in rem]
+    heapify(heap)
+    quot: dict[int, int] = {}
 
-    while rem:
-        lead_r = max(rem)
-        cr = rem[lead_r]
-        e = _sub_vec(lead_r, lead_q)
-        if any(v < 0 for v in e) or cr % cq:
+    while heap:
+        k = -heappop(heap)
+        cr = rem.pop(k)
+        if not cr:
+            continue
+        e = k - lead_q
+        # top bit of a field in e: negative exponent; in box - e: past the box
+        if (e | (box - e)) & mask or cr % cq:
             return None
         c = cr // cq
         quot[e] = c
-        for eq, cqq in qitems:
-            k = _add_vec(e, eq)
-            s = rem.get(k, 0) - c * cqq
-            if s:
-                rem[k] = s
+        for kq, cqq in tail:
+            kk = e + kq
+            s = rem.get(kk)
+            if s is None:
+                rem[kk] = -c * cqq
+                heappush(heap, -kk)
             else:
-                rem.pop(k, None)
+                rem[kk] = s - c * cqq
 
-    shift_back = _sub_vec(mp, mq)
-    return LaurentPoly(p.vars, {_add_vec(e, shift_back): c for e, c in quot.items()})
+    back = kmp - kmq + offset
+    out = {e + back: c for e, c in quot.items()}
+    _check_fields(out, mask)
+    return _make(p.vars, out)
 
 
 def parse_rational(text: str) -> Fraction:

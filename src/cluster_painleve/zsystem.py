@@ -13,6 +13,7 @@ polynomial (factorization, spectral radius).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -423,20 +424,27 @@ class ZSolution:
         return all(x == 0 for x in acc)
 
 
+def _exact_int_root(m: int, k: int) -> int | None:
+    """The k-th root of m >= 0 when m is a perfect k-th power, else None."""
+    if m < 2:
+        return m
+    if k == 2:
+        r = math.isqrt(m)
+    else:
+        # integer Newton from above; the sequence falls to floor(m^(1/k))
+        r = 1 << -(-m.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + m // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    return r if r ** k == m else None
+
+
 def _exact_fraction_root(x: Fraction, k: int) -> Fraction | None:
     if x < 0:
         return None
-
-    def iroot(m: int) -> int | None:
-        if m < 2:
-            return m
-        r = round(m ** (1.0 / k))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** k == m:
-                return c
-        return None
-
-    pn, pd = iroot(x.numerator), iroot(x.denominator)
+    pn, pd = _exact_int_root(x.numerator, k), _exact_int_root(x.denominator, k)
     if pn is None or pd is None:
         return None
     return Fraction(pn, pd)

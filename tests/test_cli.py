@@ -1,9 +1,14 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cluster_painleve
 from cluster_painleve.cli import main
 
 
@@ -146,3 +151,49 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["linrel", "--train", "2"])  # --offsets is required
         assert exc.value.code == 2
+
+
+def assert_config_error(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+class TestConfigErrors:
+    def test_negative_steps(self, capsys):
+        assert_config_error(capsys, ["run", "t", "--preset", "somos4", "--steps", "-1"])
+        assert_config_error(capsys, ["zsys", "--preset", "somos4", "--init", "2,3",
+                                     "--steps", "-1"])
+
+    def test_entropy_needs_enough_steps(self, capsys):
+        assert_config_error(capsys, ["entropy", "--preset", "somos4", "--steps", "5"])
+        assert_config_error(capsys, ["entropy", "--preset", "somos4", "--steps", "5",
+                                     "--mode", "symbolic"])
+
+    @pytest.mark.parametrize("payload", [
+        {"stencil": 5, "kind": "rational", "values": ["1"]},
+        ["1", "2", "3"],
+        {"stencil": [-1, 2, -1], "values": [1, 2, 3, 4]},
+        {"stencil": [-1, 2, -1], "kind": "cubic", "values": []},
+        {"stencil": [-1, 2, -1], "kind": "symbolic", "values": [{"vars": ["x0"]}]},
+    ])
+    def test_malformed_orbit_file(self, tmp_path, capsys, payload):
+        orbit = tmp_path / "orbit.json"
+        orbit.write_text(json.dumps(payload))
+        assert_config_error(capsys, ["linrel", "--orbit", str(orbit),
+                                     "--offsets", "0,1,2"])
+
+    def test_malformed_orbit_file_from_the_shell(self, tmp_path):
+        orbit = tmp_path / "orbit.json"
+        orbit.write_text("[1, 2, 3]")
+        src = str(Path(cluster_painleve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cluster_painleve.cli", "linrel", "--orbit",
+             str(orbit), "--offsets", "0,1,2"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr

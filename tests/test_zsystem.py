@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cluster_painleve.zsystem import (
     AlgebraicZCase,
@@ -15,6 +16,7 @@ from cluster_painleve.zsystem import (
     solve_z,
     z_stencil_from_tuple,
 )
+from cluster_painleve.zsystem import _exact_fraction_root
 
 F = Fraction
 
@@ -127,3 +129,24 @@ def test_geometric_solution_grows_linearly():
     degs = exponent_degree_sequence(sol, 10)
     # Z_n = Z0^(1-n) Z1^n: total degree |1-n| + n
     assert degs == [1, 1, 3, 5, 7, 9, 11, 13, 15, 17]
+
+
+def test_exact_root_of_a_large_square():
+    # a float square root misses this perfect square by more than one
+    assert _exact_fraction_root(F((3 ** 40 + 1) ** 2), 2) == 3 ** 40 + 1
+
+
+def test_exact_root_beyond_float_range():
+    # 10**400 overflows a float
+    assert _exact_fraction_root(F(10 ** 400), 2) == 10 ** 200
+    assert _exact_fraction_root(F(1, 10 ** 400), 2) == F(1, 10 ** 200)
+    assert _exact_fraction_root(F(10 ** 400 + 1), 2) is None
+
+
+@given(st.integers(0, 10 ** 60), st.integers(1, 10 ** 6), st.integers(1, 7))
+def test_exact_root_inverts_powers(num, den, k):
+    x = F(num, den)
+    assert _exact_fraction_root(x ** k, k) == x
+    if num and k > 1:
+        assert _exact_fraction_root(x ** k + F(1, den ** k), k) is None
+    assert _exact_fraction_root(-(x ** k) - 1, k) is None
