@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .intlinalg import solve
 from .tsystem import Orbit
 
 
@@ -221,43 +222,6 @@ class RelationSearch:
     status: str  # "found" | "inconsistent" | "underdetermined" | "failed-verify"
 
 
-def _solve_reporting(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[int, int, list[Fraction] | None]:
-    """Gaussian elimination returning (rank, solution_dim, unique solution).
-
-    solution_dim is -1 for inconsistent systems; a solution is returned only
-    when it is unique (solution_dim == 0).
-    """
-    m = len(rows[0]) if rows else 0
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    nrows = len(aug)
-    rank = 0
-    where = [-1] * m
-    for col in range(m):
-        piv = next((i for i in range(rank, nrows) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(nrows):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
-        where[col] = rank
-        rank += 1
-        if rank == nrows:
-            break
-    for i in range(rank, nrows):
-        if aug[i][m] != 0:
-            return rank, -1, None
-    if rank < m:
-        return rank, m - rank, None
-    sol = [Fraction(0)] * m
-    for col in range(m):
-        sol[col] = aug[where[col]][m]
-    return rank, 0, sol
-
-
 def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int) -> RelationSearch:
     if orb.kind != "rational":
         raise ValueError("relation search needs a rational orbit")
@@ -273,7 +237,7 @@ def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int)
     m = len(offs) - 1
     rows = [[vals[n + o] for o in offs[1:]] for n in range(train)]
     rhs = [-vals[n + offs[0]] for n in range(train)]
-    rank, dim, sol = _solve_reporting(rows, rhs)
+    rank, dim, sol = solve(rows, rhs)
     if dim == -1:
         return RelationSearch(offs, rank, -1, None, "inconsistent")
     if dim > 0:

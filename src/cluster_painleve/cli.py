@@ -14,7 +14,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .laurent import format_rational, parse_rational
 from .presets import Preset, UnknownPreset, get_preset, list_presets
 from .quiver import build_from_tuple
 from .tsystem import TStencil, iterate_t, iterate_tz, orbit_from_json
-from .zsystem import GeometricZ, char_poly, solve_z, z_stencil_from_tuple
+from .zsystem import GeometricZ, char_poly, format_poly, solve_z, z_stencil_from_tuple
 
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
@@ -34,17 +33,6 @@ EXIT_COMPUTE = 3
 
 class ConfigInvalid(Exception):
     """Bad flags, bad preset, malformed values: nothing was computed."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    system: str
-    a: tuple[int, ...]
-    mode: str
-    init: tuple[Fraction, ...] | None
-    steps: int
-    z_init: tuple[Fraction, ...] | None
-    out: str | None
 
 
 # -- option plumbing ---------------------------------------------------------
@@ -239,7 +227,7 @@ def _cmd_zsys(args) -> int:
         for f, mult in cp.factors:
             rts = mpmath.polyroots([int(c) for c in reversed(f)]) if len(f) > 1 else []
             roots.append({
-                "factor": _poly_text(f),
+                "factor": format_poly(f),
                 "multiplicity": mult,
                 "roots": [[float(mpmath.re(r)), float(mpmath.im(r))] for r in rts],
             })
@@ -276,19 +264,6 @@ def _cmd_zsys(args) -> int:
         header = ("n", "value")
     _emit(args, "zsys", payload, rows, header)
     return 0
-
-
-def _poly_text(f: tuple[int, ...]) -> str:
-    parts = []
-    for k in range(len(f) - 1, -1, -1):
-        c = f[k]
-        if c == 0:
-            continue
-        term = "L" + (f"^{k}" if k > 1 else "") if k else ""
-        mag = abs(c)
-        lead = "" if (mag == 1 and k) else str(mag)
-        parts.append(("- " if c < 0 else "+ " if parts else "") + (lead + term).strip())
-    return " ".join(parts) or "0"
 
 
 def _cmd_entropy(args) -> int:
@@ -433,8 +408,6 @@ def _add_io(sp) -> None:
     sp.add_argument("--out", help="output file (*.json/*.csv) or directory")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for bare 'random' inits (default 0)")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="reserved; exact arithmetic runs single-process")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 

@@ -8,7 +8,6 @@ over asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 Mat = list[list[int]]
@@ -32,36 +31,102 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Mat:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def primitive(v: Sequence[int]) -> Vec:
-    """Divide out the gcd; zero vector stays zero."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
+def rref(rows: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination over the rationals.
 
-
-def rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by fraction Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+    Returns the reduced rows (pivots scaled to 1, rows without a pivot last)
+    and the pivot columns.  Pivots are sought only in the first ``ncols``
+    columns (default: all), so the columns after them, such as a right-hand
+    side or an identity block, ride along.  Stops once every row holds a
+    pivot.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if nrows else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = 1 / a[r][c]
         a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
+        for i in range(nrows):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
+        pivots.append(c)
+    return a, pivots
+
+
+def rank(m: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals."""
+    return len(rref(m)[1])
+
+
+def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[int, int, list[Fraction] | None]:
+    """Solve ``rows @ x == rhs`` exactly: (rank, solution_dim, solution).
+
+    solution_dim is -1 for an inconsistent system and otherwise the dimension
+    of the affine solution space; the solution is returned only when it is
+    unique (solution_dim == 0).
+    """
+    m = len(rows[0]) if rows else 0
+    a, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], m)
+    r = len(pivots)
+    if any(row[m] != 0 for row in a[r:]):
+        return r, -1, None
+    if r < m:
+        return r, m - r, None
+    return r, 0, [row[m] for row in a[:m]]
+
+
+def _hermite(a: Mat, t: Mat | None = None) -> int:
+    """Bring ``a`` to row Hermite form in place and return its rank.
+
+    Euclidean elimination column by column; pivots end positive with the
+    entries above them reduced, and the first ``rank`` rows are the nonzero
+    ones.  Every row operation on ``a`` is applied to ``t`` too when given.
+    """
+    mats = [a] if t is None else [a, t]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    r = 0
+    for c in range(cols):
         if r == rows:
             break
+        # euclidean elimination below row r in column c
+        while True:
+            nz = [i for i in range(r, rows) if a[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(a[i][c]))
+            for x in mats:
+                x[r], x[i0] = x[i0], x[r]
+            done = True
+            for i in range(r + 1, rows):
+                if a[i][c]:
+                    q = a[i][c] // a[r][c]
+                    for x in mats:
+                        x[i] = [u - q * v for u, v in zip(x[i], x[r])]
+                    if a[i][c]:
+                        done = False
+            if done:
+                break
+        if a[r][c] != 0:
+            if a[r][c] < 0:
+                for x in mats:
+                    x[r] = [-u for u in x[r]]
+            for i in range(r):
+                q = a[i][c] // a[r][c]
+                if q:
+                    for x in mats:
+                        x[i] = [u - q * v for u, v in zip(x[i], x[r])]
+            r += 1
     return r
 
 
@@ -72,38 +137,7 @@ def hermite_form(m: Sequence[Sequence[int]]) -> Mat:
     the integer row span of ``m``.
     """
     a = copy_mat(m)
-    if not a:
-        return []
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for c in range(cols):
-        # euclidean elimination below row r in column c
-        while True:
-            nz = [i for i in range(r, rows) if a[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][c]))
-            a[r], a[i0] = a[i0], a[r]
-            done = True
-            for i in range(r + 1, rows):
-                if a[i][c]:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if a[i][c]:
-                        done = False
-            if done:
-                break
-        if r < rows and a[r][c] != 0:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            for i in range(r):
-                q = a[i][c] // a[r][c]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-            r += 1
-            if r == rows:
-                break
-    return [row for row in a[:r] if any(row)]
+    return a[:_hermite(a)]
 
 
 def kernel_basis(m: Sequence[Sequence[int]]) -> list[Vec]:
@@ -117,35 +151,10 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[Vec]:
     if not m:
         return []
     n = len(m[0])
-    b = transpose(m)  # n x rows(m): row i = action of e_i
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows, cols = n, len(b[0]) if b else 0
-    r = 0
-    for c in range(cols):
-        while True:
-            nz = [i for i in range(r, rows) if b[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(b[i][c]))
-            b[r], b[i0] = b[i0], b[r]
-            t[r], t[i0] = t[i0], t[r]
-            done = True
-            for i in range(r + 1, rows):
-                if b[i][c]:
-                    q = b[i][c] // b[r][c]
-                    b[i] = [x - q * y for x, y in zip(b[i], b[r])]
-                    t[i] = [x - q * y for x, y in zip(t[i], t[r])]
-                    if b[i][c]:
-                        done = False
-            if done:
-                break
-        if r < rows and b[r][c] != 0:
-            r += 1
-            if r == rows:
-                break
-    ker_rows = [t[i] for i in range(r, rows)]
-    for i, row in enumerate(ker_rows):
-        assert all(x == 0 for x in mat_vec(m, row)), "kernel transform failed"
+    ker_rows = t[_hermite(transpose(m), t):]
+    if any(any(mat_vec(m, row)) for row in ker_rows):
+        raise ArithmeticError("kernel transform failed")
     return [tuple(row) for row in hermite_form(ker_rows)]
 
 
@@ -173,74 +182,21 @@ def solve_int(columns: Sequence[Sequence[int]], target: Sequence[int]) -> Vec | 
     Returns None when no rational solution exists or the rational solution is
     not integral.  Columns must be linearly independent.
     """
-    cols = len(columns)
-    if cols == 0:
-        return () if all(x == 0 for x in target) else None
-    a = [[Fraction(columns[j][i]) for j in range(cols)] + [Fraction(target[i])]
-         for i in range(len(target))]
-    sol = _solve_overdetermined(a, cols)
-    if sol is None:
-        return None
-    if any(x.denominator != 1 for x in sol):
+    rows = [[col[i] for col in columns] for i in range(len(target))]
+    _, dim, sol = solve(rows, target)
+    if dim != 0 or any(x.denominator != 1 for x in sol):
         return None
     return tuple(int(x) for x in sol)
-
-
-def _solve_overdetermined(aug: list[list[Fraction]], cols: int) -> list[Fraction] | None:
-    """Gaussian elimination on an augmented system; None if inconsistent
-    or underdetermined."""
-    rows = len(aug)
-    piv_rows: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append(c)
-        r += 1
-    if len(piv_rows) < cols:
-        return None  # underdetermined
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None  # inconsistent
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(piv_rows):
-        sol[c] = aug[i][cols]
-    return sol
-
-
-def solve_fraction(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:
-    """Solve a square or overdetermined consistent system exactly; None on
-    failure (inconsistent or rank-deficient)."""
-    cols = len(a[0]) if a else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    return _solve_overdetermined(aug, cols)
 
 
 def invert_fraction(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
     """Exact inverse of a square rational matrix, or None if singular."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    red, pivots = rref([list(row) + [1 if i == j else 0 for j in range(n)]
+                        for i, row in enumerate(a)], n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in red]
 
 
 def in_lattice(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:

@@ -192,12 +192,6 @@ class LaurentPoly:
         s = _layout(len(self.vars))[2][var_index]
         return min((k >> s) & _FIELD for k in self._packed) - _BIAS
 
-    def max_exponent(self, var_index: int) -> int:
-        if not self._packed:
-            raise ValueError("zero polynomial has no exponents")
-        s = _layout(len(self.vars))[2][var_index]
-        return max((k >> s) & _FIELD for k in self._packed) - _BIAS
-
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Lex-largest term as ``(exponents, coefficient)``."""
         k = max(self._packed)
@@ -331,17 +325,6 @@ class LaurentPoly:
                 term *= v ** k
             total += term
         return total
-
-    # -- monomial content and exact division ----------------------------------
-
-    def monomial_content(self) -> tuple[int, ...]:
-        """Componentwise minimum exponent over all terms (zero poly -> zeros)."""
-        if not self._packed:
-            return (0,) * len(self.vars)
-        return tuple(self.min_exponent(i) for i in range(len(self.vars)))
-
-    def try_div(self, q: "LaurentPoly") -> "LaurentPoly | None":
-        return laurent_try_div(self, q)
 
     def partial(self, name: str) -> "LaurentPoly":
         """Exact partial derivative with respect to the named variable."""

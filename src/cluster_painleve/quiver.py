@@ -19,10 +19,6 @@ class NotPalindromic(ValueError):
     """Tuple fails a_j == a_{N-j}."""
 
 
-class NotPeriod1(ValueError):
-    """Exchange matrix is not shift-periodic."""
-
-
 def _pos(b: int) -> int:
     return b if b > 0 else 0
 
@@ -131,8 +127,8 @@ def is_period1(b: ExchangeMatrix) -> bool:
     """Check the periodicity relations and cross-validate against mutation."""
     if period1_witness(b) is not None:
         return False
-    ok = mutate_matrix(b, 0) == rho_conjugate(b)
-    assert ok, "periodicity relations held but mutation cross-check failed"
+    if mutate_matrix(b, 0) != rho_conjugate(b):
+        raise ArithmeticError("periodicity relations held but mutation cross-check failed")
     return True
 
 

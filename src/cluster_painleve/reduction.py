@@ -134,9 +134,6 @@ class PalindromicBasis:
             out.append(tuple([0] * i + list(self.generator[: self.n - i])))
         return tuple(out)
 
-    def support_length(self) -> int:
-        return self.n - self.rank + 1
-
 
 def palindromic_basis(b: ExchangeMatrix) -> PalindromicBasis:
     """Shift-palindromic Z-basis of im B (unique up to overall sign; the
@@ -252,9 +249,6 @@ class USystemSpec:
         if self.z_flag:
             z = "Z[n] * " if self.z_power == 1 else f"Z[n]^{self.z_power} * "
         return f"{lhs} = {z}{rhs}"
-
-    def canonical_pair(self) -> tuple[dict, dict]:
-        return self.f_num.to_json(), self.f_den.to_json()
 
 
 def _derive(b: ExchangeMatrix, z_flag: bool) -> USystemSpec:

@@ -8,13 +8,11 @@ for a palindromic integer tuple a = (a_1,...,a_{N-1}) and a coefficient
 sequence Z_n (identically 1 in the coefficient-free case).  Symbolic
 iteration certifies the Laurent property step by step: every division must
 come out exact in the Laurent ring, otherwise the iterate is rejected.
-Scaling x_n -> lambda*mu^n*x_n and monomial gauge transforms x_n = G_n x'_n
-are provided as exact operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,10 +26,6 @@ class NonLaurentIterate(ArithmeticError):
 
 
 class ZeroEncountered(ArithmeticError):
-    pass
-
-
-class ZeroScale(ValueError):
     pass
 
 
@@ -218,126 +212,3 @@ def iterate_t(st: TStencil, init: Sequence[Fraction] | None, steps: int,
     orb = iterate_tz(st, ConstantZ(1), init, steps, mode, max_terms)
     orb.z = None
     return orb
-
-
-def scale_orbit(orb: Orbit, lam: Fraction, mu: Fraction) -> Orbit:
-    """x_n -> lam * mu^n * x_n, then re-verify the recurrence exactly."""
-    if orb.kind != "rational":
-        raise ValueError("scaling applies to rational orbits")
-    lam, mu = Fraction(lam), Fraction(mu)
-    if lam == 0 or mu == 0:
-        raise ZeroScale("scale factors must be nonzero")
-    vals = [lam * mu ** n * v for n, v in enumerate(orb.values)]
-    out = Orbit(orb.stencil, "rational", vals, orb.z)
-    if not check_orbit(out):
-        raise ValueError(
-            "scaling broke the recurrence (stencil is not scaling-homogeneous)")
-    return out
-
-
-# -- monomial gauge transforms -------------------------------------------------
-
-
-@dataclass
-class GaugeNormalization:
-    """Gauge x_n = G_n x'_n with G a monomial in the coefficient symbols.
-
-    The recurrence's two monomials are `kept` (transformed coefficient fixed
-    to 1) and `moved` (receives the residual coefficient alpha_n).  G is
-    pinned by G_0 = ... = G_{N-1} = 1; exponent vectors are over z.symbols.
-    """
-
-    order: int
-    target: str
-    symbols: tuple[str, ...]
-    kept: tuple[int, ...]
-    moved: tuple[int, ...]
-    z: object
-    _g: list[tuple[int, ...]] = field(default_factory=list)
-
-    def g_exponents(self, n: int) -> tuple[int, ...]:
-        k = len(self.symbols)
-        while len(self._g) <= n:
-            m = len(self._g)
-            if m < self.order:
-                self._g.append((0,) * k)
-                continue
-            base = m - self.order
-            sign, zexp = self.z.monomial(base)
-            if sign != 1:
-                raise AlgebraicZCase("gauge needs a positive monomial coefficient")
-            acc = list(_as_int_vector(zexp))
-            if len(acc) != k:
-                raise ValueError("coefficient symbol mismatch")
-            for j, e in enumerate(self.kept, start=1):
-                if e:
-                    row = self._g[base + j]
-                    for i in range(k):
-                        acc[i] += e * row[i]
-            row0 = self._g[base]
-            for i in range(k):
-                acc[i] -= row0[i]
-            self._g.append(tuple(acc))
-        return self._g[n]
-
-    def alpha_exponents(self, n: int) -> tuple[int, ...]:
-        k = len(self.symbols)
-        acc = [0] * k
-        for j in range(1, self.order):
-            e = self.moved[j - 1] - self.kept[j - 1]
-            if e:
-                row = self.g_exponents(n + j)
-                for i in range(k):
-                    acc[i] += e * row[i]
-        return tuple(acc)
-
-    def _evaluate(self, exps: Sequence[int], symbol_values: Sequence[Fraction]) -> Fraction:
-        out = Fraction(1)
-        for v, e in zip(symbol_values, exps):
-            out *= Fraction(v) ** e
-        return out
-
-    def g_value(self, n: int, symbol_values: Sequence[Fraction]) -> Fraction:
-        return self._evaluate(self.g_exponents(n), symbol_values)
-
-    def alpha_value(self, n: int, symbol_values: Sequence[Fraction]) -> Fraction:
-        return self._evaluate(self.alpha_exponents(n), symbol_values)
-
-
-def _as_int_vector(exps) -> tuple[int, ...]:
-    out = []
-    for e in exps:
-        f = Fraction(e)
-        if f.denominator != 1:
-            raise AlgebraicZCase("gauge requires fractional exponents; not computed")
-        out.append(int(f))
-    return tuple(out)
-
-
-def gauge_monomial_pair(order: int, first: Sequence[int], second: Sequence[int],
-                        z, target: str) -> GaugeNormalization:
-    """Gauge engine for x_{n+N}x_n = Z_n*(m_first + m_second).
-
-    `first`/`second` give the window exponents (offsets 1..N-1, either sign)
-    of the two monomials; `target` names the one that keeps the non-autonomous
-    coefficient, the other is normalized to 1.
-    """
-    first, second = tuple(first), tuple(second)
-    if len(first) != order - 1 or len(second) != order - 1:
-        raise ValueError("monomial exponent windows must have length N-1")
-    if target == "first":
-        moved, kept = first, second
-    elif target == "second":
-        moved, kept = second, first
-    else:
-        raise ValueError("target must be 'first' or 'second'")
-    return GaugeNormalization(order, target, tuple(z.symbols), kept, moved, z)
-
-
-def gauge_normalize(st: TStencil, z, target: str) -> GaugeNormalization:
-    """Move the whole coefficient sequence onto one monomial of the stencil.
-
-    The displayed convention writes the [-a]+ product first, so target="first"
-    leaves the [a]+ product with coefficient 1 and vice versa.
-    """
-    return gauge_monomial_pair(st.n, st.minus_exponents, st.plus_exponents, z, target)

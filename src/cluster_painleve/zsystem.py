@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import mpmath
-
-from .intlinalg import Vec
 
 
 class ZeroTuple(ValueError):
@@ -106,15 +104,6 @@ def _poly_normalize(p: Sequence[int]) -> tuple[int, ...]:
     if q[-1] < 0:
         g = -g
     return tuple(c // g for c in q)
-
-
-def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
 
 
 def _poly_divmod_frac(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -205,6 +194,20 @@ def factor_over_integers(p: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
+def format_poly(p: Sequence[int]) -> str:
+    """Ascending integer coefficients as text in L, leading term first."""
+    parts = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if c == 0:
+            continue
+        term = "L" + (f"^{k}" if k > 1 else "") if k else ""
+        mag = abs(c)
+        lead = "" if (mag == 1 and k) else str(mag)
+        parts.append(("- " if c < 0 else "+ " if parts else "") + (lead + term).strip())
+    return " ".join(parts) or "0"
+
+
 @dataclass(frozen=True)
 class CharPoly:
     coeffs: tuple[int, ...]  # ascending, primitive, leading > 0
@@ -214,21 +217,9 @@ class CharPoly:
         return len(self.coeffs) - 1
 
     def format_text(self) -> str:
-        def fmt(p: tuple[int, ...]) -> str:
-            parts = []
-            for k in range(len(p) - 1, -1, -1):
-                c = p[k]
-                if c == 0:
-                    continue
-                term = "L" + (f"^{k}" if k > 1 else "") if k else ""
-                mag = abs(c)
-                lead = "" if (mag == 1 and k) else str(mag)
-                parts.append(("- " if c < 0 else "+ " if parts else "") + (lead + term).strip())
-            return " ".join(parts) or "0"
-
         pieces = []
         for f, m in self.factors:
-            s = "(" + fmt(f) + ")"
+            s = "(" + format_poly(f) + ")"
             if m > 1:
                 s += f"^{m}"
             pieces.append(s)
@@ -256,7 +247,8 @@ def _squarefree_part(p: tuple[int, ...]) -> tuple[int, ...]:
     # a = gcd; divide
     g = [c for c in a]
     quo, rem = _poly_divmod_frac([Fraction(c) for c in p], g)
-    assert all(r == 0 for r in rem)
+    if any(r != 0 for r in rem):
+        raise ArithmeticError("squarefree part: polynomial gcd left a remainder")
     from math import lcm
     m = 1
     for c in quo:

@@ -197,3 +197,20 @@ class TestConfigErrors:
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+
+def test_jobs_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zsys", "--preset", "somos4", "--jobs", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--jobs" in err
+
+
+@pytest.mark.parametrize("command", ["run", "reduce", "zsys", "entropy", "linrel", "verify"])
+def test_help_does_not_mention_jobs(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--out" in out and "--jobs" not in out

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from cluster_painleve.intlinalg import (
     lattice_equal,
     mat_mul,
     rank,
+    solve,
     solve_int,
 )
 
@@ -70,15 +72,67 @@ def test_lattice_equal_reflexive(rows):
     assert lattice_equal(basis, basis)
 
 
-@given(st.tuples(small, small, small, small).filter(lambda t: t[0] * t[3] != t[1] * t[2]))
-def test_invert_fraction_roundtrip(t):
-    a, b, c, d = (Fraction(v) for v in t)
-    m = [[a, b], [c, d]]
-    inv = invert_fraction(m)
+def _det(m):
+    """Leibniz expansion; independent of the elimination code."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = sign
+        for i, j in enumerate(perm):
+            prod *= m[i][j]
+        total += prod
+    return total
+
+
+def _mat(rows, cols):
+    return st.lists(st.lists(small, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+square = st.integers(1, 4).flatmap(lambda n: _mat(n, n))
+matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(lambda rc: _mat(*rc))
+
+
+@given(square)
+def test_invert_fraction_roundtrip(m):
+    n = len(m)
+    inv = invert_fraction([[Fraction(v) for v in row] for row in m])
+    if _det(m) == 0:
+        assert inv is None
+        return
     assert inv is not None
-    prod = [[sum(m[i][k] * inv[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)]
-    assert prod == [[1, 0], [0, 1]]
+    prod = [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@given(matrices)
+def test_rank_hermite_and_kernel_agree(m):
+    r = rank(m)
+    # the Fraction core against the independent integer loop
+    assert r == len(hermite_form(m))
+    ker = kernel_basis(m)
+    assert len(ker) == len(m[0]) - r
+    for v in ker:
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+
+
+def test_solve_unique():
+    assert solve([[1, 1], [1, -1], [2, 0]], [3, 1, 4]) == (2, 0, [2, 1])
+
+
+def test_solve_underdetermined():
+    assert solve([[1, 2, 3], [2, 4, 6]], [1, 2]) == (1, 2, None)
+
+
+def test_solve_inconsistent():
+    assert solve([[1, 2], [2, 4]], [1, 3]) == (1, -1, None)
+    # inconsistency is reported before a rank deficit
+    assert solve([[0, 0]], [1]) == (0, -1, None)
 
 
 def test_invert_fraction_rejects_singular():
