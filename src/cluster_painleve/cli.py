@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -160,6 +161,9 @@ def _cmd_run(args) -> int:
         if args.what == "t":
             orb = iterate_t(st, init, args.steps, mode=args.mode)
         else:
+            if args.mode == "rational" and not (args.z_init or args.beta or args.q):
+                raise ConfigInvalid("run tz in rational mode needs coefficient "
+                                    "values: pass --z-init or --beta/--q")
             z = _resolve_z(args, p.a, args.seed)
             orb = iterate_tz(st, z, init, args.steps, mode=args.mode)
         payload = orb.to_json()
@@ -496,16 +500,29 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     args = build_parser().parse_args(argv)
+    # long exact orbits outgrow the default cap on int <-> str conversion
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if getattr(args, "steps", 0) < 0:
             raise ConfigInvalid("--steps must be nonnegative")
-        return args.handler(args)
+        rc = args.handler(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): drop the rest of the output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, ArithmeticError, KeyError, OverflowError) as exc:
         print(f"compute error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ palindromic integer vector v with support of length N-r+1; the monomial map
 U_n = prod_j x_{n+j}^{v_{j+1}} then intertwines the order-N bilinear
 recurrence with an order-r recurrence U_{n+r} U_n = F(U_{n+1..n+r-1}) in the
 reduced variables, carrying a log-canonical symplectic/presymplectic form.
+The shifts of v are in echelon form with pivots in columns 0..r-1, so the
+last row of the Hermite basis of im B is s^{r-1}(v) and gives v.
 This module constructs the basis, eliminates the recurrence, and verifies
 the conjugacy, the 2-form invariance, and (numerically) the dilogarithm
 generating function of the reduced map.
@@ -16,14 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 import mpmath
 
 from .intlinalg import (
-    image_lattice_basis, in_lattice, invert_fraction, lattice_equal, rank,
-    solve_int,
+    image_lattice_basis, in_lattice, invert_fraction, lattice_equal, mat_mul,
+    solve_int, transpose,
 )
 from .laurent import LaurentPoly
 from .quiver import ExchangeMatrix
@@ -54,71 +55,6 @@ class ZeroRank(ValueError):
 # -- palindromic lattice bases --------------------------------------------------
 
 
-def _support(v: Sequence[Fraction]) -> tuple[int, int] | None:
-    idx = [i for i, x in enumerate(v) if x != 0]
-    if not idx:
-        return None
-    return idx[0], idx[-1]
-
-
-def _shift(v: list[Fraction], k: int, n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for i, x in enumerate(v):
-        j = i + k
-        if x != 0:
-            if j < 0 or j >= n:
-                raise EliminationFailed("shift pushed support out of the window")
-            out[j] = x
-    return out
-
-
-def _is_palindromic_on_support(v: Sequence[Fraction]) -> bool:
-    sup = _support(v)
-    if sup is None:
-        return True
-    lo, hi = sup
-    seg = list(v[lo : hi + 1])
-    return seg == seg[::-1]
-
-
-def _symmetrize(v: Sequence[Fraction], n: int) -> list[Fraction] | None:
-    """v + aligned reversal; None when the sum collapses to zero."""
-    v = list(v)
-    sup = _support(v)
-    if sup is None:
-        return None
-    if _is_palindromic_on_support(v):
-        return v
-    lo, hi = sup
-    rev = list(reversed(v))
-    # reversal has support [n-1-hi, n-1-lo]; realign to [lo, hi]
-    w = [a + b for a, b in zip(v, _shift(rev, lo + hi - (n - 1), n))]
-    if all(x == 0 for x in w):
-        return None
-    if not _is_palindromic_on_support(w):
-        raise EliminationFailed("symmetrized vector is not palindromic")
-    return w
-
-
-def _reduce_against(row: Sequence[Fraction], v: list[Fraction], n: int) -> list[Fraction] | None:
-    """Eliminate the leading window of `row` against shifts of v; None if it
-    lies in their span."""
-    sup = _support(v)
-    lo, hi = sup
-    length = hi - lo + 1
-    cur = [Fraction(x) for x in row]
-    lead = v[lo]
-    for pos in range(n - length + 1):
-        c = cur[pos]
-        if c != 0:
-            sh = _shift(v, pos - lo, n)
-            f = c / lead
-            cur = [a - f * b for a, b in zip(cur, sh)]
-    if all(x == 0 for x in cur):
-        return None
-    return cur
-
-
 @dataclass(frozen=True)
 class PalindromicBasis:
     """Z-basis s^0(v), ..., s^{r-1}(v) of the row lattice of B."""
@@ -139,54 +75,16 @@ def palindromic_basis(b: ExchangeMatrix) -> PalindromicBasis:
     """Shift-palindromic Z-basis of im B (unique up to overall sign; the
     leading entry of the generator is normalized positive)."""
     n = b.n
-    rows = [list(map(Fraction, row)) for row in b.rows]
-    r = rank([list(row) for row in b.rows])
-    if r == 0:
+    if not any(map(any, b.rows)):
         return PalindromicBasis(n, 0, (0,) * n)
-
-    v: list[Fraction] | None = None
-    for row in rows:
-        v = _symmetrize(row, n)
-        if v is not None:
-            break
-    if v is None:
-        raise EliminationFailed("no row admits a nonzero symmetrization")
-
-    while True:
-        lo, hi = _support(v)
-        v = _shift(v, -lo, n)
-        length = hi - lo + 1
-        span = n - length + 1
-        if span == r:
-            break
-        if span > r:
-            raise EliminationFailed("candidate support shorter than the rank allows")
-        adopted = False
-        for row in rows:
-            cur = _reduce_against(row, v, n)
-            if cur is None:
-                continue
-            w = _symmetrize(cur, n)
-            if w is None:
-                continue
-            v = w
-            adopted = True
-            break
-        if not adopted:
-            raise EliminationFailed("no row extends the span")
-
-    mult = lcm(*[x.denominator for x in v]) if any(x.denominator != 1 for x in v) else 1
-    ints = [int(x * mult) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    if ints[0] < 0:
-        ints = [-x for x in ints]
-    gen = tuple(ints)
+    img = image_lattice_basis(b.as_lists())
+    r = len(img)
+    gen = tuple(img[-1][r - 1:]) + (0,) * (r - 1)
+    support = gen[:max(i for i, x in enumerate(gen) if x) + 1]
+    if support != support[::-1]:
+        raise EliminationFailed("generator is not palindromic")
 
     basis = PalindromicBasis(n, r, gen)
-    img = image_lattice_basis([list(row) for row in b.rows])
     for vec in basis.vectors:
         if not in_lattice(img, vec):
             raise EliminationFailed("basis vector escapes the row lattice")
@@ -359,29 +257,16 @@ def reduced_structure_matrix(b: ExchangeMatrix, basis: PalindromicBasis) -> list
     is the quiver's log-canonical form.
     """
     vmat = [list(vec) for vec in basis.vectors]
-    r, n = len(vmat), basis.n
-    m = [[Fraction(sum(vmat[i][k] * vmat[j][k] for k in range(n)))
-          for j in range(r)] for i in range(r)]
-    minv = invert_fraction(m)
+    vt = transpose(vmat)
+    minv = invert_fraction(mat_mul(vmat, vt))
     if minv is None:
         raise EliminationFailed("basis Gram matrix is singular")
-    vb = [[Fraction(sum(vmat[i][k] * b.rows[k][l] for k in range(n)))
-           for l in range(n)] for i in range(r)]
-    vbvt = [[sum(vb[i][k] * vmat[j][k] for k in range(n)) for j in range(r)]
-            for i in range(r)]
-    tmp = [[sum(minv[i][k] * vbvt[k][j] for k in range(r)) for j in range(r)]
-           for i in range(r)]
-    c = [[sum(tmp[i][k] * minv[k][j] for k in range(r)) for j in range(r)]
-         for i in range(r)]
+    c = mat_mul(mat_mul(minv, mat_mul(mat_mul(vmat, b.rows), vt)), minv)
     # exactness check: V^T C V must reproduce B entrywise
-    vtc = [[sum(vmat[k][i] * c[k][j] for k in range(r)) for j in range(r)]
-           for i in range(n)]
-    back = [[sum(vtc[i][k] * vmat[k][j] for k in range(r)) for j in range(n)]
-            for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if back[i][j] != b.rows[i][j]:
-                raise EliminationFailed("2-form does not push down exactly")
+    n = basis.n
+    back = mat_mul(mat_mul(vt, c), vmat) if vmat else [[0] * n for _ in range(n)]
+    if back != b.as_lists():
+        raise EliminationFailed("2-form does not push down exactly")
     return c
 
 
@@ -421,14 +306,9 @@ def verify_form_invariance(b: ExchangeMatrix, points: Sequence[Sequence[Fraction
         if len(u) != r:
             raise ValueError(f"points live on the {r}-torus")
         image, jac = _phase_map(spec, u)
-        om_u = symplectic_form_at(c, u)
-        om_im = symplectic_form_at(c, image)
-        for i in range(r):
-            for j in range(r):
-                lhs = sum(jac[k][i] * om_im[k][l] * jac[l][j]
-                          for k in range(r) for l in range(r))
-                if lhs != om_u[i][j]:
-                    return False
+        pulled = mat_mul(mat_mul(transpose(jac), symplectic_form_at(c, image)), jac)
+        if pulled != symplectic_form_at(c, u):
+            return False
     return True
 
 

@@ -10,6 +10,8 @@ import pytest
 
 import cluster_painleve
 from cluster_painleve.cli import main
+from cluster_painleve.laurent import format_rational
+from cluster_painleve.tsystem import TStencil, iterate_t
 
 
 def run_json(capsys, argv):
@@ -188,15 +190,63 @@ class TestConfigErrors:
     def test_malformed_orbit_file_from_the_shell(self, tmp_path):
         orbit = tmp_path / "orbit.json"
         orbit.write_text("[1, 2, 3]")
-        src = str(Path(cluster_painleve.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run(
             [sys.executable, "-m", "cluster_painleve.cli", "linrel", "--orbit",
              str(orbit), "--offsets", "0,1,2"],
-            capture_output=True, text=True, env=env, timeout=60)
+            capture_output=True, text=True, env=_child_env(), timeout=60)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_run_tz_needs_coefficient_values(self, capsys):
+        rc = main(["run", "tz", "--preset", "somos4", "--init", "ones", "--steps", "8"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("config error: ") and err.count("\n") == 1
+        assert "--z-init" in err and "--beta/--q" in err
+        # symbolic mode needs no values
+        assert main(["run", "tz", "--preset", "somos4", "--mode", "symbolic",
+                     "--steps", "2"]) == 0
+
+
+def _child_env():
+    """Environment in which a child interpreter imports this checkout."""
+    src = str(Path(cluster_painleve.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_closed_stdout_is_not_an_error():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cluster_painleve.cli", "linrel", "--preset", "prim4",
+         "--init", "1,2,3,4", "--offsets", "0,2,4", "--train", "2", "--verify", "5",
+         "--steps", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    proc.stdout.close()  # before the child has imported anything
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""  # no traceback and no "Exception ignored" note at exit
+
+
+def test_values_past_the_int_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    argv = ["run", "t", "--preset", "somos4", "--init", "ones", "--steps", "350"]
+    assert main(argv + ["--format", "csv"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].partition(",")[2]
+    orbit = tmp_path / "orbit.json"
+    assert main(argv + ["--out", str(orbit)]) == 0
+    capsys.readouterr()
+    rc = main(["linrel", "--orbit", str(orbit), "--offsets", "0,1,2",
+               "--train", "2", "--verify", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0 and json.loads(out.partition("\n")[2])["system"] == str(orbit)
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # main restored it
+        sys.set_int_max_str_digits(0)
+    try:
+        expect = format_rational(iterate_t(TStencil((-1, 2, -1)), [1] * 4, 350).values[-1])
+        assert len(last) > 4300 and last == expect
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_jobs_flag_is_a_usage_error(capsys):

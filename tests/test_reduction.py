@@ -1,19 +1,21 @@
 """Palindromic reduction: bases, reduced recurrences, symplectic structure.
 
-The staircase that extracts a palindromic generator from the image lattice
+The palindromic generator read off the Hermite basis of the image lattice
 is the heart of the package; every preset's generator is pinned here along
 with the reduced recurrences they induce.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cluster_painleve import reduction
+from cluster_painleve import intlinalg, reduction
 from cluster_painleve.laurent import LaurentPoly
 from cluster_painleve.presets import get_preset
-from cluster_painleve.quiver import ExchangeMatrix
+from cluster_painleve.quiver import ExchangeMatrix, build_from_tuple
 from cluster_painleve.tsystem import TStencil, iterate_t
 
 F = Fraction
@@ -35,6 +37,72 @@ def test_palindromic_generator(name):
     bas = reduction.palindromic_basis(get_preset(name).matrix)
     assert (bas.generator, bas.rank) == (gen, r)
     assert bas.vectors[0][: len(bas.generator)]  # shifts start at offset 0
+
+
+def _det(m):
+    """Bareiss fraction-free determinant of a square integer matrix."""
+    a = [list(row) for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def test_det_matches_known_values():
+    assert _det([[2, 0, 1], [1, 3, 2], [1, 1, 2]]) == 6
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert _det([[1, 2], [2, 4]]) == 0
+
+
+def test_basis_has_the_independent_properties():
+    # every nonzero palindromic tuple of length 1-6 with entries in [-2, 2]
+    for length in range(1, 7):
+        for half in itertools.product(range(-2, 3), repeat=(length + 1) // 2):
+            a = half + half[: length // 2][::-1]
+            if not any(a):
+                continue
+            b = build_from_tuple(a)
+            bas = reduction.palindromic_basis(b)
+            n, r = b.n, intlinalg.rank(b.as_lists())
+            gen = bas.generator
+            support = gen[: max(i for i, x in enumerate(gen) if x) + 1]
+            assert bas.rank == r, a
+            assert support == support[::-1] and gen[0] > 0, a
+            assert math.gcd(*gen) == 1, a
+            assert len(support) == n - r + 1, a
+            shifts = bas.vectors
+            assert all(intlinalg.in_lattice(shifts, row) for row in b.rows), a
+            minors = [_det([[v[c] for c in cols] for v in shifts])
+                      for cols in itertools.combinations(range(n), r)]
+            assert math.gcd(*minors) == 1, a
+
+
+def test_failed_basis_checks_raise(monkeypatch):
+    b = get_preset("somos4").matrix
+    with monkeypatch.context() as m:  # last Hermite row (0, 1, -1, 0)
+        m.setattr(reduction, "image_lattice_basis", lambda rows: [(1, 0, 0, 0), (0, 1, -1, 0)])
+        with pytest.raises(reduction.EliminationFailed, match="palindromic"):
+            reduction.palindromic_basis(b)
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "in_lattice", lambda basis, v: False)
+        with pytest.raises(reduction.EliminationFailed, match="escapes"):
+            reduction.palindromic_basis(b)
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "lattice_equal", lambda a, c: False)
+        with pytest.raises(reduction.EliminationFailed, match="span"):
+            reduction.palindromic_basis(b)
+    wrong = reduction.PalindromicBasis(4, 2, (1, 0, 0, 0))
+    with pytest.raises(reduction.EliminationFailed, match="push down"):
+        reduction.reduced_structure_matrix(b, wrong)
 
 
 def test_zero_matrix_has_no_reduction():
