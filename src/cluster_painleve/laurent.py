@@ -22,7 +22,9 @@ Exponents are limited to ``[EXP_MIN, EXP_MAX]``; anything outside raises
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import ItemsView, Mapping
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
@@ -463,11 +465,32 @@ def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     return _make(p.vars, out)
 
 
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse ``p`` or ``p/q`` into an exact Fraction, at any length."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ValueError:
+        # int() refuses more than sys.get_int_max_str_digits() digits; Decimal does not
+        m = _RATIONAL.fullmatch(text)
+        if m is None:
+            raise
+        num, den = (int(Decimal(g)) for g in m.groups("1"))
+        return Fraction(num, den)
+
+
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past sys.get_int_max_str_digits(); str(Decimal) has no cap
+        return str(Decimal(n))
 
 
 def format_rational(x: Fraction) -> str:
+    """``p`` or ``p/q`` in lowest terms, at any length."""
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = _int_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"

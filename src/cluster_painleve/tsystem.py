@@ -8,6 +8,15 @@ for a palindromic integer tuple a = (a_1,...,a_{N-1}) and a coefficient
 sequence Z_n (identically 1 in the coefficient-free case).  Symbolic
 iteration certifies the Laurent property step by step: every division must
 come out exact in the Laurent ring, otherwise the iterate is rejected.
+
+Rational iteration writes x_n = N_n / M_n with N_n an integer and M_n a
+monomial in the numerators and denominators of the initial window and of
+the bound coefficient values; the exponents of M_n are the max-plus
+(tropical) degree vectors of x_n, so by the Laurent phenomenon each step is
+one exact integer division.  A zero remainder proves the step.  From the
+first step with a remainder, or whose Z_n has no integral bound monomial
+form (`bound_monomial` in `zsystem`), the orbit goes on in plain Fraction
+arithmetic, the only path for non-Laurent data.
 """
 
 from __future__ import annotations
@@ -157,6 +166,79 @@ def _z_monomial_poly(z, n: int, variables: tuple[str, ...]) -> LaurentPoly:
     return LaurentPoly.monomial(variables, tuple(full), sign)
 
 
+def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
+    """Append x_n = N_n / M_n to `vals` while each step divides exactly.
+
+    N_n is an integer and M_n a monomial in the bases: the numerators and
+    denominators of the initial window and of Z's bound values (bases equal
+    to 1 are dropped).  A variable p/q enters M_n as p^d q^t, where -d and t
+    are the lowest and top exponents of x_n in it; these follow the max-plus
+    shadow of the recurrence, so the coefficients `ca`, `cb` below are
+    integers.  Returns the number of steps done: `steps`, or the first step
+    whose division leaves a remainder or whose Z_n has no integral bound
+    monomial form, from where the caller goes on in Fraction arithmetic.
+    """
+    n_ = st.n
+    form = z.bound_monomial(0) if steps else None
+    if form is None:
+        return 0
+    variables = (*vals, *form[1])  # x_0..x_{N-1}, then Z's symbols
+    slots = [(k, b, e) for k, v in enumerate(variables)
+             for b, e in ((v.numerator, -1), (v.denominator, 1)) if b != 1]
+    bases = [b for _, b, _ in slots]
+    # M of the bare variable p/q is p^-1 q, so N = 1 for each initial value
+    units = [[e if i == k else 0 for i, _, e in slots] for k in range(len(variables))]
+    zunits = units[n_:]
+    plus = [(j, e) for j, e in enumerate(st.plus_exponents, start=1) if e]
+    minus = [(j, e) for j, e in enumerate(st.minus_exponents, start=1) if e]
+    nums = [1] * n_  # N over the sliding window
+    degs = units[:n_]  # the matching exponent vectors of M
+
+    def side(exps):
+        acc, deg = 1, [0] * len(bases)
+        for j, e in exps:
+            acc *= nums[j] ** e
+            for i, d in enumerate(degs[j]):
+                deg[i] += e * d
+        return acc, deg
+
+    for n in range(steps):
+        if n:
+            form = z.bound_monomial(n)
+            if form is None:
+                return n
+        sign, _, zexp = form
+        na, ua = side(plus)
+        nb, ub = side(minus)
+        top = [max(u, d) for u, d in zip(ua, ub)]
+        ca = cb = sign
+        for b, t, u, d in zip(bases, top, ua, ub):
+            if t != u:
+                ca *= b ** (t - u)
+            if t != d:
+                cb *= b ** (t - d)
+        quo, rem = divmod(ca * na + cb * nb, nums[0])
+        if rem:
+            return n
+        if not quo:
+            raise ZeroEncountered(f"orbit value x_{n + n_} vanished")
+        deg = [t - d for t, d in zip(top, degs[0])]
+        for zk, u in zip(zexp, zunits):
+            if zk:
+                for i, d in enumerate(u):
+                    deg[i] += zk * d
+        num, den = quo, 1
+        for b, d in zip(bases, deg):
+            if d > 0:
+                den *= b ** d
+            elif d < 0:
+                num *= b ** -d
+        vals.append(Fraction(num, den))
+        nums = nums[1:] + [quo]
+        degs = degs[1:] + [deg]
+    return steps
+
+
 def iterate_tz(st: TStencil, z, init: Sequence[Fraction] | None, steps: int,
                mode: str = "rational", max_terms: int = 10 ** 6) -> Orbit:
     """Append `steps` further values to the initial window.
@@ -175,7 +257,7 @@ def iterate_tz(st: TStencil, z, init: Sequence[Fraction] | None, steps: int,
         if any(v == 0 for v in vals):
             raise ZeroEncountered("initial window contains zero")
         one = Fraction(1)
-        for n in range(steps):
+        for n in range(_integer_steps(st, z, vals, steps), steps):
             w = vals[n + 1 : n + n_]
             num = z.value(n) * (
                 _product_monomial(w, st.plus_exponents, one)

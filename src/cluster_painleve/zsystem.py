@@ -281,6 +281,10 @@ def spectral_radius(coeffs: Sequence[int]) -> tuple[float, float]:
 
 
 # -- Z-sequences ---------------------------------------------------------------
+# Each sequence also offers bound_monomial(n): Z_n as (sign, values, exps) with
+# Z_n = sign * prod(values[i] ** exps[i]), the values being the bound symbol
+# values (the same tuple for every n) and the exps integers, or None when entry
+# n has no such form.  Integer orbit arithmetic reads Z_n through it.
 
 
 class ConstantZ:
@@ -299,6 +303,9 @@ class ConstantZ:
         if self.c == 1:
             return 1, ()
         raise AlgebraicZCase("nontrivial constant has no monomial form over ()")
+
+    def bound_monomial(self, n: int):
+        return (1, (), ()) if self.c == 1 else None
 
 
 class GeometricZ:
@@ -322,6 +329,9 @@ class GeometricZ:
     def monomial(self, n: int) -> tuple[int, tuple[Fraction, ...]]:
         return 1, (Fraction(1), Fraction(n))
 
+    def bound_monomial(self, n: int):
+        return None if self.beta is None else (1, (self.beta, self.q), (1, n))
+
 
 class PerturbedZ:
     """Wrap another sequence, multiplying finitely many entries by factors."""
@@ -339,6 +349,9 @@ class PerturbedZ:
         if n in self.factors:
             raise AlgebraicZCase("perturbed entries have no monomial form")
         return self.base.monomial(n)
+
+    def bound_monomial(self, n: int):
+        return None if n in self.factors else self.base.bound_monomial(n)
 
 
 @dataclass
@@ -385,6 +398,15 @@ class ZSolution:
 
     def monomial(self, n: int) -> tuple[int, tuple[Fraction, ...]]:
         return 1, self.exponents(n)
+
+    def bound_monomial(self, n: int):
+        vals = self.init_values
+        if vals is None or 0 in vals:
+            return None
+        exps = self.exponents(n)
+        if any(e.denominator != 1 for e in exps):
+            return None
+        return 1, vals, tuple(int(e) for e in exps)
 
     def value(self, n: int) -> Fraction:
         if self.init_values is None:

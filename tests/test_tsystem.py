@@ -1,14 +1,19 @@
 """Bilinear recurrences: exact orbits, Laurentness, serialization.
 
 The rational and symbolic iteration paths are independent implementations
-of the same dynamics; several tests pin them against each other.
+of the same dynamics; several tests pin them against each other.  The
+rational path runs in integer arithmetic (x_n = N_n / M_n) until its first
+inexact step; `fraction_orbit` below is the plain Fraction loop it is
+checked against, values and exceptions alike.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cluster_painleve import tsystem
 from cluster_painleve.tsystem import (
     NonLaurentIterate,
     Orbit,
@@ -19,7 +24,14 @@ from cluster_painleve.tsystem import (
     iterate_tz,
     orbit_from_json,
 )
-from cluster_painleve.zsystem import GeometricZ, solve_z, z_stencil_from_tuple
+from cluster_painleve.zsystem import (
+    AlgebraicZCase,
+    ConstantZ,
+    GeometricZ,
+    PerturbedZ,
+    solve_z,
+    z_stencil_from_tuple,
+)
 
 F = Fraction
 
@@ -134,3 +146,141 @@ def test_orbit_windows_satisfy_recurrence_everywhere(init):
     v = orb.values
     for n in range(8):
         assert v[n + 4] * v[n] == v[n + 2] ** 2 + v[n + 1] * v[n + 3]
+
+
+def test_json_roundtrip_past_the_int_digit_limit():
+    orb = iterate_t(TStencil(SOMOS4), [1] * 4, 350)
+    assert orb.values[-1].numerator.bit_length() > 4300 * 3.33  # over 4,300 digits
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        back = orbit_from_json(orb.to_json())
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert back.values == orb.values
+
+
+# -- the integer path against a plain Fraction loop ----------------------------
+
+
+def fraction_orbit(a, z, init, steps):
+    """Reference: x_{n+N} = Z_n (prod x^[a]+ + prod x^[-a]+) / x_n in Fractions."""
+    n_ = len(a) + 1
+    vals = [Fraction(v) for v in init]
+    for n in range(steps):
+        w = vals[n + 1 : n + n_]
+        plus = minus = Fraction(1)
+        for v, e in zip(w, a):
+            if e > 0:
+                plus *= v ** e
+            elif e < 0:
+                minus *= v ** -e
+        nxt = z.value(n) * (plus + minus) / vals[n]
+        if nxt == 0:
+            raise ZeroEncountered(f"orbit value x_{n + n_} vanished")
+        vals.append(nxt)
+    return vals
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(a, z, init, steps):
+    got = _outcome(lambda: iterate_tz(TStencil(a), z, init, steps).values)
+    assert got == _outcome(lambda: fraction_orbit(a, z, init, steps))
+
+
+def integer_steps(a, z, init, steps):
+    """How many steps the integer path takes before it hands over."""
+    return tsystem._integer_steps(TStencil(a), z, [F(v) for v in init], steps)
+
+
+signed_pq = st.builds(lambda s, p, q: F(s * p, q), st.sampled_from([1, -1]),
+                      st.integers(1, 5), st.integers(1, 5))
+palindromes = st.integers(0, 2).flatmap(lambda h: st.tuples(
+    st.lists(st.integers(-2, 2), min_size=h, max_size=h),
+    st.lists(st.integers(-2, 2), min_size=0, max_size=1),
+)).map(lambda hm: tuple(hm[0] + hm[1] + hm[0][::-1])).filter(len)
+
+
+@given(palindromes, st.data(), st.integers(0, 10))
+@settings(max_examples=150, deadline=None)
+def test_integer_path_matches_fraction_loop(a, data, steps):
+    init = data.draw(st.lists(signed_pq, min_size=len(a) + 1, max_size=len(a) + 1))
+    assert_matches_reference(a, ConstantZ(1), init, steps)
+
+
+@pytest.mark.parametrize("a", [SOMOS4, SOMOS5, SOMOS6, SOMOS7])
+def test_geometric_coefficients_match_fraction_loop(a):
+    z = GeometricZ(F(-3, 2), F(5, 7))
+    init = [F(2, 3), F(-1, 5), F(7), F(3, 4), F(5, 2), F(-2), F(1, 3)][:len(a) + 1]
+    assert integer_steps(a, z, init, 24) == 24
+    assert_matches_reference(a, z, init, 24)
+
+
+class NegatedGeometricZ(GeometricZ):
+    """Z_n = -beta q^n: a bound monomial form with sign -1."""
+
+    def value(self, n):
+        return -super().value(n)
+
+    def bound_monomial(self, n):
+        _, values, exps = super().bound_monomial(n)
+        return -1, values, exps
+
+
+def test_coefficient_sign_enters_the_integer_step():
+    z = NegatedGeometricZ(F(3, 2), F(-5, 7))
+    init = [F(2, 3), F(-1, 5), F(7), F(3, 4)]
+    assert integer_steps(SOMOS4, z, init, 20) == 20
+    assert_matches_reference(SOMOS4, z, init, 20)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_solved_coefficients_match_fraction_loop(n):
+    a = (-1,) + (0,) * (n - 3) + (-1,)
+    z = solve_z(z_stencil_from_tuple(a), [F(2, 3), F(-5, 4), F(7), F(1, 6), F(3)][:n - 2])
+    init = [F(3, 2), F(-2, 5), F(1), F(4, 3), F(-1, 7), F(5), F(2)][:n]
+    assert integer_steps(a, z, init, 40) == 40
+    assert_matches_reference(a, z, init, 40)
+
+
+def test_fractional_coefficient_exponents_hand_over():
+    # Z_{n+2} = Z_n^-1 Z_{n+1}^(1/2): Z_2 needs a square root, Z_4 an 8th root of 16
+    a = (-2, 1, -2)
+    z = solve_z(z_stencil_from_tuple(a), [F(1), F(16)])
+    init = [F(1), F(2), F(-1, 3), F(3)]
+    assert integer_steps(a, z, init, 6) == 2
+    for steps in range(7):
+        assert_matches_reference(a, z, init, steps)
+    assert len(iterate_tz(TStencil(a), z, init, 4)) == 8
+    with pytest.raises(AlgebraicZCase):
+        iterate_tz(TStencil(a), z, init, 5)
+
+
+@pytest.mark.parametrize("a, z, init, steps, handover", [
+    # the perturbed coefficient data of acceptance criterion 8
+    (SOMOS4, PerturbedZ(GeometricZ(F(2), F(3, 2)), {5: F(2)}),
+     [F(5, 2), F(5, 2), F(1, 2), F(4, 5)], 36, 5),
+    (SOMOS4, ConstantZ(3), [F(1), F(2), F(1, 3), F(-4)], 20, 0),
+    # the geometric sequence breaks prim4's coefficient constraint
+    (PRIM4, GeometricZ(F(1), F(2)), [F(1)] * 4, 20, 4),
+    # unbound symbols: the Fraction step raises as before
+    (SOMOS4, GeometricZ(), [F(1)] * 4, 3, 0),
+])
+def test_hand_over_to_fraction_steps(a, z, init, steps, handover):
+    assert integer_steps(a, z, init, steps) == handover
+    assert_matches_reference(a, z, init, steps)
+
+
+def test_zero_value_raises_on_the_integer_path():
+    with pytest.raises(ZeroEncountered, match=r"^orbit value x_4 vanished$"):
+        integer_steps(SOMOS4, ConstantZ(1), [1, 1, -1, -1], 3)
+    with pytest.raises(ZeroEncountered, match=r"^orbit value x_4 vanished$"):
+        iterate_t(TStencil(SOMOS4), [F(1), F(1), F(-1), F(-1)], 3)
