@@ -148,7 +148,31 @@ def _emit(args, stem: str, payload: dict, csv_rows: list[tuple] | None = None,
 
 # -- subcommands --------------------------------------------------------------
 
+# the target-specific flags each `run` target reads
+_RUN_FLAGS = {
+    "t": {"--preset", "--tuple", "--n", "--mode symbolic"},
+    "tz": {"--preset", "--tuple", "--n", "--mode symbolic", "--z-init", "--beta", "--q"},
+    "y": {"--preset", "--tuple", "--n"},
+    "qp1": {"--beta", "--q"},
+}
+
+
+def _check_run_flags(args) -> None:
+    """Reject a flag that the chosen `run` target would ignore."""
+    target, used = f"run {args.what}", _RUN_FLAGS[args.what]
+    if args.what == "tz" and args.mode == "symbolic":
+        # a symbolic orbit keeps the coefficients as symbols
+        target, used = "run tz --mode symbolic", used - {"--z-init", "--beta", "--q"}
+    given = {"--preset": args.preset, "--tuple": args.tuple, "--n": args.n is not None,
+             "--mode symbolic": args.mode == "symbolic", "--z-init": args.z_init,
+             "--beta": args.beta, "--q": args.q}
+    for flag, on in given.items():
+        if on and flag not in used:
+            raise ConfigInvalid(f"{flag} does not apply to {target}")
+
+
 def _cmd_run(args) -> int:
+    _check_run_flags(args)
     if args.what != "qp1":
         p = _resolve_system(args)
         st = TStencil(p.a)

@@ -14,9 +14,10 @@ monomial in the numerators and denominators of the initial window and of
 the bound coefficient values; the exponents of M_n are the max-plus
 (tropical) degree vectors of x_n, so by the Laurent phenomenon each step is
 one exact integer division.  A zero remainder proves the step.  From the
-first step with a remainder, or whose Z_n has no integral bound monomial
-form (`bound_monomial` in `zsystem`), the orbit goes on in plain Fraction
-arithmetic, the only path for non-Laurent data.
+first step with a remainder, or whose Z_n has no integral monomial form in
+the bound coefficient values (`monomial` and `bound` in `zsystem`), the
+orbit goes on in plain Fraction arithmetic, the only path for non-Laurent
+data.
 """
 
 from __future__ import annotations
@@ -154,16 +155,11 @@ def check_orbit(orb: Orbit, start: int = 0) -> bool:
 
 
 def _z_monomial_poly(z, n: int, variables: tuple[str, ...]) -> LaurentPoly:
-    sign, exps = z.monomial(n)
-    zsyms = z.symbols
-    offset = len(variables) - len(zsyms)
-    full = [0] * len(variables)
-    for i, e in enumerate(exps):
-        ei = Fraction(e)
-        if ei.denominator != 1:
-            raise AlgebraicZCase("symbolic iteration needs integer coefficient exponents")
-        full[offset + i] = int(ei)
-    return LaurentPoly.monomial(variables, tuple(full), sign)
+    # Z's symbols are the last variables
+    exps = z.monomial(n)
+    if exps is None:
+        raise AlgebraicZCase("symbolic iteration needs integer coefficient exponents")
+    return LaurentPoly.monomial(variables, (0,) * (len(variables) - len(exps)) + exps)
 
 
 def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
@@ -175,14 +171,14 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
     are the lowest and top exponents of x_n in it; these follow the max-plus
     shadow of the recurrence, so the coefficients `ca`, `cb` below are
     integers.  Returns the number of steps done: `steps`, or the first step
-    whose division leaves a remainder or whose Z_n has no integral bound
-    monomial form, from where the caller goes on in Fraction arithmetic.
+    whose division leaves a remainder or whose Z_n has no integral monomial
+    form, from where the caller goes on in Fraction arithmetic.
     """
     n_ = st.n
-    form = z.bound_monomial(0) if steps else None
-    if form is None:
+    bound = z.bound
+    if not steps or bound is None or 0 in bound:
         return 0
-    variables = (*vals, *form[1])  # x_0..x_{N-1}, then Z's symbols
+    variables = (*vals, *bound)  # x_0..x_{N-1}, then Z's symbol values
     slots = [(k, b, e) for k, v in enumerate(variables)
              for b, e in ((v.numerator, -1), (v.denominator, 1)) if b != 1]
     bases = [b for _, b, _ in slots]
@@ -203,15 +199,13 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
         return acc, deg
 
     for n in range(steps):
-        if n:
-            form = z.bound_monomial(n)
-            if form is None:
-                return n
-        sign, _, zexp = form
+        zexp = z.monomial(n)
+        if zexp is None:
+            return n
         na, ua = side(plus)
         nb, ub = side(minus)
         top = [max(u, d) for u, d in zip(ua, ub)]
-        ca = cb = sign
+        ca = cb = 1
         for b, t, u, d in zip(bases, top, ua, ub):
             if t != u:
                 ca *= b ** (t - u)

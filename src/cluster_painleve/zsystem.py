@@ -87,10 +87,9 @@ def z_stencil_from_tuple(a: Sequence[int]) -> ZStencil:
 
 
 def _poly_content(p: Sequence[int]) -> int:
-    from math import gcd
     g = 0
     for c in p:
-        g = gcd(g, abs(c))
+        g = math.gcd(g, abs(c))
     return g or 1
 
 
@@ -133,64 +132,44 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
+def _candidates(work: tuple[int, ...]):
+    """Primitive trial factors of `work` (normalized, degree >= 1): the linear
+    s*L - r with r | constant term and s | leading coefficient, then, from
+    degree 3, the quadratics a2*L^2 + b*L + c0 with |b| at most the sum of
+    the coefficient magnitudes."""
+    const = next(c for c in work if c != 0)
+    for s in _divisors(work[-1]):
+        for r in _divisors(const):
+            for sign in (1, -1):
+                yield _poly_normalize((-sign * r, s))
+    if len(work) <= 3:
+        return
+    bound = sum(abs(c) for c in work)
+    for a2 in _divisors(work[-1]):
+        for c0 in _divisors(const):
+            for c0s in (c0, -c0):
+                for b in range(-bound, bound + 1):
+                    yield _poly_normalize((c0s, b, a2))
+
+
 def factor_over_integers(p: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     """Peel degree-1 and degree-2 integer factors; leftover kept whole.
 
     Good enough for the low-degree reciprocal polynomials that arise from
     palindromic constraint stencils; not a general factorization routine.
     """
-    p = _poly_normalize(p)
+    work = _poly_normalize(p)
     factors: dict[tuple[int, ...], int] = {}
-    work = p
-
-    def push(f: tuple[int, ...]):
-        factors[f] = factors.get(f, 0) + 1
-
-    changed = True
-    while len(work) > 1 and changed:
-        changed = False
-        # rational roots r/s: r | const term, s | leading
-        const = next((c for c in work if c != 0), 0)
-        for s in _divisors(work[-1]):
-            for r in _divisors(const):
-                for sign in (1, -1):
-                    cand = _poly_normalize((-sign * r, s))
-                    if len(cand) != 2:
-                        continue
-                    quo = _poly_try_div_int(work, cand)
-                    if quo is not None:
-                        push(cand)
-                        work = _poly_normalize(quo)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
+    while len(work) > 1:
+        for cand in _candidates(work):
+            quo = _poly_try_div_int(work, cand)
+            if quo is not None:
+                factors[cand] = factors.get(cand, 0) + 1
+                work = _poly_normalize(quo)
                 break
-        if changed or len(work) <= 3:
-            continue
-        bound = sum(abs(c) for c in work)
-        for a2 in _divisors(work[-1]):
-            for c0 in _divisors(next(c for c in work if c != 0)):
-                for c0s in (c0, -c0):
-                    for b in range(-bound, bound + 1):
-                        cand = _poly_normalize((c0s, b, a2))
-                        if len(cand) != 3:
-                            continue
-                        quo = _poly_try_div_int(work, cand)
-                        if quo is not None:
-                            push(cand)
-                            work = _poly_normalize(quo)
-                            changed = True
-                            break
-                    if changed:
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    if len(work) > 1:
-        push(work)
+        else:
+            factors[work] = factors.get(work, 0) + 1
+            break
     return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
@@ -242,17 +221,13 @@ def _squarefree_part(p: tuple[int, ...]) -> tuple[int, ...]:
         while r and r[-1] == 0:
             r.pop()
         a, b = b, r or [Fraction(0)]
-        if all(c == 0 for c in b):
-            break
     # a = gcd; divide
-    g = [c for c in a]
-    quo, rem = _poly_divmod_frac([Fraction(c) for c in p], g)
+    quo, rem = _poly_divmod_frac([Fraction(c) for c in p], a)
     if any(r != 0 for r in rem):
         raise ArithmeticError("squarefree part: polynomial gcd left a remainder")
-    from math import lcm
     m = 1
     for c in quo:
-        m = lcm(m, c.denominator)
+        m = math.lcm(m, c.denominator)
     return _poly_normalize([int(c * m) for c in quo])
 
 
@@ -281,31 +256,29 @@ def spectral_radius(coeffs: Sequence[int]) -> tuple[float, float]:
 
 
 # -- Z-sequences ---------------------------------------------------------------
-# Each sequence also offers bound_monomial(n): Z_n as (sign, values, exps) with
-# Z_n = sign * prod(values[i] ** exps[i]), the values being the bound symbol
-# values (the same tuple for every n) and the exps integers, or None when entry
-# n has no such form.  Integer orbit arithmetic reads Z_n through it.
+# Each sequence has `symbols`, `bound` (the symbol values, or None while
+# unbound), `value(n)` and `monomial(n)`: the integer exponents of Z_n over
+# `symbols`, so Z_n = prod(bound[i] ** exps[i]) once bound, or None when entry
+# n has no integral monomial form.  Symbolic orbits and the integer path of
+# rational orbits read Z_n through `monomial`.
 
 
 class ConstantZ:
     """Z_n = c for all n (default c = 1, the coefficient-free case)."""
 
+    symbols: tuple[str, ...] = ()
+    bound: tuple[Fraction, ...] = ()
+
     def __init__(self, c: Fraction | int = 1):
         self.c = Fraction(c)
         if self.c == 0:
             raise ZeroInitial("constant coefficient must be nonzero")
-        self.symbols: tuple[str, ...] = ()
 
     def value(self, n: int) -> Fraction:
         return self.c
 
-    def monomial(self, n: int) -> tuple[int, tuple[Fraction, ...]]:
-        if self.c == 1:
-            return 1, ()
-        raise AlgebraicZCase("nontrivial constant has no monomial form over ()")
-
-    def bound_monomial(self, n: int):
-        return (1, (), ()) if self.c == 1 else None
+    def monomial(self, n: int) -> tuple[int, ...] | None:
+        return () if self.c == 1 else None
 
 
 class GeometricZ:
@@ -320,17 +293,15 @@ class GeometricZ:
             raise ZeroInitial("beta and q must be nonzero")
         self.beta = Fraction(beta) if beta is not None else None
         self.q = Fraction(q) if q is not None else None
+        self.bound = None if beta is None else (self.beta, self.q)
 
     def value(self, n: int) -> Fraction:
         if self.beta is None:
             raise ValueError("unbound symbolic sequence has no rational values")
         return self.beta * self.q ** n
 
-    def monomial(self, n: int) -> tuple[int, tuple[Fraction, ...]]:
-        return 1, (Fraction(1), Fraction(n))
-
-    def bound_monomial(self, n: int):
-        return None if self.beta is None else (1, (self.beta, self.q), (1, n))
+    def monomial(self, n: int) -> tuple[int, ...]:
+        return 1, n
 
 
 class PerturbedZ:
@@ -339,29 +310,25 @@ class PerturbedZ:
     def __init__(self, base, factors: dict[int, Fraction]):
         self.base = base
         self.factors = {int(k): Fraction(v) for k, v in factors.items()}
-        self.symbols = getattr(base, "symbols", ())
+        self.symbols = base.symbols
+        self.bound = base.bound
 
     def value(self, n: int) -> Fraction:
         f = self.factors.get(n, Fraction(1))
         return self.base.value(n) * f
 
-    def monomial(self, n: int):
-        if n in self.factors:
-            raise AlgebraicZCase("perturbed entries have no monomial form")
-        return self.base.monomial(n)
-
-    def bound_monomial(self, n: int):
-        return None if n in self.factors else self.base.bound_monomial(n)
+    def monomial(self, n: int) -> tuple[int, ...] | None:
+        return None if n in self.factors else self.base.monomial(n)
 
 
 @dataclass
 class ZSolution:
-    """Signed-monomial solution of a constraint stencil.
+    """Monomial solution of a constraint stencil.
 
-    Entry n is sign[n] * prod_i S_i^{table[n][i]} over the initial symbols
-    S_0..S_{r-1} (bound to rational values when init_values is given).
-    Tables grow on demand; exponents are exact rationals (they stay integral
-    whenever each division by the leading exponent comes out even).
+    Entry n is prod_i S_i^{table[n][i]} over the initial symbols S_0..S_{r-1}
+    (bound to rational values when init_values is given).  Tables grow on
+    demand; exponents are exact rationals (they stay integral whenever each
+    division by the leading exponent comes out even).
     """
 
     stencil: ZStencil
@@ -374,6 +341,10 @@ class ZSolution:
     @property
     def order(self) -> int:
         return self.stencil.order
+
+    @property
+    def bound(self) -> tuple[Fraction, ...] | None:
+        return self.init_values
 
     def _extend_to(self, n: int) -> None:
         e = self.stencil.trimmed
@@ -396,17 +367,11 @@ class ZSolution:
         self._extend_to(n)
         return self._tables[n]
 
-    def monomial(self, n: int) -> tuple[int, tuple[Fraction, ...]]:
-        return 1, self.exponents(n)
-
-    def bound_monomial(self, n: int):
-        vals = self.init_values
-        if vals is None or 0 in vals:
-            return None
+    def monomial(self, n: int) -> tuple[int, ...] | None:
         exps = self.exponents(n)
         if any(e.denominator != 1 for e in exps):
             return None
-        return 1, vals, tuple(int(e) for e in exps)
+        return tuple(int(e) for e in exps)
 
     def value(self, n: int) -> Fraction:
         if self.init_values is None:

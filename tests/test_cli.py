@@ -161,9 +161,20 @@ def assert_config_error(capsys, argv):
     assert rc == 2
     assert "Traceback" not in err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    return err
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "t", "--preset", "somos4", "--beta", "2", "--q", "3"], "--beta"),
+        (["run", "y", "--preset", "somos4", "--mode", "symbolic"], "--mode"),
+        (["run", "qp1", "--preset", "somos5", "--beta", "2", "--q", "3"], "--preset"),
+        (["run", "tz", "--preset", "somos4", "--mode", "symbolic",
+          "--beta", "2", "--q", "3"], "--beta"),
+    ])
+    def test_run_rejects_flags_its_target_ignores(self, capsys, argv, flag):
+        assert flag in assert_config_error(capsys, argv)
+
     def test_negative_steps(self, capsys):
         assert_config_error(capsys, ["run", "t", "--preset", "somos4", "--steps", "-1"])
         assert_config_error(capsys, ["zsys", "--preset", "somos4", "--init", "2,3",

@@ -3,22 +3,35 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cluster_painleve.presets import get_preset
 from cluster_painleve.zsystem import (
-    AlgebraicZCase,
     ConstantZ,
     GeometricZ,
     PerturbedZ,
     ZeroInitial,
     char_poly,
     exponent_degree_sequence,
+    factor_over_integers,
     solve_z,
     z_stencil_from_tuple,
 )
-from cluster_painleve.zsystem import _exact_fraction_root
+from cluster_painleve.zsystem import _exact_fraction_root, _poly_normalize
 
 F = Fraction
+
+# small primitive factors, coefficients ascending
+SMALL_FACTORS = [(-1, 1), (1, 1), (-1, 2), (1, 2), (1, 1, 1), (1, -1, 1), (1, 0, 1),
+                 (1, -3, 1), (-1, 0, 1), (1, 0, 0, 1), (-1, 0, 0, 1), (2, 1, 1)]
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
 
 
 def test_stencil_negates_and_trims():
@@ -48,6 +61,40 @@ class TestCharPoly:
     def test_quartic_splits_into_quadratics(self):
         cp = char_poly(z_stencil_from_tuple((-2, 6, -4, 6, -2)))
         assert {f for f, _ in cp.factors} == {(1, 0, 1), (1, -3, 1)}
+
+    @pytest.mark.parametrize("name, text", [
+        ("somos4", "(L - 1)^2"),
+        ("somos5", "(L - 1)^2(L + 1)"),
+        ("somos6", "(L - 1)^2(L^2 + L + 1)"),
+        ("somos7", "(L - 1)^2(L + 1)(L^2 + L + 1)"),
+        ("nonintegrable6", "(L^2 - 3L + 1)(L^2 + 1)"),
+        ("prim3", "(L + 1)"),
+        ("prim4", "(L^2 + 1)"),
+        ("prim5", "(L + 1)(L^2 - L + 1)"),
+        ("prim6", "(L^4 + 1)"),
+        ("prim7", "(L + 1)(L^4 - L^3 + L^2 - L + 1)"),
+        ("prim8", "(L^2 + 1)(L^4 - L^2 + 1)"),
+        ("prim9", "(L + 1)(L^6 - L^5 + L^4 - L^3 + L^2 - L + 1)"),
+        ("prim10", "(L^8 + 1)"),
+        ("prim11", "(L + 1)(L^2 - L + 1)(L^6 - L^3 + 1)"),
+        ("prim12", "(L^2 + 1)(L^8 - L^6 + L^4 - L^2 + 1)"),
+    ])
+    def test_preset_factorizations(self, name, text):
+        assert char_poly(z_stencil_from_tuple(get_preset(name).a)).format_text() == text
+
+    @given(st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=4),
+           st.sampled_from([1, -1, 2, -3]))
+    @settings(max_examples=150, deadline=None)
+    def test_factors_multiply_back(self, fs, scale):
+        p = (scale,)
+        for f in fs:
+            p = _poly_mul(p, f)
+        prod = (1,)
+        for f, m in factor_over_integers(p):
+            assert f == _poly_normalize(f) and f[-1] > 0 and len(f) > 1
+            for _ in range(m):
+                prod = _poly_mul(prod, f)
+        assert prod == _poly_normalize(p)
 
 
 class TestClosedForms:
@@ -95,24 +142,23 @@ def test_solve_z_rejects_zero_values():
 def test_geometric_z_values_and_symbols():
     z = GeometricZ(F(2), F(3, 2))
     assert [z.value(n) for n in range(4)] == [F(2), F(3), F(9, 2), F(27, 4)]
-    assert z.symbols == ("beta", "q")
-    sign, exps = z.monomial(5)
-    assert sign == 1 and exps == (1, 5)
+    assert z.symbols == ("beta", "q") and z.bound == (F(2), F(3, 2))
+    assert z.monomial(5) == (1, 5)
+    assert GeometricZ().bound is None and GeometricZ().monomial(5) == (1, 5)
 
 
 def test_perturbed_z_wraps_base():
     z = PerturbedZ(GeometricZ(F(1), F(2)), {3: F(7)})
     assert z.value(3) == 7 * 2 ** 3
     assert z.value(4) == 2 ** 4
-    z.monomial(2)  # untouched entries keep their monomial form
-    with pytest.raises(AlgebraicZCase):
-        z.monomial(3)
+    assert z.bound == (F(1), F(2))
+    assert z.monomial(2) == (1, 2)  # untouched entries keep their monomial form
+    assert z.monomial(3) is None
 
 
 def test_constant_z_monomial_only_for_one():
-    assert ConstantZ().monomial(9) == (1, ())
-    with pytest.raises(AlgebraicZCase):
-        ConstantZ(F(2)).monomial(0)
+    assert ConstantZ().monomial(9) == () and ConstantZ().bound == ()
+    assert ConstantZ(F(2)).monomial(0) is None
     with pytest.raises(ZeroInitial):
         ConstantZ(0)
 
