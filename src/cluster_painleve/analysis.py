@@ -127,7 +127,9 @@ def _poly_by_differences(seq: list[int]) -> tuple[int, int, int] | None:
     """Exact polynomial detection: (degree, stride, start) such that the
     (degree+1)-th forward difference at the stride vanishes identically from
     `start` on.  Covers growth that is polynomial up to a periodic wobble
-    (the wobble is killed by differencing at its period)."""
+    (the wobble is killed by differencing at its period).  The smallest such
+    `start` is one past the last nonzero difference; it counts when it is at
+    most a third of the sequence and leaves at least 5 zeros."""
     for s in range(1, 9):
         cur = list(seq)
         for k in range(5):
@@ -135,10 +137,11 @@ def _poly_by_differences(seq: list[int]) -> tuple[int, int, int] | None:
                 break
             nxt = [cur[i + s] - cur[i] for i in range(len(cur) - s)]
             if len(nxt) >= 5:
-                limit = min(len(nxt) - 5, len(seq) // 3)
-                for st in range(limit + 1):
-                    if all(v == 0 for v in nxt[st:]):
-                        return k, s, st
+                st = len(nxt)
+                while st and not nxt[st - 1]:
+                    st -= 1
+                if st <= min(len(nxt) - 5, len(seq) // 3):
+                    return k, s, st
             cur = nxt
     return None
 

@@ -18,8 +18,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath
-
 from . import analysis, reduction, ysystem
 from .acceptance import run_criteria, summary
 from .laurent import format_rational, parse_rational
@@ -69,9 +67,10 @@ def _parse_values(spec: str, what: str) -> list[Fraction]:
         raise ConfigInvalid(f"bad {what} {spec!r}: {exc}") from exc
 
 
-def _parse_init(spec: str, count: int, default_seed: int, what: str = "--init") -> list[Fraction]:
-    """ones | comma-separated rationals | random(seed, bound)."""
-    if spec == "ones":
+def _parse_init(spec: str | None, count: int, default_seed: int,
+                what: str = "--init") -> list[Fraction]:
+    """ones (also for None) | comma-separated rationals | random(seed, bound)."""
+    if spec is None or spec == "ones":
         return [Fraction(1)] * count
     m = _RANDOM_INIT.fullmatch(spec)
     if m or spec == "random":
@@ -150,25 +149,29 @@ def _emit(args, stem: str, payload: dict, csv_rows: list[tuple] | None = None,
 
 # the target-specific flags each `run` target reads
 _RUN_FLAGS = {
-    "t": {"--preset", "--tuple", "--n", "--mode symbolic"},
-    "tz": {"--preset", "--tuple", "--n", "--mode symbolic", "--z-init", "--beta", "--q"},
-    "y": {"--preset", "--tuple", "--n"},
-    "qp1": {"--beta", "--q"},
+    "t": {"--preset", "--tuple", "--n", "--mode symbolic", "--init"},
+    "tz": {"--preset", "--tuple", "--n", "--mode symbolic", "--init", "--z-init",
+           "--beta", "--q"},
+    "y": {"--preset", "--tuple", "--n", "--init"},
+    "qp1": {"--beta", "--q", "--init"},
 }
 
 
 def _check_run_flags(args) -> None:
     """Reject a flag that the chosen `run` target would ignore."""
-    target, used = f"run {args.what}", _RUN_FLAGS[args.what]
-    if args.what == "tz" and args.mode == "symbolic":
-        # a symbolic orbit keeps the coefficients as symbols
-        target, used = "run tz --mode symbolic", used - {"--z-init", "--beta", "--q"}
+    used = _RUN_FLAGS[args.what]
+    if args.what in ("t", "tz") and args.mode == "symbolic":
+        # a symbolic orbit runs over the generators and keeps the coefficients
+        # as symbols
+        used = used - {"--init", "--z-init", "--beta", "--q"}
     given = {"--preset": args.preset, "--tuple": args.tuple, "--n": args.n is not None,
              "--mode symbolic": args.mode == "symbolic", "--z-init": args.z_init,
-             "--beta": args.beta, "--q": args.q}
+             "--beta": args.beta, "--q": args.q, "--init": args.init is not None}
     for flag, on in given.items():
         if on and flag not in used:
-            raise ConfigInvalid(f"{flag} does not apply to {target}")
+            # name the mode when it is the reason the flag does not apply
+            mode = " --mode symbolic" if flag in _RUN_FLAGS[args.what] else ""
+            raise ConfigInvalid(f"{flag} does not apply to run {args.what}{mode}")
 
 
 def _cmd_run(args) -> int:
@@ -212,7 +215,7 @@ def _cmd_run(args) -> int:
         raise ConfigInvalid("run qp1 needs --beta and --q")
     beta = _parse_values(args.beta, "--beta")[0]
     q = _parse_values(args.q, "--q")[0]
-    init = _parse_init(args.init if args.init != "ones" else "1,1", 2, args.seed)
+    init = _parse_init("1,1" if args.init in (None, "ones") else args.init, 2, args.seed)
     try:
         ys = ysystem.qp1_iterate(beta, q, init, args.steps)
     except ValueError as exc:
@@ -247,6 +250,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_zsys(args) -> int:
+    import mpmath
     p = _resolve_system(args)
     st = z_stencil_from_tuple(p.a)
     cp = char_poly(st)
@@ -422,12 +426,14 @@ def _cmd_verify(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
-def _add_common(sp, init_default: str | None = "ones") -> None:
+def _add_common(sp, init: bool = True) -> None:
     sp.add_argument("--preset", help="named system: " + ", ".join(list_presets()))
     sp.add_argument("--tuple", help="exchange tuple a_1,...,a_{N-1} (comma-separated)")
     sp.add_argument("--n", type=int, help="size for the primN family")
-    if init_default is not None:
-        sp.add_argument("--init", default=init_default,
+    if init:
+        # no default: _parse_init reads None as "ones", and `run` can tell an
+        # explicit value apart from none
+        sp.add_argument("--init",
                         help='initial window: "ones", comma-separated rationals, '
                              'or "random(seed, bound)"')
 
@@ -460,21 +466,21 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(handler=_cmd_run)
 
     red = sub.add_parser("reduce", help="palindromic reduction to the U-system")
-    _add_common(red, init_default=None)
+    _add_common(red, init=False)
     red.add_argument("--with-z", action="store_true",
                      help="keep the coefficient in the reduced recurrence")
     _add_io(red)
     red.set_defaults(handler=_cmd_reduce)
 
     zs = sub.add_parser("zsys", help="coefficient constraint and its spectrum")
-    _add_common(zs, init_default=None)
+    _add_common(zs, init=False)
     zs.add_argument("--init", help="initial Z window (optional; symbolic otherwise)")
     zs.add_argument("--steps", type=int, default=8)
     _add_io(zs)
     zs.set_defaults(handler=_cmd_zsys)
 
     en = sub.add_parser("entropy", help="degree growth and entropy estimate")
-    _add_common(en, init_default=None)
+    _add_common(en, init=False)
     en.add_argument("--steps", type=int, default=40)
     en.add_argument("--mode", choices=("tropical", "symbolic"), default="tropical")
     en.add_argument("--variable", type=int, default=1,

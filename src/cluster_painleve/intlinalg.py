@@ -68,15 +68,49 @@ def rank(m: Sequence[Sequence[int]]) -> int:
     return len(rref(m)[1])
 
 
+P = 2**61 - 1  # a Mersenne prime: modulus of the rank certificate in ``solve``
+
+
+def _rank_mod_p(rows: Sequence[Sequence]) -> int | None:
+    """Rank modulo P of an integer or rational matrix; None when P divides a
+    denominator."""
+    a = []
+    for row in rows:
+        out = []
+        for x in row:
+            if x.denominator % P == 0:
+                return None
+            out.append(x.numerator * pow(x.denominator, -1, P) % P)
+        a.append(out)
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, P)
+        for i in range(r + 1, len(a)):
+            f = a[i][c] * inv % P
+            if f:
+                a[i] = [(x - f * y) % P for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[int, int, list[Fraction] | None]:
     """Solve ``rows @ x == rhs`` exactly: (rank, solution_dim, solution).
 
     solution_dim is -1 for an inconsistent system and otherwise the dimension
     of the affine solution space; the solution is returned only when it is
-    unique (solution_dim == 0).
+    unique (solution_dim == 0).  Entries are ints or Fractions.
     """
     m = len(rows[0]) if rows else 0
-    a, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], m)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    # rank only drops modulo P, so [rows | rhs] of rank m + 1 modulo P has
+    # rank m + 1 over Q: the system is inconsistent and rows have rank m
+    if len(aug) > m and _rank_mod_p(aug) == m + 1:
+        return m, -1, None
+    a, pivots = rref(aug, m)
     r = len(pivots)
     if any(row[m] != 0 for row in a[r:]):
         return r, -1, None

@@ -20,11 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-
 from .intlinalg import (
-    image_lattice_basis, invert_fraction, lattice_equal, mat_mul, solve_int,
-    transpose,
+    image_lattice_basis, invert_fraction, lattice_equal, mat_mul, transpose,
 )
 from .laurent import LaurentPoly
 from .quiver import ExchangeMatrix
@@ -69,6 +66,29 @@ class PalindromicBasis:
         for i in range(self.rank):
             out.append(tuple([0] * i + list(self.generator[: self.n - i])))
         return tuple(out)
+
+    def coordinates(self, exps: Sequence[int]) -> tuple[int, ...] | None:
+        """Integers c with sum_i c_i s^i(v) == exps, or None if there are none.
+
+        Row s^i(v) has the pivot v[0] in column i and zeros before it, so the
+        first r columns give c by forward substitution and the remaining ones
+        must then vanish.
+        """
+        if len(exps) != self.n:
+            raise ValueError(f"exponent vector must have {self.n} entries")
+        v, r = self.generator, self.rank
+        c: list[int] = []
+        for j, e in enumerate(exps):
+            res = e - sum(ci * v[j - i] for i, ci in enumerate(c))
+            if j >= r:
+                if res:
+                    return None
+                continue
+            q, rem = divmod(res, v[0])
+            if rem:
+                return None
+            c.append(q)
+        return tuple(c)
 
 
 def palindromic_basis(b: ExchangeMatrix) -> PalindromicBasis:
@@ -173,10 +193,9 @@ def _derive(b: ExchangeMatrix, z_flag: bool) -> USystemSpec:
     e = e.shift(shift_exps)
 
     uvars = tuple(f"U{j}" for j in range(1, r))
-    cols = [list(vec) for vec in basis.vectors]
     terms: dict[tuple[int, ...], int] = {}
     for exps, coef in e.terms.items():
-        sol = solve_int(cols, list(exps))
+        sol = basis.coordinates(exps)
         if sol is None:
             raise EliminationFailed(f"monomial {exps} is not a product of reduced variables")
         if sol[0] != 0:
@@ -324,6 +343,7 @@ def poisson_bracket_matrix(c: list[list[Fraction]], u: Sequence[Fraction]) -> li
 def _theta_pullback_minus_theta(b: ExchangeMatrix, z: list) -> list:
     """Coefficients of dz_i in (shift pullback of theta) - theta at the point z,
     for theta = sum_{j<k} B_jk z_j dz_k (0-based z-window of length N)."""
+    import mpmath
     n = b.n
     a = b.first_row_tuple()
     mplus = mpmath.exp(mpmath.fsum(max(aj, 0) * z[j] for j, aj in enumerate(a, start=1)))
@@ -345,6 +365,7 @@ def _theta_pullback_minus_theta(b: ExchangeMatrix, z: list) -> list:
 
 
 def _generating_function(b: ExchangeMatrix, z: list):
+    import mpmath
     n = b.n
     a = b.first_row_tuple()
     g0 = mpmath.mpf(0)
@@ -364,6 +385,7 @@ def _generating_function(b: ExchangeMatrix, z: list):
 
 
 def _to_mpf(x):
+    import mpmath
     if isinstance(x, float):
         return mpmath.mpf(x)
     fr = Fraction(x)
@@ -376,6 +398,7 @@ def generating_function_check(b: ExchangeMatrix, point: Sequence, h: float = 1e-
     Central differences at step h and h/2; the max-norm residual must shrink
     by ~4x (second-order convergence) when the identity holds.
     """
+    import mpmath
     with mpmath.workdps(40):
         xs = [_to_mpf(p) for p in point]
         if any(x <= 0 for x in xs):

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-
 
 class ZeroTuple(ValueError):
     """All exponents vanish; no constraint to solve."""
@@ -127,29 +125,43 @@ def _poly_try_div_int(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...] | N
 
 
 def _divisors(n: int) -> list[int]:
+    """Positive divisors of |n| in increasing order ([] for 0)."""
     n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def _candidates(work: tuple[int, ...]):
     """Primitive trial factors of `work` (normalized, degree >= 1): the linear
     s*L - r with r | constant term and s | leading coefficient, then, from
     degree 3, the quadratics a2*L^2 + b*L + c0 with |b| at most the sum of
-    the coefficient magnitudes."""
-    const = next(c for c in work if c != 0)
-    for s in _divisors(work[-1]):
-        for r in _divisors(const):
+    the coefficient magnitudes, in order of a2, c0, sign of c0 and b.  Only
+    quadratics whose values at L = 1 and L = -1 divide those of `work` are
+    tried: a primitive factor must pass, and one with content g > 1 has its
+    primitive part tried before it, at the smaller leading coefficient
+    a2 / g."""
+    leads = _divisors(work[-1])
+    consts = _divisors(next(c for c in work if c != 0))
+    for s in leads:
+        for r in consts:
             for sign in (1, -1):
                 yield _poly_normalize((-sign * r, s))
     if len(work) <= 3:
         return
     bound = sum(abs(c) for c in work)
-    for a2 in _divisors(work[-1]):
-        for c0 in _divisors(const):
+    # L - 1 and L + 1 were tried above, so work(1) and work(-1) are nonzero;
+    # b runs over the values v at L = 1 that divide work(1)
+    work_at_one, work_at_minus_one = sum(work), sum(work[0::2]) - sum(work[1::2])
+    values = sorted(x for d in _divisors(work_at_one) for x in (d, -d))
+    for a2 in leads:
+        for c0 in consts:
             for c0s in (c0, -c0):
-                for b in range(-bound, bound + 1):
-                    yield _poly_normalize((c0s, b, a2))
+                for v in values:
+                    b = v - c0s - a2
+                    at_minus_one = c0s - b + a2
+                    if (abs(b) <= bound and at_minus_one
+                            and work_at_minus_one % at_minus_one == 0):
+                        yield _poly_normalize((c0s, b, a2))
 
 
 def factor_over_integers(p: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -237,6 +249,7 @@ def spectral_radius(coeffs: Sequence[int]) -> tuple[float, float]:
     Roots are found on the squarefree part at two working precisions; the
     bound is their disagreement (plus rounding slack), required below 1e-10.
     """
+    import mpmath
     p = _poly_normalize(coeffs)
     if len(p) <= 1:
         raise ValueError("polynomial must be nonconstant")

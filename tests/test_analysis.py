@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cluster_painleve import analysis
 from cluster_painleve.laurent import laurent_try_div
+from cluster_painleve.presets import get_preset
 from cluster_painleve.tsystem import TStencil, iterate_t, iterate_tz
 from cluster_painleve.zsystem import solve_z, z_stencil_from_tuple
 
@@ -57,6 +59,64 @@ def test_quadratic_growth_with_period8_wobble():
         assert tr.values[n] == F(n * n, 16) + wob[n % 8]
     for n in range(4, 48):
         assert tr.values[n + 16] - 2 * tr.values[n + 8] + tr.values[n] == 8
+
+
+def _poly_by_differences_by_slicing(seq):
+    """Reference for the detector: try every start, testing each tail slice."""
+    for s in range(1, 9):
+        cur = list(seq)
+        for k in range(5):
+            if len(cur) <= s:
+                break
+            nxt = [cur[i + s] - cur[i] for i in range(len(cur) - s)]
+            if len(nxt) >= 5:
+                limit = min(len(nxt) - 5, len(seq) // 3)
+                for st_ in range(limit + 1):
+                    if all(v == 0 for v in nxt[st_:]):
+                        return k, s, st_
+            cur = nxt
+    return None
+
+
+@st.composite
+def _wobbly_polynomials(draw):
+    """A polynomial plus a periodic wobble, broken by noise before a cut
+    drawn around a third of the length, where the detector's limit lies."""
+    length = draw(st.integers(12, 300))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+    period = draw(st.integers(1, 9))
+    wobble = draw(st.lists(st.integers(-3, 3), min_size=period, max_size=period))
+    third = length // 3
+    cut = draw(st.integers(max(0, third - 12), min(length, third + 12)))
+    noise = draw(st.lists(st.integers(-2, 2), min_size=cut, max_size=cut))
+    noise += [0] * (length - cut)
+    return [sum(c * n ** k for k, c in enumerate(coeffs)) + wobble[n % period] + noise[n]
+            for n in range(length)]
+
+
+@given(st.one_of(_wobbly_polynomials(),
+                 st.lists(st.integers(-2, 2), min_size=12, max_size=300)))
+@settings(max_examples=200, deadline=None)
+def test_zero_tail_scan_matches_slicing(seq):
+    assert analysis._poly_by_differences(seq) == _poly_by_differences_by_slicing(seq)
+
+
+def test_zero_tail_scan_on_tropical_degrees():
+    # every slot of every fixture and of prim3-prim12, up to 400 terms
+    names = ["somos4", "somos5", "somos6", "somos7", "prim4", "nonintegrable6"]
+    names += [f"prim{n}" for n in range(3, 13) if n != 4]
+    hits = 0
+    for name in names:
+        a = get_preset(name).a
+        n = len(a) + 1
+        for slot in range(n):
+            init = [-(j == slot) for j in range(n)]
+            for length in (12, 37, 150, 400):
+                seq = list(analysis.tropical_iterate(a, init, length - n).d)
+                hit = analysis._poly_by_differences(seq)
+                assert hit == _poly_by_differences_by_slicing(seq), (name, slot, length)
+                hits += hit is not None
+    assert hits > 0
 
 
 class TestEntropy:

@@ -171,6 +171,10 @@ class TestConfigErrors:
         (["run", "qp1", "--preset", "somos5", "--beta", "2", "--q", "3"], "--preset"),
         (["run", "tz", "--preset", "somos4", "--mode", "symbolic",
           "--beta", "2", "--q", "3"], "--beta"),
+        (["run", "t", "--preset", "somos4", "--mode", "symbolic",
+          "--init", "1,2,3,4"], "--init"),
+        (["run", "tz", "--preset", "somos4", "--mode", "symbolic",
+          "--init", "1,2,3,4"], "--init"),
     ])
     def test_run_rejects_flags_its_target_ignores(self, capsys, argv, flag):
         assert flag in assert_config_error(capsys, argv)
@@ -235,6 +239,29 @@ def test_closed_stdout_is_not_an_error():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 0
     assert err == ""  # no traceback and no "Exception ignored" note at exit
+
+
+def test_import_leaves_mpmath_out():
+    # only the numerical root reports need mpmath, so plain imports skip it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cluster_painleve.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("tup, text", [
+    # about 2 million quadratic trial divisions before the value test
+    ("-1000,1,0,1,-1000", "(1000L^4 - L^3 - L + 1000)"),
+    # about 10^9 quadratic candidates unless b runs over divisors of work(1)
+    ("-100000,7,0,7,-100000", "(100000L^4 - 7L^3 - 7L + 100000)"),
+])
+def test_zsys_with_large_end_coefficients_finishes(tup, text):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cluster_painleve.cli", "zsys", "--tuple", tup],
+        capture_output=True, text=True, env=_child_env(), timeout=10)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["char_poly"] == text
 
 
 def test_values_past_the_int_digit_limit(tmp_path, capsys):

@@ -1,8 +1,9 @@
 from fractions import Fraction
 from itertools import permutations
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cluster_painleve import intlinalg
 from cluster_painleve.intlinalg import (
     hermite_form,
     image_lattice_basis,
@@ -12,6 +13,7 @@ from cluster_painleve.intlinalg import (
     lattice_equal,
     mat_mul,
     rank,
+    rref,
     solve,
     solve_int,
 )
@@ -133,6 +135,55 @@ def test_solve_inconsistent():
     assert solve([[1, 2], [2, 4]], [1, 3]) == (1, -1, None)
     # inconsistency is reported before a rank deficit
     assert solve([[0, 0]], [1]) == (0, -1, None)
+
+
+def _solve_by_rref(rows, rhs):
+    """Reference for ``solve``: the plain Fraction elimination, no certificate."""
+    m = len(rows[0])
+    a, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], m)
+    r = len(pivots)
+    if any(row[m] != 0 for row in a[r:]):
+        return r, -1, None
+    if r < m:
+        return r, m - r, None
+    return r, 0, [row[m] for row in a[:m]]
+
+
+P = intlinalg.P
+# small fractions, with P or a multiple of it now and then
+entries = st.one_of(
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
+    st.sampled_from([Fraction(1, P), Fraction(-2, P), Fraction(P), Fraction(3, 2 * P)]))
+
+
+@st.composite
+def systems(draw):
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    a = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if draw(st.booleans()):  # consistent by construction
+        x = draw(st.lists(entries, min_size=cols, max_size=cols))
+        rhs = [sum(u * v for u, v in zip(row, x)) for row in a]
+    else:
+        rhs = draw(st.lists(entries, min_size=rows, max_size=rows))
+    return a, rhs
+
+
+@given(systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_matches_plain_elimination(system):
+    rows, rhs = system
+    assert solve(rows, rhs) == _solve_by_rref(rows, rhs)
+
+
+def test_solve_falls_back_when_p_divides_a_denominator():
+    # neither system can be mapped to (or decided) modulo P; both are inconsistent
+    assert intlinalg._rank_mod_p([[1, Fraction(1, P)], [1, 0]]) is None
+    assert solve([[1], [1]], [Fraction(1, P), 0]) == (1, -1, None)
+    assert intlinalg._rank_mod_p([[1, P], [1, 0]]) == 1  # short: P vanishes mod P
+    assert solve([[1], [1]], [P, 0]) == (1, -1, None)
+    # and the certificate decides the plain case
+    assert intlinalg._rank_mod_p([[1, 1], [1, 0]]) == 2
+    assert solve([[1], [1]], [1, 0]) == (1, -1, None)
 
 
 def test_invert_fraction_rejects_singular():

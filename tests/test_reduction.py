@@ -7,6 +7,7 @@ with the reduced recurrences they induce.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,53 @@ def test_failed_basis_checks_raise(monkeypatch):
     wrong = reduction.PalindromicBasis(4, 2, (1, 0, 0, 0))
     with pytest.raises(reduction.EliminationFailed, match="push down"):
         reduction.reduced_structure_matrix(b, wrong)
+
+
+def _coordinate_targets(basis, rng, rounds):
+    """Lattice members, members moved off the lattice, and random vectors."""
+    n, vecs = basis.n, basis.vectors
+    out = []
+    for _ in range(rounds):
+        cs = [rng.randint(-3, 3) for _ in vecs]
+        member = [sum(c * v[j] for c, v in zip(cs, vecs)) for j in range(n)]
+        out.append(member)
+        moved = list(member)
+        moved[rng.randrange(n)] += rng.choice((-1, 1))
+        out.append(moved)
+        out.append([rng.randint(-3, 3) for _ in range(n)])
+    return out
+
+
+def test_coordinates_match_solve_int_on_shift_bases():
+    # the shift bases of every palindromic tuple of length 1-9 with entries in [-1, 1]
+    rng = random.Random(0)
+    for length in range(1, 10):
+        for half in itertools.product(range(-1, 2), repeat=(length + 1) // 2):
+            a = half + half[: length // 2][::-1]
+            bas = reduction.palindromic_basis(build_from_tuple(a))
+            cols = [list(v) for v in bas.vectors]
+            for t in _coordinate_targets(bas, rng, 2):
+                assert bas.coordinates(t) == intlinalg.solve_int(cols, t), (a, t)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=5), st.integers(1, 4),
+       st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_coordinates_match_solve_int_on_any_pivot(half, rank, seed):
+    # palindromic generators of length 1-9 whose pivot may exceed 1, so that
+    # a lattice target can have non-integral rational coordinates
+    if half[0] == 0:
+        half[0] = 2
+    support = tuple(half) + tuple(half[:-1][::-1])
+    bas = reduction.PalindromicBasis(len(support) + rank - 1, rank,
+                                     support + (0,) * (rank - 1))
+    cols = [list(v) for v in bas.vectors]
+    rng = random.Random(seed)
+    for t in _coordinate_targets(bas, rng, 4):
+        assert bas.coordinates(t) == intlinalg.solve_int(cols, t)
+        half_t = [x // 2 for x in t] if all(x % 2 == 0 for x in t) else None
+        if half_t is not None:
+            assert bas.coordinates(half_t) == intlinalg.solve_int(cols, half_t)
 
 
 def test_zero_matrix_has_no_reduction():
