@@ -351,21 +351,31 @@ def _read_orbit(path: str):
         raise ConfigInvalid(f"{path} is not a valid orbit file: {exc}") from exc
 
 
+LINREL_STEPS = 60  # orbit length when `linrel` computes the orbit itself
+
+
 def _cmd_linrel(args) -> int:
     if args.orbit:
         if getattr(args, "preset", None) or getattr(args, "tuple", None):
             raise ConfigInvalid("--orbit and --preset/--tuple are mutually exclusive")
+        # the orbit comes from the file: these would only shape a computed one
+        given = {"--init": args.init, "--steps": args.steps, "--beta": args.beta,
+                 "--q": args.q, "--z-init": args.z_init}
+        for flag, value in given.items():
+            if value is not None:
+                raise ConfigInvalid(f"{flag} does not apply to linrel --orbit")
         orb = _read_orbit(args.orbit)
         name = args.orbit
     else:
         p = _resolve_system(args)
         st = TStencil(p.a)
         init = _parse_init(args.init, st.n, args.seed)
+        steps = LINREL_STEPS if args.steps is None else args.steps
         if args.beta or args.q or args.z_init:
             z = _resolve_z(args, p.a, args.seed)
-            orb = iterate_tz(st, z, init, args.steps)
+            orb = iterate_tz(st, z, init, steps)
         else:
-            orb = iterate_t(st, init, args.steps)
+            orb = iterate_t(st, init, steps)
         name = p.name
     offs = _parse_offsets(args.offsets)
     try:
@@ -492,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        "constant coefficients")
     lr.add_argument("--orbit", help="orbit JSON file from `run`")
     _add_common(lr)
-    lr.add_argument("--steps", type=int, default=60)
+    # no default, so that `--orbit` can tell an explicit value apart
+    lr.add_argument("--steps", type=int)
     lr.add_argument("--z-init", dest="z_init")
     lr.add_argument("--beta")
     lr.add_argument("--q")
@@ -535,7 +546,7 @@ def main(argv=None) -> int:
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        if getattr(args, "steps", 0) < 0:
+        if (getattr(args, "steps", None) or 0) < 0:
             raise ConfigInvalid("--steps must be nonnegative")
         rc = args.handler(args)
         sys.stdout.flush()

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import gcd
+from typing import Mapping, Sequence
 
+from .coprime import cancel
 from .intlinalg import (
     image_lattice_basis, invert_fraction, lattice_equal, mat_mul, transpose,
 )
 from .laurent import LaurentPoly
 from .quiver import ExchangeMatrix
 from .tsystem import TStencil, iterate_t, iterate_tz
-from .zsystem import ConstantZ
 
 
 class EliminationFailed(ArithmeticError):
@@ -219,6 +220,59 @@ def derive_uzsystem(b: ExchangeMatrix) -> USystemSpec:
     return _derive(b, z_flag=True)
 
 
+def _u_steps(terms: Mapping[tuple[int, ...], int], r: int, us: list[Fraction],
+             steps: int, zfactors=None) -> list[Fraction]:
+    """Append `steps` values of U_{n+r} U_n = Z_n F(U_{n+1}, ..., U_{n+r-1}).
+
+    F = sum_t c_t prod_j U_j^e_tj is given by its terms {e_t: c_t}.  With
+    U_{n+j} = a_j / b_j in lowest terms and lo_j, hi_j the lowest and top
+    exponent of U_j in F, F = Ph * prod_j a_j^lo_j b_j^-hi_j where
+    Ph = sum_t c_t prod_j a_j^(e_tj - lo_j) b_j^(hi_j - e_tj) is the
+    homogenised numerator, so each value is one `cancel` of integer factors.
+    `zfactors(n)`, when given, returns Z_n as lists of numerator and
+    denominator factors.  A zero in the window raises what
+    `LaurentPoly.evaluate` and Fraction division raised there.
+    """
+    terms = dict(terms)
+    items = list(terms.items())
+    lo = [min(e[j] for e, _ in items) for j in range(r - 1)]
+    hi = [max(e[j] for e, _ in items) for j in range(r - 1)]
+    powers = [(c, [(j + 1, k - l, h - k) for j, (k, l, h) in enumerate(zip(e, lo, hi))])
+              for e, c in items]
+    if r == 2:
+        # Ph = c_lo b^D mod a and c_hi a^D mod b, so Ph is coprime to a and b
+        # when c_lo and c_hi are; the group is decided per step
+        c_lo, c_hi = terms[(lo[0],)], terms[(hi[0],)]
+    for n in range(steps):
+        w = us[n:n + r]
+        a = [u.numerator for u in w]
+        b = [u.denominator for u in w]
+        if 0 in a and any(a[j] == 0 and lo[j - 1] < 0 for j in range(1, r)):
+            raise ZeroDivisionError("negative exponent at zero value")
+        num, den = zfactors(n) if zfactors else ([], [])
+        ph = 0
+        for c, pw in powers:
+            t = c
+            for j, ka, kb in pw:
+                t *= a[j] ** ka * b[j] ** kb
+            ph += t
+        group = 1 if r == 2 and gcd(c_lo, a[1]) == 1 == gcd(c_hi, b[1]) else "ph"
+        num.append((ph, 1, group))
+        # a small power goes in as copies, whose gcds are cheaper
+        for j in range(1, r):
+            (num if lo[j - 1] > 0 else den).extend([(a[j], 1, j)] * abs(lo[j - 1]))
+            (den if hi[j - 1] > 0 else num).extend([(b[j], 1, j)] * abs(hi[j - 1]))
+        if a[0] == 0:
+            # Fraction's division by 0/1 cancels gcd(numerator, 0) first, so
+            # its message carries only the sign of Z_n * F
+            zf = cancel(num, den)
+            raise ZeroDivisionError(f"Fraction({(zf > 0) - (zf < 0)}, 0)")
+        num.append((b[0], 1, 0))
+        den.append((a[0], 1, 0))
+        us.append(cancel(num, den))
+    return us
+
+
 def iterate_usystem(spec: USystemSpec, init: Sequence[Fraction], steps: int,
                     z=None) -> list[Fraction]:
     r = spec.order
@@ -229,14 +283,12 @@ def iterate_usystem(spec: USystemSpec, init: Sequence[Fraction], steps: int,
         raise ZeroComponent("initial window contains zero")
     if spec.z_flag and z is None:
         raise ValueError("recurrence carries a coefficient sequence; pass z")
-    if not spec.z_flag:
-        z = ConstantZ(1)
-    for n in range(steps):
-        env = {f"U{j}": us[n + j] for j in range(1, r)}
-        fval = spec.f_laurent.evaluate(env)
-        zval = z.value(n) ** spec.z_power
-        us.append(zval * fval / us[n])
-    return us
+    zfactors = None
+    if spec.z_flag:
+        def zfactors(n):
+            zv, zp = z.value(n), spec.z_power
+            return [(zv.numerator, zp, "z")], [(zv.denominator, zp, "z")]
+    return _u_steps(spec.f_laurent.terms, r, us, steps, zfactors)
 
 
 def verify_conjugacy(b: ExchangeMatrix, init: Sequence[Fraction], steps: int,

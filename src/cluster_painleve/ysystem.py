@@ -17,7 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .coprime import cancel
 from .quiver import ExchangeMatrix, Seed, mutate_seed
+from .reduction import _u_steps
 from .tsystem import Orbit, check_orbit
 
 
@@ -59,14 +61,32 @@ def y_step(a: Sequence[int], window: Sequence[Fraction]) -> Fraction:
 
 
 def iterate_y(a: Sequence[int], init: Sequence[Fraction], steps: int) -> list[Fraction]:
-    """Append `steps` values to a positive initial window of length N."""
+    """Append `steps` values to a positive initial window of length N.
+
+    With y_{n+j} = a_j / b_j in lowest terms and s_j = a_j + b_j,
+    1 + y = s/b and 1 + 1/y = s/a, so y_{n+N} = prod_j s_j^m_j a_j^p_j d /
+    (prod_j s_j^p_j b_j^m_j c) for y_n = c/d, p_j = [a_j]+, m_j = [-a_j]+.
+    a_j, b_j and s_j are pairwise coprime, so each j is one `cancel` group.
+    """
     a = tuple(int(v) for v in a)
     n_ = len(a) + 1
     ys = _check_positive(init, "initial y window")
     if len(ys) != n_:
         raise ValueError(f"initial window must have {n_} entries")
+    exps = [(j, _pos(aj), _pos(-aj)) for j, aj in enumerate(a, start=1) if aj]
     for n in range(steps):
-        ys.append(y_step(a, ys[n + 1 : n + n_]) / ys[n])
+        num, den = [(ys[n].denominator, 1, 0)], [(ys[n].numerator, 1, 0)]
+        for j, p, m in exps:
+            aj, bj = ys[n + j].numerator, ys[n + j].denominator
+            sj = aj + bj
+            # a small power goes in as copies, whose gcds are cheaper
+            if m:
+                num += [(sj, 1, j)] * m
+                den += [(bj, 1, j)] * m
+            else:
+                num += [(aj, 1, j)] * p
+                den += [(sj, 1, j)] * p
+        ys.append(cancel(num, den))
     return ys
 
 
@@ -132,9 +152,11 @@ def qp1_iterate(beta: Fraction, q: Fraction, init: Sequence[Fraction],
     ys = _check_positive(init, "initial window")
     if len(ys) != 2:
         raise ValueError("initial window must have 2 entries")
-    for n in range(steps):
-        ys.append(beta * q ** n * (1 + ys[n + 1]) / (ys[n + 1] ** 2 * ys[n]))
-    return ys
+    # the Somos-4 U-map U1^-1 + U1^-2 with Z_n = beta * q^n
+    bn, bd, qn, qd = beta.numerator, beta.denominator, q.numerator, q.denominator
+    return _u_steps({(-1,): 1, (-2,): 1}, 2, ys, steps,
+                    lambda n: ([(bn, 1, "beta"), (qn, n, "q")],
+                               [(bd, 1, "beta"), (qd, n, "q")]))
 
 
 def z_from_qp1(ys: Sequence[Fraction]) -> list[Fraction]:

@@ -212,6 +212,23 @@ class TestConfigErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("extra, flag", [
+        (["--init", "5,6,7,8"], "--init"),
+        (["--steps", "3"], "--steps"),
+        (["--steps", "60"], "--steps"),  # the computed orbit's default, given
+        (["--beta", "2"], "--beta"),
+        (["--q", "3"], "--q"),
+        (["--z-init", "2,3"], "--z-init"),
+    ])
+    def test_linrel_orbit_rejects_flags_it_ignores(self, tmp_path, capsys, extra, flag):
+        orbit = tmp_path / "orbit.json"
+        assert main(["run", "t", "--preset", "prim4", "--steps", "30",
+                     "--out", str(orbit)]) == 0
+        capsys.readouterr()
+        err = assert_config_error(capsys, ["linrel", "--orbit", str(orbit),
+                                           "--offsets", "0,3,6", *extra])
+        assert err == f"config error: {flag} does not apply to linrel --orbit\n"
+
     def test_run_tz_needs_coefficient_values(self, capsys):
         rc = main(["run", "tz", "--preset", "somos4", "--init", "ones", "--steps", "8"])
         err = capsys.readouterr().err

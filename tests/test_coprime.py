@@ -1,0 +1,319 @@
+"""Orbit values built in lowest terms, against the plain Fraction loops.
+
+`coprime.cancel` builds each U-, q-P_I and Y-value from integer factors and
+constructs the Fraction without a gcd on the full-size integers.  The loops
+these engines ran before are kept below as references: every value must
+agree with them on `==` and on the exact numerator and denominator, and
+every raised exception on its type and message.
+"""
+
+import functools
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cluster_painleve import coprime, reduction, ysystem
+from cluster_painleve.laurent import LaurentPoly
+from cluster_painleve.presets import get_preset
+from cluster_painleve.quiver import build_from_tuple
+from cluster_painleve.zsystem import (ConstantZ, GeometricZ, PerturbedZ, solve_z,
+                                      z_stencil_from_tuple)
+
+F = Fraction
+
+
+# -- the loops the engines ran before ---------------------------------------------
+
+
+def fraction_usystem(spec, init, steps, z=None):
+    """Reference for `reduction.iterate_usystem` (its validation is unchanged)."""
+    r = spec.order
+    us = [F(u) for u in init]
+    if not spec.z_flag:
+        z = ConstantZ(1)
+    for n in range(steps):
+        env = {f"U{j}": us[n + j] for j in range(1, r)}
+        fval = spec.f_laurent.evaluate(env)
+        zval = z.value(n) ** spec.z_power
+        us.append(zval * fval / us[n])
+    return us
+
+
+def fraction_y(a, init, steps):
+    """Reference for `ysystem.iterate_y`."""
+    n_ = len(a) + 1
+    ys = [F(v) for v in init]
+    for n in range(steps):
+        ys.append(ysystem.y_step(a, ys[n + 1:n + n_]) / ys[n])
+    return ys
+
+
+def fraction_qp1(beta, q, init, steps):
+    """Reference for `ysystem.qp1_iterate`."""
+    beta, q = F(beta), F(q)
+    ys = [F(v) for v in init]
+    for n in range(steps):
+        ys.append(beta * q ** n * (1 + ys[n + 1]) / (ys[n + 1] ** 2 * ys[n]))
+    return ys
+
+
+def outcome(f):
+    """Exact values as (numerator, denominator) pairs, or the raised error."""
+    try:
+        vals = f()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return vals, [(v.numerator, v.denominator) for v in vals]
+
+
+def assert_same(got, want):
+    assert outcome(got) == outcome(want)
+
+
+# -- the coprime constructor ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, d", [
+    (0, 1), (1, 1), (-1, 1), (3, 4), (-3, 4), (7, 1), (-(2 ** 521 - 1), 2 ** 607),
+    (3 ** 2000 + 2, 5 ** 1500), (-(10 ** 400 + 1), 10 ** 399 * 7),
+    # a denominator the hash modulus divides
+    (1, 2 ** 61 - 1), (5, (2 ** 61 - 1) * 3),
+])
+def test_coprime_constructor_is_the_normalized_fraction(n, d):
+    assert math.gcd(n, d) == 1
+    got, want = coprime._from_coprime_ints(n, d), Fraction(n, d)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert got + 1 == want + 1 and got * want == want * want
+
+
+@given(st.integers(-10 ** 60, 10 ** 60), st.integers(1, 10 ** 60))
+@settings(max_examples=200, deadline=None)
+def test_coprime_constructor_hypothesis(n, d):
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    got, want = coprime._from_coprime_ints(n, d), Fraction(n, d)
+    assert (got.numerator, got.denominator, hash(got), str(got)) == \
+        (want.numerator, want.denominator, hash(want), str(want))
+
+
+# -- coprime basis and cancel ------------------------------------------------------------
+
+
+@given(st.lists(st.integers(-400, 400).filter(bool), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_coprime_basis(values):
+    basis = coprime.coprime_basis(values)
+    assert all(p > 1 for p in basis)
+    assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(basis, 2))
+    for v in values:
+        back = 1
+        for k, e in coprime.exponents_over(v, basis):
+            back *= basis[k] ** e
+        assert back == abs(v)
+
+
+def test_coprime_basis_splits_composites():
+    assert sorted(coprime.coprime_basis([6, 10, 15])) == [2, 3, 5]
+    assert sorted(coprime.coprime_basis([-12, 18, 1, 1])) == [2, 3]
+    assert coprime.coprime_basis([]) == []
+
+
+# one "value" a/b per group: a, b and a + b are pairwise coprime
+value_groups = st.lists(
+    st.tuples(st.integers(-10 ** 12, 10 ** 12).filter(bool), st.integers(1, 10 ** 12),
+              st.sampled_from(["a", "b", "s"]), st.sampled_from(["a", "b", "s"]),
+              st.integers(1, 3), st.integers(1, 3)),
+    min_size=1, max_size=4)
+# small shared bases (composites, duplicates, signs), each in a group of its own
+loose = st.lists(st.tuples(st.sampled_from([-6, -1, 1, 2, 3, 6, 10, 15, 49, 1001]),
+                           st.integers(0, 5), st.booleans()), max_size=4)
+
+
+@given(value_groups, loose)
+@settings(max_examples=300, deadline=None)
+def test_cancel_gives_lowest_terms(groups, extra):
+    num, den = [], []
+    for g, (a, b, pick_n, pick_d, en, ed) in enumerate(groups):
+        a, b = a // math.gcd(a, b), b // math.gcd(a, b)
+        part = {"a": a, "b": b, "s": a + b}
+        if pick_n == pick_d or part[pick_d] == 0:
+            continue
+        num.append((part[pick_n], en, g))
+        den.append((part[pick_d], ed, g))
+    for k, (base, e, upstairs) in enumerate(extra):
+        (num if upstairs else den).append((base, e, ("loose", k)))
+    top = math.prod(b ** e for b, e, _ in num)
+    bottom = math.prod(b ** e for b, e, _ in den)
+    got, want = coprime.cancel(num, den), Fraction(top, bottom)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_cancel_with_a_zero_numerator():
+    # 0/1 is one value (group 0); 14 shares every factor with 0
+    got = coprime.cancel([(0, 1, 0), (7, 2, 1)], [(1, 1, 0), (-3, 1, 1), (14, 1, 2)])
+    assert (got.numerator, got.denominator) == (0, 1)
+
+
+# -- U-systems --------------------------------------------------------------------------
+
+
+@functools.cache
+def spec_of(a, with_z):
+    b = build_from_tuple(a)
+    return reduction.derive_uzsystem(b) if with_z else reduction.derive_usystem(b)
+
+
+PRESET_TUPLES = [get_preset(n).a for n in
+                 ("somos4", "somos5", "somos6", "somos7", "prim4", "nonintegrable6")]
+PRESET_TUPLES += [get_preset("primN", n).a for n in (5, 6, 7)]
+palindromes = st.integers(1, 3).flatmap(lambda h: st.tuples(
+    st.lists(st.integers(-2, 2), min_size=h, max_size=h),
+    st.lists(st.integers(-2, 2), max_size=1),
+)).map(lambda hm: tuple(hm[0] + hm[1] + hm[0][::-1])).filter(any)
+tuples = st.one_of(st.sampled_from(PRESET_TUPLES), palindromes)
+# signed values of small height, so that windows hit zeros and shared factors
+signed = st.builds(lambda s, p, q: F(s * p, q), st.sampled_from([1, -1]),
+                   st.integers(1, 12), st.integers(1, 12))
+
+
+def coefficient(data):
+    kind = data.draw(st.sampled_from(["const", "geo", "perturbed", "zero"]))
+    if kind == "const":
+        return ConstantZ(data.draw(signed))
+    geo = GeometricZ(data.draw(signed), data.draw(signed))
+    if kind == "geo":
+        return geo
+    f = F(0) if kind == "zero" else data.draw(signed)
+    return PerturbedZ(geo, {data.draw(st.integers(0, 6)): f})
+
+
+@given(tuples, st.booleans(), st.data(), st.integers(0, 10))
+@settings(max_examples=200, deadline=None)
+def test_usystem_matches_fraction_loop(a, with_z, data, steps):
+    spec = spec_of(a, with_z)
+    init = data.draw(st.lists(signed, min_size=spec.order, max_size=spec.order))
+    z = coefficient(data) if with_z else None
+    assert_same(lambda: reduction.iterate_usystem(spec, init, steps, z),
+                lambda: fraction_usystem(spec, init, steps, z))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_usystem_with_solved_coefficients(n):
+    a = get_preset("primN", n).a if n != 4 else get_preset("prim4").a
+    spec = spec_of(a, True)
+    z = solve_z(z_stencil_from_tuple(a), [F(2, 3), F(-5, 4), F(7), F(1, 6), F(3)][:n - 2])
+    init = [F(3, 2), F(-2, 5), F(1, 4), F(4, 3), F(-1, 7), F(5)][:spec.order]
+    assert_same(lambda: reduction.iterate_usystem(spec, init, 30, z),
+                lambda: fraction_usystem(spec, init, 30, z))
+
+
+def test_usystem_fractional_coefficient_exponents_raise_the_same():
+    # Z_2 needs a square root of 3: AlgebraicZCase with the same message
+    a = (-2, 1, -2)
+    spec = spec_of(a, True)
+    z = solve_z(z_stencil_from_tuple(a), [F(1), F(3)])
+    init = [F(3, 2), F(-2, 5), F(1, 4), F(4, 3)][:spec.order]
+    got = outcome(lambda: reduction.iterate_usystem(spec, init, 6, z))
+    assert got == outcome(lambda: fraction_usystem(spec, init, 6, z))
+    assert got[0].__name__ == "AlgebraicZCase"
+
+
+@pytest.mark.parametrize("init, steps", [
+    ([F(2), F(-1)], 1),   # U_2 = 0
+    ([F(2), F(-1)], 3),   # F has U1^-1 and U1^-2: evaluating it at U_2 = 0 raises
+    ([F(-3, 5), F(-1)], 4),
+])
+def test_somos4_zero_values_raise_the_same(init, steps):
+    spec = spec_of(get_preset("somos4").a, False)
+    assert_same(lambda: reduction.iterate_usystem(spec, init, steps),
+                lambda: fraction_usystem(spec, init, steps))
+
+
+@pytest.mark.parametrize("zvalue, message", [
+    (F(1), "Fraction(1, 0)"), (F(-5, 3), "Fraction(-1, 0)"), (F(0), "Fraction(0, 0)")])
+def test_division_by_a_zero_value_raises_the_same(zvalue, message):
+    # U_{n+2} U_n = Z (U1 + 2) from (1, -2): U_2 = 0, U_3 = -1, then U_4 = Z / 0
+    spec = hand_spec(2, {(1,): 1, (0,): 2})
+    z = PerturbedZ(ConstantZ(1), {2: zvalue})
+    got = outcome(lambda: reduction.iterate_usystem(spec, [F(1), F(-2)], 3, z))
+    assert got == (ZeroDivisionError, message)
+    assert got == outcome(lambda: fraction_usystem(spec, [F(1), F(-2)], 3, z))
+
+
+def hand_spec(order, terms, z_power=1, z_flag=True):
+    """A U-system with any F: iterate_usystem reads order, F, z_flag and z_power."""
+    uvars = tuple(f"U{j}" for j in range(1, order))
+    f = LaurentPoly(uvars, terms)
+    one = LaurentPoly.const(uvars, 1)
+    return reduction.USystemSpec((), order, (), uvars, f, f, one, z_flag, z_power)
+
+
+laurent_terms = st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.just(r), st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * (r - 1)),
+        st.sampled_from([-6, -3, -2, -1, 1, 2, 3, 4, 6, 10, 15]), min_size=1, max_size=4)))
+
+
+@given(laurent_terms, st.integers(1, 2), st.booleans(), st.data(), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_usystem_with_any_laurent_map(rt, z_power, z_flag, data, steps):
+    # coefficients that share factors with the values (c_lo, c_top not 1),
+    # orders 1-3, zero values and Z^2
+    r, terms = rt
+    spec = hand_spec(r, terms, z_power, z_flag)
+    init = data.draw(st.lists(signed, min_size=r, max_size=r))
+    z = coefficient(data) if z_flag else None
+    assert_same(lambda: reduction.iterate_usystem(spec, init, steps, z),
+                lambda: fraction_usystem(spec, init, steps, z))
+
+
+# -- q-Painleve I ---------------------------------------------------------------------
+
+positive = st.builds(F, st.integers(1, 40), st.integers(1, 40))
+
+
+@given(positive, positive, st.lists(positive, min_size=2, max_size=2), st.integers(0, 16))
+@settings(max_examples=150, deadline=None)
+def test_qp1_matches_fraction_loop(beta, q, init, steps):
+    assert_same(lambda: ysystem.qp1_iterate(beta, q, init, steps),
+                lambda: fraction_qp1(beta, q, init, steps))
+
+
+@pytest.mark.parametrize("beta, q, init", [
+    # the same primes in the window and in beta/q, and composites 6/10/15
+    (F(6, 35), F(10, 21), [F(15, 14), F(7, 6)]),
+    (F(7), F(1, 7), [F(7, 2), F(2, 7)]),
+    (F(15, 4), F(4, 15), [F(6), F(10)]),
+    (F(1), F(1), [F(1), F(1)]),
+])
+def test_qp1_shared_and_composite_bases(beta, q, init):
+    assert_same(lambda: ysystem.qp1_iterate(beta, q, init, 30),
+                lambda: fraction_qp1(beta, q, init, 30))
+
+
+# -- Y-systems ---------------------------------------------------------------------------
+
+
+@given(tuples, st.data(), st.integers(0, 10))
+@settings(max_examples=100, deadline=None)
+def test_y_matches_fraction_loop(a, data, steps):
+    init = data.draw(st.lists(positive, min_size=len(a) + 1, max_size=len(a) + 1))
+    assert_same(lambda: ysystem.iterate_y(a, init, steps),
+                lambda: fraction_y(a, init, steps))
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("somos4", 16), ("somos5", 16), ("somos6", 16), ("somos7", 16), ("prim4", 16),
+    ("nonintegrable6", 5),  # its heights grow about 80-fold a step
+])
+def test_y_presets_with_composite_window(name, steps):
+    a = get_preset(name).a
+    init = [F(6, 35), F(10, 21), F(15, 14), F(7, 6), F(14, 15), F(35), F(1, 6)][:len(a) + 1]
+    assert_same(lambda: ysystem.iterate_y(a, init, steps),
+                lambda: fraction_y(a, init, steps))

@@ -185,10 +185,12 @@ def fraction_orbit(a, z, init, steps):
 
 
 def _outcome(f):
+    """Values with their exact numerators and denominators, or the error."""
     try:
-        return f()
+        vals = f()
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
+    return vals, [(v.numerator, v.denominator) for v in vals]
 
 
 def assert_matches_reference(a, z, init, steps):
@@ -274,3 +276,59 @@ def test_zero_value_raises_on_the_integer_path():
         integer_steps(SOMOS4, ConstantZ(1), [1, 1, -1, -1], 3)
     with pytest.raises(ZeroEncountered, match=r"^orbit value x_4 vanished$"):
         iterate_t(TStencil(SOMOS4), [F(1), F(1), F(-1), F(-1)], 3)
+
+
+# -- the lowest-terms certificate on the integer path ------------------------------
+
+# numerators and denominators with shared and composite factors: 6, 10, 15,
+# the same prime in the window and in the coefficients, negative bases
+shared_pq = st.builds(lambda s, p, q: F(s * p, q), st.sampled_from([1, -1]),
+                      st.sampled_from([1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 35]),
+                      st.sampled_from([1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 35]))
+
+
+def _coefficients(data, a):
+    kind = data.draw(st.sampled_from(["one", "geo", "perturbed", "solved"]))
+    if kind == "one":
+        return ConstantZ(1)
+    if kind == "solved" and a in (PRIM4, (-1, 0, 0, -1), (-1, 0, 0, 0, -1)):
+        st_ = z_stencil_from_tuple(a)
+        return solve_z(st_, data.draw(st.lists(shared_pq, min_size=st_.order,
+                                               max_size=st_.order)))
+    geo = GeometricZ(data.draw(shared_pq), data.draw(shared_pq))
+    if kind == "perturbed":
+        return PerturbedZ(geo, {data.draw(st.integers(0, 8)): data.draw(shared_pq)})
+    return geo
+
+
+@given(st.sampled_from([SOMOS4, SOMOS5, SOMOS6, SOMOS7, PRIM4, (-1, 0, 0, -1),
+                        (-1, 0, 0, 0, -1)]), st.data(), st.integers(0, 16))
+@settings(max_examples=150, deadline=None)
+def test_shared_and_composite_bases_match_fraction_loop(a, data, steps):
+    init = data.draw(st.lists(shared_pq, min_size=len(a) + 1, max_size=len(a) + 1))
+    assert_matches_reference(a, _coefficients(data, a), init, steps)
+
+
+def test_certificate_builds_most_values_without_a_gcd(monkeypatch):
+    direct = []
+
+    def counting(n, d):
+        direct.append((n, d))
+        return Fraction(n, d)
+
+    monkeypatch.setattr(tsystem, "_from_coprime_ints", counting)
+    # distinct primes near 1000: every step is certified
+    init = [F(1009, 1013), F(-1019, 1021), F(1031, 1033), F(1039, 1049)]
+    orb = iterate_t(TStencil(SOMOS4), init, 30)
+    assert len(direct) == 30
+    assert all((v.numerator, v.denominator) == nd for v, nd in zip(orb.values[4:], direct))
+    # where N_n shares a factor with M_n (2 divides every N_n from the first
+    # window below), M overestimates the denominator: the certificate fails
+    # and Fraction normalises the value
+    for z, init in [(ConstantZ(1), [F(2, 37), F(-11, 3), F(13, 17), F(19, 23)]),
+                    (ConstantZ(1), [F(6, 35), F(-10, 21), F(15, 14), F(7, 6)]),
+                    (GeometricZ(F(3, 2), F(5, 7)), [F(2, 3), F(-1, 5), F(7), F(3, 4)])]:
+        direct.clear()
+        assert integer_steps(SOMOS4, z, init, 24) == 24
+        assert len(direct) < 24
+        assert_matches_reference(SOMOS4, z, init, 24)
