@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .intlinalg import solve
+from .laurent import format_rational
 from .tsystem import Orbit
 
 
@@ -210,7 +211,7 @@ class LinearRelation:
         parts = []
         for o, c in zip(self.offsets, self.coefficients):
             term = "x[n]" if o == 0 else f"x[n+{o}]"
-            parts.append(f"({c})*{term}")
+            parts.append(f"({format_rational(c)})*{term}")
         return " + ".join(parts) + " = 0"
 
 

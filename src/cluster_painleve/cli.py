@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analysis, reduction, ysystem
 from .acceptance import run_criteria, summary
-from .laurent import format_rational, parse_rational
+from .laurent import format_rational, parse_int, parse_rational
 from .presets import Preset, UnknownPreset, get_preset, list_presets
 from .quiver import build_from_tuple
 from .tsystem import TStencil, iterate_t, iterate_tz, orbit_from_json
@@ -51,7 +51,7 @@ def _resolve_system(args) -> Preset:
             raise ConfigInvalid(exc.args[0] if exc.args else str(exc)) from exc
     if tup:
         try:
-            a = tuple(int(v) for v in tup.split(","))
+            a = tuple(parse_int(v) for v in tup.split(","))
             return Preset("tuple(" + tup + ")", a, build_from_tuple(a),
                           "builder", "ad hoc system from the command line")
         except ValueError as exc:
@@ -74,8 +74,8 @@ def _parse_init(spec: str | None, count: int, default_seed: int,
         return [Fraction(1)] * count
     m = _RANDOM_INIT.fullmatch(spec)
     if m or spec == "random":
-        seed = int(m.group(1)) if m else default_seed
-        bound = int(m.group(2)) if m else 9
+        seed = parse_int(m.group(1)) if m else default_seed
+        bound = parse_int(m.group(2)) if m else 9
         if bound < 1:
             raise ConfigInvalid(f"{what}: random bound must be >= 1")
         rng = random.Random(seed)
@@ -89,7 +89,7 @@ def _parse_init(spec: str | None, count: int, default_seed: int,
 
 def _parse_offsets(spec: str) -> tuple[int, ...]:
     try:
-        offs = tuple(int(v) for v in spec.split(","))
+        offs = tuple(parse_int(v) for v in spec.split(","))
     except ValueError as exc:
         raise ConfigInvalid(f"bad --offsets {spec!r}") from exc
     return offs
@@ -119,6 +119,28 @@ def _resolve_z(args, a: tuple[int, ...], seed: int):
     return solve_z(st)
 
 
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload), also with ints past sys.get_int_max_str_digits()."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    except ValueError:  # json writes ints with str(); put each in by format_rational
+        pass
+    ints: list[str] = []
+
+    def mark(o):
+        if isinstance(o, dict):
+            return {k: mark(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [mark(v) for v in o]
+        if type(o) is int:
+            ints.append(format_rational(o))
+            return f"\0{len(ints) - 1}"
+        return o
+
+    text = json.dumps(mark(payload), indent=2, sort_keys=True) + "\n"
+    return re.sub(r'"\\u0000(\d+)"', lambda m: ints[int(m.group(1))], text)
+
+
 def _emit(args, stem: str, payload: dict, csv_rows: list[tuple] | None = None,
           csv_header: tuple[str, ...] | None = None) -> None:
     """Serialize one artifact deterministically; --out picks file vs directory."""
@@ -130,7 +152,7 @@ def _emit(args, stem: str, payload: dict, csv_rows: list[tuple] | None = None,
         lines += [",".join(str(c) for c in row) for row in csv_rows]
         text, ext = "\n".join(lines) + "\n", ".csv"
     else:
-        text, ext = json.dumps(payload, indent=2, sort_keys=True) + "\n", ".json"
+        text, ext = _json_text(payload), ".json"
     out = getattr(args, "out", None)
     if out:
         path = Path(out)
@@ -249,7 +271,12 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+ZSYS_STEPS = 8  # values listed past the initial window when `zsys` has --init
+
+
 def _cmd_zsys(args) -> int:
+    if args.steps is not None and not args.init:
+        raise ConfigInvalid("--steps does not apply to zsys without --init")
     import mpmath
     p = _resolve_system(args)
     st = z_stencil_from_tuple(p.a)
@@ -275,10 +302,11 @@ def _cmd_zsys(args) -> int:
     }
     if args.init:
         vals = _parse_init(args.init, st.order, args.seed, "--init")
+        steps = ZSYS_STEPS if args.steps is None else args.steps
         try:
             sol = solve_z(st, vals)
             payload["values"] = [format_rational(sol.value(n))
-                                 for n in range(args.steps + st.order)]
+                                 for n in range(steps + st.order)]
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
     else:
@@ -331,7 +359,7 @@ def _cmd_entropy(args) -> int:
                       "Aitken increment (0.0 when the fit is exact)",
     }
     _emit(args, "entropy", payload,
-          [(i, d) for i, d in enumerate(ds.d)], ("n", "d_n"))
+          [(i, format_rational(d)) for i, d in enumerate(ds.d)], ("n", "d_n"))
     return 0
 
 
@@ -413,7 +441,7 @@ def _cmd_verify(args) -> int:
     keyword = None
     if args.filter:
         if re.fullmatch(r"[\d,\s]+", args.filter):
-            numbers = {int(v) for v in args.filter.replace(",", " ").split()}
+            numbers = {parse_int(v) for v in args.filter.replace(",", " ").split()}
         else:
             keyword = args.filter
     results = run_criteria(numbers=numbers, keyword=keyword)
@@ -485,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     zs = sub.add_parser("zsys", help="coefficient constraint and its spectrum")
     _add_common(zs, init=False)
     zs.add_argument("--init", help="initial Z window (optional; symbolic otherwise)")
-    zs.add_argument("--steps", type=int, default=8)
+    zs.add_argument("--steps", type=int)  # no default: it needs --init
     _add_io(zs)
     zs.set_defaults(handler=_cmd_zsys)
 
@@ -541,10 +569,6 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     args = build_parser().parse_args(argv)
-    # long exact orbits outgrow the default cap on int <-> str conversion
-    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if digits is not None:
-        sys.set_int_max_str_digits(0)
     try:
         if (getattr(args, "steps", None) or 0) < 0:
             raise ConfigInvalid("--steps must be nonnegative")
@@ -561,9 +585,6 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, KeyError, OverflowError) as exc:
         print(f"compute error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    finally:
-        if digits is not None:
-            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ values' numerators and denominators have in common, so they cancel factor by
 factor and construct the result directly.  This is Henrici's
 cross-cancellation (P. Henrici, "A subroutine for computations with rational
 numbers", J. ACM 3, 1956), which Fraction's own `*` and `/` use on two
-operands; here it spans every factor of one value.
+operands; here it spans every factor of one value.  `cancel` is the one way
+the exact engines (the integer T-path, U, q-P_I and Y) build a value in
+lowest terms.
 """
 
 from __future__ import annotations
@@ -29,45 +31,6 @@ def _from_coprime_ints(n: int, d: int) -> Fraction:
     obj._numerator = n
     obj._denominator = d
     return obj
-
-
-def coprime_basis(values: Sequence[int]) -> list[int]:
-    """Pairwise coprime integers > 1 whose powers give every |value|.
-
-    Splits by gcd: a new value that shares g > 1 with a basis element b
-    replaces b by b/g, g and value/g, and those are inserted in turn.  The
-    product of the pending and basis elements falls at each split, so this
-    ends.  The values must be nonzero.
-    """
-    basis: list[int] = []
-    todo = [abs(v) for v in values]
-    while todo:
-        x = todo.pop()
-        if x == 1:
-            continue
-        for i, b in enumerate(basis):
-            g = gcd(x, b)
-            if g > 1:
-                del basis[i]
-                todo += (b // g, g, x // g)
-                break
-        else:
-            basis.append(x)
-    return basis
-
-
-def exponents_over(value: int, basis: Sequence[int]) -> list[tuple[int, int]]:
-    """(index, exponent) of each basis element in |value|, a product of them."""
-    out = []
-    value = abs(value)
-    for k, p in enumerate(basis):
-        e = 0
-        while value % p == 0:
-            value //= p
-            e += 1
-        if e:
-            out.append((k, e))
-    return out
 
 
 def cancel(num_factors: Sequence[Factor], den_factors: Sequence[Factor]) -> Fraction:

@@ -351,14 +351,15 @@ class LaurentPoly:
         return [(_unpack(k, shifts), c) for k, c in sorted(self._packed.items(), reverse=True)]
 
     def to_json(self) -> dict:
-        terms = [{"exp": list(e), "coef": str(c)} for e, c in self._sorted_terms()]
+        terms = [{"exp": list(e), "coef": _int_text(c)} for e, c in self._sorted_terms()]
         return {"vars": list(self.vars), "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict | str) -> "LaurentPoly":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(data["vars"], {tuple(t["exp"]): int(t["coef"]) for t in data["terms"]})
+        return cls(data["vars"], {tuple(t["exp"]): parse_int(t["coef"])
+                                  for t in data["terms"]})
 
     def __str__(self) -> str:
         if not self._packed:
@@ -373,13 +374,13 @@ class LaurentPoly:
                     factors.append(f"{name}^{k}")
             body = "*".join(factors)
             if not body:
-                parts.append(f"{c}")
+                parts.append(_int_text(c))
             elif c == 1:
                 parts.append(body)
             elif c == -1:
                 parts.append(f"-{body}")
             else:
-                parts.append(f"{c}*{body}")
+                parts.append(f"{_int_text(c)}*{body}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
@@ -467,6 +468,24 @@ def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
 
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
+# int() and str() refuse more than sys.get_int_max_str_digits() digits;
+# Decimal does not, so these two go through it past that limit
+def parse_int(text: str) -> int:
+    """Parse a decimal integer, at any length."""
+    try:
+        return int(text)
+    except ValueError:
+        if not re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            raise
+        return int(Decimal(text))
+
+
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into an exact Fraction, at any length."""
@@ -474,19 +493,11 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ValueError:
-        # int() refuses more than sys.get_int_max_str_digits() digits; Decimal does not
         m = _RATIONAL.fullmatch(text)
         if m is None:
             raise
-        num, den = (int(Decimal(g)) for g in m.groups("1"))
+        num, den = (parse_int(g) for g in m.groups("1"))
         return Fraction(num, den)
-
-
-def _int_text(n: int) -> str:
-    try:
-        return str(n)
-    except ValueError:  # past sys.get_int_max_str_digits(); str(Decimal) has no cap
-        return str(Decimal(n))
 
 
 def format_rational(x: Fraction) -> str:

@@ -19,24 +19,19 @@ the bound coefficient values (`monomial` and `bound` in `zsystem`), the
 orbit goes on in plain Fraction arithmetic, the only path for non-Laurent
 data.
 
-Each value on the integer path is built in lowest terms without a gcd on
-the full-size integers when a certificate holds.  Once per orbit the bases
-are split into a pairwise coprime basis; each step maps the exponents of M_n
-to net exponents over it, so x_n = +-N_n A / B with A and B on disjoint
-basis elements.  That is in lowest terms iff N_n is coprime to the product
-of the basis elements in B, a gcd with one small operand.  When the
-certificate fails (M_n overestimates the denominator), Fraction normalises
-the value.
+Each value on the integer path is built in lowest terms by one
+`coprime.cancel` over its factors: N_n and the powers of the bases in M_n,
+grouped by the variable each base comes from (its numerator and denominator
+are coprime).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
-from .coprime import _from_coprime_ints, coprime_basis, exponents_over
+from .coprime import cancel
 from .laurent import LaurentPoly, laurent_try_div, format_rational, parse_rational
 from .quiver import NotPalindromic
 from .zsystem import AlgebraicZCase, ConstantZ
@@ -193,10 +188,6 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
     slots = [(k, b, e) for k, v in enumerate(variables)
              for b, e in ((v.numerator, -1), (v.denominator, 1)) if b != 1]
     bases = [b for _, b, _ in slots]
-    # M over a pairwise coprime basis: slot i stands for sign * prod p^e
-    basis = coprime_basis(bases)
-    over = [exponents_over(b, basis) for b in bases]
-    negative = [i for i, b in enumerate(bases) if b < 0]
     # M of the bare variable p/q is p^-1 q, so N = 1 for each initial value
     units = [[e if i == k else 0 for i, _, e in slots] for k in range(len(variables))]
     zunits = units[n_:]
@@ -236,24 +227,13 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
             if zk:
                 for i, d in enumerate(u):
                     deg[i] += zk * d
-        # x = sign * quo * A / B with A and B on disjoint basis elements, so
-        # it is in lowest terms iff quo is coprime to the elements of B
-        net = [0] * len(basis)
-        for d, pe in zip(deg, over):
+        # x = quo / prod b^d.  The group of a base is its variable, whose
+        # numerator and denominator are coprime; quo has a group of its own.
+        num, den = [(quo, 1, -1)], []
+        for (k, b, _), d in zip(slots, deg):
             if d:
-                for k, e in pe:
-                    net[k] += d * e
-        num, den, rad = quo, 1, 1
-        for p, d in zip(basis, net):
-            if d > 0:
-                den *= p ** d
-                rad *= p
-            elif d < 0:
-                num *= p ** -d
-        if sum(deg[i] for i in negative) % 2:
-            num = -num
-        vals.append(_from_coprime_ints(num, den) if gcd(quo, rad) == 1
-                    else Fraction(num, den))
+                (den if d > 0 else num).append((b, abs(d), k))
+        vals.append(cancel(num, den))
         nums = nums[1:] + [quo]
         degs = degs[1:] + [deg]
     return steps

@@ -25,3 +25,20 @@ def bench_workloads():
         sys.path.remove(str(BENCH))
         sys.dont_write_bytecode = saved
     return workloads
+
+
+@pytest.fixture
+def default_int_digits():
+    """Run under the interpreter's default int/str digit limit of 4,300.
+
+    Yields False on an interpreter without the limit (before 3.11).
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield False
+        return
+    limit, set_limit = sys.get_int_max_str_digits(), sys.set_int_max_str_digits
+    set_limit(4300)
+    try:
+        yield True
+    finally:
+        set_limit(limit)  # the one read at setup, should a test patch it

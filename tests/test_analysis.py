@@ -215,3 +215,9 @@ def test_first_integral_is_conserved():
                for n in range(1, 30))
     with pytest.raises(analysis.ZeroProduct):
         analysis.somos4_first_integral(F(0), F(1))
+
+
+def test_relation_text_past_the_int_digit_limit(default_int_digits):
+    rel = analysis.LinearRelation((0, 2), (Fraction(1), Fraction(-(10 ** 5000 + 1), 3)), 10,
+                                  False)
+    assert rel.format_text() == "(1)*x[n] + (-1" + "0" * 4999 + "1/3)*x[n+2] = 0"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cluster_painleve
-from cluster_painleve.cli import main
+from cluster_painleve.cli import _json_text, main
 from cluster_painleve.laurent import format_rational
 from cluster_painleve.tsystem import TStencil, iterate_t
 
@@ -179,6 +179,13 @@ class TestConfigErrors:
     def test_run_rejects_flags_its_target_ignores(self, capsys, argv, flag):
         assert flag in assert_config_error(capsys, argv)
 
+    def test_zsys_steps_needs_init(self, capsys):
+        err = assert_config_error(capsys, ["zsys", "--preset", "somos4", "--steps", "3"])
+        assert err == "config error: --steps does not apply to zsys without --init\n"
+        # with --init the default is 8: the initial window and 8 more values
+        rc, d = run_json(capsys, ["zsys", "--preset", "prim4", "--init", "2,3"])
+        assert rc == 0 and len(d["values"]) == 2 + 8
+
     def test_negative_steps(self, capsys):
         assert_config_error(capsys, ["run", "t", "--preset", "somos4", "--steps", "-1"])
         assert_config_error(capsys, ["zsys", "--preset", "somos4", "--init", "2,3",
@@ -281,8 +288,10 @@ def test_zsys_with_large_end_coefficients_finishes(tup, text):
     assert json.loads(proc.stdout)["char_poly"] == text
 
 
-def test_values_past_the_int_digit_limit(tmp_path, capsys):
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+def test_values_past_the_int_digit_limit(tmp_path, capsys, monkeypatch, default_int_digits):
+    changed = []
+    if default_int_digits:
+        monkeypatch.setattr(sys, "set_int_max_str_digits", changed.append)
     argv = ["run", "t", "--preset", "somos4", "--init", "ones", "--steps", "350"]
     assert main(argv + ["--format", "csv"]) == 0
     last = capsys.readouterr().out.splitlines()[-1].partition(",")[2]
@@ -293,15 +302,25 @@ def test_values_past_the_int_digit_limit(tmp_path, capsys):
                "--train", "2", "--verify", "3"])
     out = capsys.readouterr().out
     assert rc == 0 and json.loads(out.partition("\n")[2])["system"] == str(orbit)
-    if limit is not None:
-        assert sys.get_int_max_str_digits() == limit  # main restored it
-        sys.set_int_max_str_digits(0)
-    try:
-        expect = format_rational(iterate_t(TStencil((-1, 2, -1)), [1] * 4, 350).values[-1])
-        assert len(last) > 4300 and last == expect
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    assert not changed  # main never changes the limit
+    expect = format_rational(iterate_t(TStencil((-1, 2, -1)), [1] * 4, 350).values[-1])
+    assert len(last) > 4300 and last == expect
+
+
+def test_random_seed_past_the_int_digit_limit(capsys, default_int_digits):
+    seed = "1" + "0" * 5000
+    rc, d = run_json(capsys, ["run", "t", "--preset", "somos4",
+                              "--init", f"random({seed},9)", "--steps", "0"])
+    assert rc == 0 and len(d["values"]) == 4
+
+
+def test_ints_past_the_int_digit_limit_in_json(default_int_digits):
+    big = 7 ** 6000  # 5,071 digits
+    payload = {"degrees": [1, big, -big], "name": "\\u0000", "x": 0.5}
+    got = _json_text(payload)
+    if default_int_digits:
+        sys.set_int_max_str_digits(0)  # for the reference; the fixture restores it
+    assert got == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_jobs_flag_is_a_usage_error(capsys):

@@ -8,7 +8,6 @@ every raised exception on its type and message.
 """
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -102,26 +101,7 @@ def test_coprime_constructor_hypothesis(n, d):
         (want.numerator, want.denominator, hash(want), str(want))
 
 
-# -- coprime basis and cancel ------------------------------------------------------------
-
-
-@given(st.lists(st.integers(-400, 400).filter(bool), max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_coprime_basis(values):
-    basis = coprime.coprime_basis(values)
-    assert all(p > 1 for p in basis)
-    assert all(math.gcd(p, q) == 1 for p, q in itertools.combinations(basis, 2))
-    for v in values:
-        back = 1
-        for k, e in coprime.exponents_over(v, basis):
-            back *= basis[k] ** e
-        assert back == abs(v)
-
-
-def test_coprime_basis_splits_composites():
-    assert sorted(coprime.coprime_basis([6, 10, 15])) == [2, 3, 5]
-    assert sorted(coprime.coprime_basis([-12, 18, 1, 1])) == [2, 3]
-    assert coprime.coprime_basis([]) == []
+# -- cancel ----------------------------------------------------------------------------
 
 
 # one "value" a/b per group: a, b and a + b are pairwise coprime

@@ -1,5 +1,6 @@
 """Sparse Laurent arithmetic and the certified-division primitive."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,16 @@ def test_parse_rational_accepts_integers():
 def test_json_roundtrip_preserves_terms():
     p = P({(2, -1): 3, (0, 0): -5})
     assert LaurentPoly.from_json(p.to_json()) == p
+
+
+def test_coefficients_past_the_int_digit_limit(default_int_digits):
+    big, digits = 10 ** 5000 + 7, "1" + "0" * 4999 + "7"
+    p = P({(2, -1): big, (0, 0): -big, (1, 1): 1})
+    data = p.to_json()
+    assert [t["coef"] for t in data["terms"]] == [digits, "1", "-" + digits]
+    assert LaurentPoly.from_json(json.dumps(data)) == p
+    assert str(p) == f"{digits}*x^2*y^-1 + x*y - {digits}"
+    assert str(P({(0, 0): big})) == digits
 
 
 # -- packed kernel against a dense-tuple reference -----------------------------

@@ -7,13 +7,12 @@ inexact step; `fraction_orbit` below is the plain Fraction loop it is
 checked against, values and exceptions alike.
 """
 
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cluster_painleve import tsystem
+from cluster_painleve import coprime, tsystem
 from cluster_painleve.tsystem import (
     NonLaurentIterate,
     Orbit,
@@ -148,18 +147,10 @@ def test_orbit_windows_satisfy_recurrence_everywhere(init):
         assert v[n + 4] * v[n] == v[n + 2] ** 2 + v[n + 1] * v[n + 3]
 
 
-def test_json_roundtrip_past_the_int_digit_limit():
+def test_json_roundtrip_past_the_int_digit_limit(default_int_digits):
     orb = iterate_t(TStencil(SOMOS4), [1] * 4, 350)
     assert orb.values[-1].numerator.bit_length() > 4300 * 3.33  # over 4,300 digits
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(4300)  # the interpreter's default
-    try:
-        back = orbit_from_json(orb.to_json())
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
-    assert back.values == orb.values
+    assert orbit_from_json(orb.to_json()).values == orb.values
 
 
 # -- the integer path against a plain Fraction loop ----------------------------
@@ -278,7 +269,7 @@ def test_zero_value_raises_on_the_integer_path():
         iterate_t(TStencil(SOMOS4), [F(1), F(1), F(-1), F(-1)], 3)
 
 
-# -- the lowest-terms certificate on the integer path ------------------------------
+# -- values in lowest terms on the integer path ------------------------------
 
 # numerators and denominators with shared and composite factors: 6, 10, 15,
 # the same prime in the window and in the coefficients, negative bases
@@ -309,26 +300,25 @@ def test_shared_and_composite_bases_match_fraction_loop(a, data, steps):
     assert_matches_reference(a, _coefficients(data, a), init, steps)
 
 
-def test_certificate_builds_most_values_without_a_gcd(monkeypatch):
-    direct = []
+def test_every_integer_step_makes_one_cancel(monkeypatch):
+    calls = []
 
-    def counting(n, d):
-        direct.append((n, d))
-        return Fraction(n, d)
+    def counting(num_factors, den_factors):
+        calls.append(1)
+        return coprime.cancel(num_factors, den_factors)
 
-    monkeypatch.setattr(tsystem, "_from_coprime_ints", counting)
-    # distinct primes near 1000: every step is certified
+    monkeypatch.setattr(tsystem, "cancel", counting)
+    # distinct primes near 1000
     init = [F(1009, 1013), F(-1019, 1021), F(1031, 1033), F(1039, 1049)]
-    orb = iterate_t(TStencil(SOMOS4), init, 30)
-    assert len(direct) == 30
-    assert all((v.numerator, v.denominator) == nd for v, nd in zip(orb.values[4:], direct))
-    # where N_n shares a factor with M_n (2 divides every N_n from the first
-    # window below), M overestimates the denominator: the certificate fails
-    # and Fraction normalises the value
+    assert integer_steps(SOMOS4, ConstantZ(1), init, 30) == 30
+    assert len(calls) == 30
+    assert_matches_reference(SOMOS4, ConstantZ(1), init, 30)
+    # N_n shares factors with M_n (2 divides every N_n from the first window
+    # below; composite bases in the second; Z's symbols in the third)
     for z, init in [(ConstantZ(1), [F(2, 37), F(-11, 3), F(13, 17), F(19, 23)]),
                     (ConstantZ(1), [F(6, 35), F(-10, 21), F(15, 14), F(7, 6)]),
                     (GeometricZ(F(3, 2), F(5, 7)), [F(2, 3), F(-1, 5), F(7), F(3, 4)])]:
-        direct.clear()
+        calls.clear()
         assert integer_steps(SOMOS4, z, init, 24) == 24
-        assert len(direct) < 24
+        assert len(calls) == 24
         assert_matches_reference(SOMOS4, z, init, 24)
