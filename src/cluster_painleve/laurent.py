@@ -17,19 +17,57 @@ fields leave that range shows a set top bit (or a borrow into one), so one
 mask test detects overflow and, in division, a non-divisible monomial.
 Exponents are limited to ``[EXP_MIN, EXP_MAX]``; anything outside raises
 :class:`ExponentOverflowError` rather than wrapping into a neighbouring field.
+
+Large operands whose support spans a small lattice are multiplied and
+divided on a dense grid.  The span of the exponent differences of a support
+(its affine hull, less a base point) is kept in reduced row echelon form
+and cached on the polynomial: a product made on the grid gets the sum of
+its factors' spans, which is its span since the extreme terms of a product
+never cancel, and any other polynomial is scanned once.  Projecting a coset of the span onto its pivot
+coordinates is injective, and lex order on the coset is lex order on the
+pivot coordinates.  On the grid a polynomial is a list of rows: one int per
+value of the first pivot coordinate, each coefficient in a fixed-width
+signed slot at the mixed-radix place of the other coordinates.  Reading the
+other coordinates as powers of ``2**(8 * slot bytes)`` is a ring
+homomorphism onto polynomials in the first one with int coefficients.
+
+- A product is the convolution of the row lists, one int product per pair
+  of rows.  Slots of ``bits(max|a|) + bits(max|b|) + bits(min(|a|, |b|)) +
+  2`` bits hold every coefficient of the product, so the digits read back
+  are its coefficients.
+- Division is long division of the rows, each leading row divided with
+  ``divmod``.  By the homomorphism, a remainder proves that there is no
+  quotient, as does a divisor whose span or extent the dividend's does not
+  contain.  A quotient whose digits lie in the degree room and satisfy
+  ``bits(max|q|) + bits(max|r|) + bits(min(|q|, |r|)) + 1 < slot bits`` is
+  certified: the map is injective on polynomials of that box whose
+  coefficients fit the slots, and ``q * r`` and ``p`` are two of them with
+  the same image.  Any other quotient, and any span whose grid points do
+  not all lift to integral exponents, goes to the heap division.
+- The grid runs only where two properties of the operands say it pays: at
+  least ``_SCAN_PAIRS`` term pairs per term and variable (which amortises
+  the scan), and at most ``_MUL_BITS`` (``_DIV_BITS``) cell bits per term
+  pair.  Spans of dimension 2, as in the somos4 and somos5 orbits, pass;
+  the 4- to 7-dimensional ones of somos6, somos7 and prim4 do not, and
+  stay with the dict and heap loops.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import ItemsView, Mapping
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from operator import or_
+from math import lcm, prod
+from operator import mul, or_
+from struct import calcsize
 from typing import Iterator, Sequence
+
+from .intlinalg import rref
 
 FIELD_BITS = 32
 _BIAS = 1 << (FIELD_BITS - 2)
@@ -82,7 +120,7 @@ def _check_fields(keys, mask: int) -> None:
 
 def _make(variables: tuple[str, ...], packed: dict[int, int]) -> "LaurentPoly":
     r = LaurentPoly.__new__(LaurentPoly)
-    r.vars, r._packed = variables, packed
+    r.vars, r._packed, r._hull = variables, packed, None
     return r
 
 
@@ -131,7 +169,7 @@ class LaurentPoly:
     require both operands to carry the same variable list.
     """
 
-    __slots__ = ("vars", "_packed")
+    __slots__ = ("vars", "_packed", "_hull")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], int] | None = None):
         self.vars = tuple(variables)
@@ -148,6 +186,7 @@ class LaurentPoly:
                 else:
                     del packed[k]
         self._packed = packed
+        self._hull: _Hull | None = None  # the span of the support, once known
 
     @property
     def terms(self) -> TermsView:
@@ -227,32 +266,19 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_compat(other)
-        a, b = self._packed, other._packed
-        if not a or not b:
+        a, b = (self, other) if len(self._packed) <= len(other._packed) else (other, self)
+        if not a._packed:
             return LaurentPoly.zero(self.vars)
-        if len(a) > len(b):
-            a, b = b, a
-        offset, mask, _ = _layout(len(self.vars))
-        if len(a) == 1:
+        if len(a._packed) == 1:
             # monomial fast path
-            (ka, ca), = a.items()
+            offset, mask, _ = _layout(len(self.vars))
+            (ka, ca), = a._packed.items()
             d = ka - offset
-            out = {d + kb: ca * cb for kb, cb in b.items()}
-        else:
-            out = {}
-            get = out.get
-            bitems = list(b.items())
-            for ka, ca in a.items():
-                d = ka - offset
-                for kb, cb in bitems:
-                    k = d + kb
-                    out[k] = get(k, 0) + ca * cb
-        # checked before cancelled terms are dropped, so that no out-of-range
-        # key can hide behind a zero coefficient
-        _check_fields(out, mask)
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-        return _make(self.vars, out)
+            out = {d + kb: ca * cb for kb, cb in b._packed.items()}
+            _check_fields(out, mask)
+            return _make(self.vars, out)
+        grid = _mul_grid(a, b)
+        return _mul_dense(a, b, grid) if grid is not None else _mul_sparse(a, b)
 
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
@@ -388,6 +414,25 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+def _mul_sparse(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The product by the loop over term pairs into a dict."""
+    offset, mask, _ = _layout(len(a.vars))
+    out: dict[int, int] = {}
+    get = out.get
+    bitems = list(b._packed.items())
+    for ka, ca in a._packed.items():
+        d = ka - offset
+        for kb, cb in bitems:
+            k = d + kb
+            out[k] = get(k, 0) + ca * cb
+    # checked before cancelled terms are dropped, so that no out-of-range
+    # key can hide behind a zero coefficient
+    _check_fields(out, mask)
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return _make(a.vars, out)
+
+
 def _field_extent(packed: dict[int, int], shifts: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Per-variable minimum and maximum of the biased field values."""
     lo, hi = [], []
@@ -401,11 +446,32 @@ def _field_extent(packed: dict[int, int], shifts: tuple[int, ...]) -> tuple[list
 def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """Exact division in the Laurent ring: return ``r`` with ``q * r == p``.
 
-    Returns None when no such Laurent polynomial exists.  Monomial factors are
-    units here, so both operands are first shifted to honest polynomials with
-    componentwise-minimal exponent zero, then reduced by lex leading terms.
-    Over the integers the reduction is both sound and complete: if ``q``
-    divides ``p`` every intermediate leading term stays divisible.
+    Returns None when no such Laurent polynomial exists.  Large operands
+    whose support spans a small lattice go to the dense row division
+    (``_div_dense``); whatever it cannot decide goes to the heap division.
+    """
+    if q.is_zero():
+        raise ZeroDivisorError("division by the zero Laurent polynomial")
+    if p.vars != q.vars:
+        raise ValueError("variable mismatch in division")
+    if p.is_zero():
+        return LaurentPoly.zero(p.vars)
+    grid = _div_grid(p, q)
+    if grid is not None:
+        r = _div_dense(p, q, grid)
+        if r is not _UNDECIDED:
+            return r
+    return _div_heap(p, q)
+
+
+def _div_heap(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
+    """Division of nonzero operands by lex leading terms.
+
+    Monomial factors are units here, so both operands are first shifted to
+    honest polynomials with componentwise-minimal exponent zero, then
+    reduced by lex leading terms.  Over the integers the reduction is both
+    sound and complete: if ``q`` divides ``p`` every intermediate leading
+    term stays divisible.
 
     The shifted keys carry plain (unbiased) exponents.  The remainder is a
     dict with a max-heap of its keys; a cancelled term stays behind with
@@ -414,13 +480,6 @@ def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     proves there is none; the box also keeps every remainder key inside the
     degree range of ``p``, far from the field limits.
     """
-    if q.is_zero():
-        raise ZeroDivisorError("division by the zero Laurent polynomial")
-    if p.vars != q.vars:
-        raise ValueError("variable mismatch in division")
-    if p.is_zero():
-        return LaurentPoly.zero(p.vars)
-
     offset, mask, shifts = _layout(len(p.vars))
     plo, phi = _field_extent(p._packed, shifts)
     qlo, qhi = _field_extent(q._packed, shifts)
@@ -462,6 +521,288 @@ def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
 
     back = kmp - kmq + offset
     out = {e + back: c for e, c in quot.items()}
+    _check_fields(out, mask)
+    return _make(p.vars, out)
+
+
+# -- dense kernels on the affine hull of the support ---------------------------
+
+# Dispatch: the dense kernels run only when the term pairs pay for a hull
+# scan (at least _SCAN_PAIRS per term and variable) and the grid is small
+# against the work it replaces (cells times slot bits at most _MUL_BITS per
+# term pair for a product, _DIV_BITS per pair of dividend and divisor terms).
+_SCAN_PAIRS = 32
+_MUL_BITS = 8
+_DIV_BITS = 2
+
+_ORDER = "little"
+# memoryview formats that read little-endian slots of 1, 2, 4 or 8 bytes
+_CAST = {calcsize(f): f for f in "bhiq"} if sys.byteorder == _ORDER else {}
+# the answer of _div_dense when the heap division has to decide
+_UNDECIDED = object()
+
+
+class _Hull:
+    """The rational span of the exponent differences of a support.
+
+    ``rows`` is the reduced row echelon basis scaled by the common
+    denominator ``den`` to integers, ``pivots`` its pivot columns and
+    ``lift[i]`` the packed sum ``sum(rows[i][j] << shift_j)``.  A difference
+    vector ``v`` with packed sum ``dv`` lies in the span exactly when
+    ``den * dv == sum(v[pivots[i]] * lift[i])``: the right-hand side packs
+    the one vector of the span with the pivot entries of ``v``.
+    """
+
+    __slots__ = ("pivots", "rows", "den", "lift", "shifts")
+
+    def __init__(self, vectors: list[Sequence[int]], shifts: tuple[int, ...]):
+        rows, self.pivots = rref(vectors)
+        rows = rows[:len(self.pivots)]
+        self.den = lcm(*(x.denominator for r in rows for x in r))
+        self.rows = [[int(x * self.den) for x in r] for r in rows]
+        self.lift = [sum(v << s for v, s in zip(r, shifts)) for r in self.rows]
+        self.shifts = shifts
+
+    def covers(self, other: "_Hull") -> bool:
+        """Whether this span contains ``other``."""
+        return all(self.den * dv == sum(r[c] * w for c, w in zip(self.pivots, self.lift))
+                   for r, dv in zip(other.rows, other.lift))
+
+
+def _hull_of(p: LaurentPoly) -> _Hull:
+    """The span of ``p``'s support, scanned once and cached on ``p``."""
+    h = p._hull
+    if h is None:
+        shifts = _layout(len(p.vars))[2]
+        keys = list(p._packed)
+        k0 = keys[0]
+        h = _Hull([], shifts)
+        # grow the span on a sample of the keys first, then on all of them
+        for batch in (keys[::len(keys) // 16 + 1], keys):
+            while (k := _outside(h, batch, k0)) is not None:
+                e, e0 = _unpack(k, shifts), _unpack(k0, shifts)
+                h = _Hull(h.rows + [list(map(int.__sub__, e, e0))], shifts)
+        p._hull = h
+    return h
+
+
+def _outside(h: _Hull, keys: list[int], k0: int) -> int | None:
+    """A key whose difference from ``k0`` leaves the span, if any."""
+    res = [h.den * (k - k0) for k in keys]
+    for c, w in zip(h.pivots, h.lift):
+        s = h.shifts[c]
+        t0 = (k0 >> s) & _FIELD
+        res = [r - (((k >> s) & _FIELD) - t0) * w for r, k in zip(res, keys)]
+    if any(res):
+        return next(k for k, r in zip(keys, res) if r)
+    return None
+
+
+def _hull_sum(a: _Hull, b: _Hull) -> _Hull:
+    """The span of a product's support: the sum of its factors' spans."""
+    if a.covers(b):
+        return a
+    if b.covers(a):
+        return b
+    return _Hull(a.rows + b.rows, a.shifts)
+
+
+def _columns(p: LaurentPoly, hull: _Hull) -> list[list[int]]:
+    """The biased pivot fields of ``p``'s keys, one list per pivot."""
+    return [[(k >> hull.shifts[c]) & _FIELD for k in p._packed] for c in hull.pivots]
+
+
+def _bits(p: LaurentPoly) -> int:
+    return max(map(abs, p._packed.values())).bit_length()
+
+
+def _slot_bytes(bits: int) -> int:
+    """Bytes for a slot of ``bits`` bits: up to 8, a power of two, so that
+    ``_digits`` reads the slots with one ``memoryview.cast``."""
+    w = -(-bits // 8)
+    return 1 << (w - 1).bit_length() if w <= 8 else w
+
+
+def _rows(p: LaurentPoly, cols: list[list[int]], lo: list[int], dims: list[int], w: int) -> list[int]:
+    """``p`` laid out on the grid: one int per value of the first pivot
+    coordinate, holding each coefficient in the ``w``-byte slot at the mixed
+    radix ``dims[1:]`` place of the other coordinates (less ``lo``)."""
+    width = prod(dims[1:])
+    flat = [(t - lo[0]) * width for t in cols[0]]
+    stride = width
+    for col, low, d in zip(cols[1:], lo[1:], dims[1:]):
+        stride //= d
+        flat = [f + (t - low) * stride for f, t in zip(flat, col)]
+    size = width * w
+    nrows = max(cols[0]) - lo[0] + 1
+    pos = bytearray(nrows * size)
+    neg = bytearray(nrows * size) if min(p._packed.values()) < 0 else None
+    for f, c in zip(flat, p._packed.values()):
+        if c > 0:
+            pos[f * w:f * w + w] = c.to_bytes(w, _ORDER)
+        else:
+            neg[f * w:f * w + w] = (-c).to_bytes(w, _ORDER)
+    starts = range(0, nrows * size, size)
+    rows = [int.from_bytes(memoryview(pos)[i:i + size], _ORDER) for i in starts]
+    if neg:
+        rows = [r - int.from_bytes(memoryview(neg)[i:i + size], _ORDER) for r, i in zip(rows, starts)]
+    return rows
+
+
+@lru_cache(maxsize=256)
+def _half(width: int, w: int) -> int:
+    """``2**(8w - 1)`` in each of ``width`` slots of ``w`` bytes."""
+    return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, _ORDER) * width, _ORDER)
+
+
+def _digits(row: int, width: int, w: int) -> list[int] | None:
+    """The balanced ``w``-byte digits of ``row``, or None past ``width`` slots."""
+    half = _half(width, w)
+    v = row + half
+    if v < 0 or v.bit_length() > 8 * w * width:
+        return None
+    # adding half, then flipping each slot's top bit, leaves each slot in
+    # two's complement
+    b = (v ^ half).to_bytes(w * width, _ORDER)
+    if w in _CAST:
+        return memoryview(b).cast(_CAST[w]).tolist()
+    return [int.from_bytes(b[i:i + w], _ORDER, signed=True) for i in range(0, len(b), w)]
+
+
+def _decode(hull: _Hull, rows: list[int], const: int, dims: list[int], w: int,
+            room: list[int]) -> dict[int, int] | None:
+    """The terms of grid rows as ``{key: coefficient}``, lex largest first.
+
+    The cell with coordinates ``u`` has key ``offset + (const + sum(u_i *
+    lift[i])) / den``.  Returns None when a row's digits do not fit its slots
+    or a nonzero digit lies past ``room``.
+    """
+    offset = _layout(len(hull.shifts))[0]
+    den, lift = hull.den, hull.lift
+    cells: list[int | None] = [0]
+    for step, d, r in zip(lift[1:], dims[1:], room[1:]):
+        cells = [None if k is None or u > r else k + u * step for k in cells for u in range(d)]
+    width = len(cells)
+    out = {}
+    for u0 in reversed(range(len(rows))):
+        if not rows[u0]:
+            continue
+        digits = _digits(rows[u0], width, w)
+        if digits is None:
+            return None
+        base = const + u0 * lift[0]
+        for pos, c in reversed([t for t in enumerate(digits) if t[1]]):
+            k = cells[pos]
+            if k is None:
+                return None
+            out[(base + k) // den + offset] = c
+    return out
+
+
+def _mul_grid(a: LaurentPoly, b: LaurentPoly):
+    """The grid of the dense product of ``a`` and ``b``, or None when the
+    term-pair loop is the better choice."""
+    na, nb = len(a._packed), len(b._packed)
+    pairs = na * nb
+    if pairs < _SCAN_PAIRS * len(a.vars) * (na + nb):
+        return None
+    hull = _hull_sum(_hull_of(a), _hull_of(b))
+    ca, cb = _columns(a, hull), _columns(b, hull)
+    lo_a, lo_b = [min(c) for c in ca], [min(c) for c in cb]
+    dims = [max(x) - la + max(y) - lb + 1 for x, y, la, lb in zip(ca, cb, lo_a, lo_b)]
+    # a product coefficient is a sum of at most min(na, nb) products
+    w = _slot_bytes(_bits(a) + _bits(b) + min(na, nb).bit_length() + 2)
+    if prod(dims) * 8 * w > _MUL_BITS * pairs:
+        return None
+    return hull, ca, cb, lo_a, lo_b, dims, w
+
+
+def _mul_dense(a: LaurentPoly, b: LaurentPoly, grid) -> LaurentPoly:
+    """The product as a convolution of grid rows, one int product per pair."""
+    hull, ca, cb, lo_a, lo_b, dims, w = grid
+    rows = [0] * dims[0]
+    rb = list(enumerate(_rows(b, cb, lo_b, dims, w)))
+    for i, x in enumerate(_rows(a, ca, lo_a, dims, w)):
+        if x:
+            for j, y in rb:
+                if y:
+                    rows[i + j] += x * y
+    offset, mask, shifts = _layout(len(a.vars))
+    ka, kb = next(iter(a._packed)), next(iter(b._packed))
+    shift = [la + lb - ((ka >> shifts[c]) & _FIELD) - ((kb >> shifts[c]) & _FIELD)
+             for la, lb, c in zip(lo_a, lo_b, hull.pivots)]
+    const = hull.den * (ka + kb - 2 * offset) + sum(map(mul, shift, hull.lift))
+    out = _decode(hull, rows, const, dims, w, [d - 1 for d in dims])
+    # the span of the product is the sum of the spans, so every lifted key is
+    # integral; the extreme terms in each variable never cancel, so checking
+    # the surviving keys catches every exponent past the range
+    _check_fields(out, mask)
+    r = _make(a.vars, out)
+    r._hull = hull
+    return r
+
+
+def _div_grid(p: LaurentPoly, q: LaurentPoly):
+    """The grid of ``p`` for a dense division by ``q``, or None when the
+    heap division is the better choice."""
+    np_, nq = len(p._packed), len(q._packed)
+    pairs = np_ * nq
+    if pairs < _SCAN_PAIRS * len(p.vars) * (np_ + nq):
+        return None
+    hull = _hull_of(p)
+    if hull.den > 1 or not hull.pivots:
+        # a monomial, or a grid whose points do not all lift to integral
+        # exponent vectors
+        return None
+    cols = _columns(p, hull)
+    lo = [min(c) for c in cols]
+    dims = [max(c) - low + 1 for c, low in zip(cols, lo)]
+    # sized for a quotient no larger than p; a larger one goes to the heap
+    w = _slot_bytes(_bits(p) + _bits(q) + min(np_, nq).bit_length() + 2)
+    if prod(dims) * 8 * w > _DIV_BITS * pairs:
+        return None
+    return hull, cols, lo, dims, w
+
+
+def _div_dense(p: LaurentPoly, q: LaurentPoly, grid):
+    """Long division of grid rows, each leading row divided with ``divmod``.
+
+    Returns the quotient, None when there is none, or ``_UNDECIDED`` when
+    the grid cannot certify it.
+    """
+    hull, cols, lo, dims, w = grid
+    if not hull.covers(_hull_of(q)):
+        return None  # the span of a product contains the span of each factor
+    cq = _columns(q, hull)
+    lo_q = [min(c) for c in cq]
+    room = [d - 1 - (max(c) - low) for d, c, low in zip(dims, cq, lo_q)]
+    if min(room) < 0:
+        return None
+    prows = _rows(p, cols, lo, dims, w)
+    qrows = _rows(q, cq, lo_q, dims, w)
+    k, lead = len(qrows) - 1, qrows[-1]
+    tail = list(enumerate(qrows[:-1]))
+    quot = [0] * (room[0] + 1)
+    for i in reversed(range(room[0] + 1)):
+        if prows[i + k]:
+            c, rest = divmod(prows[i + k], lead)
+            if rest:
+                return None
+            quot[i] = c
+            for j, y in tail:
+                if y:
+                    prows[i + j] -= c * y
+    if any(prows[:k]):
+        return None
+    offset, mask, shifts = _layout(len(p.vars))
+    kp, kq = next(iter(p._packed)), next(iter(q._packed))
+    shift = [lp - lq - ((kp >> shifts[c]) & _FIELD) + ((kq >> shifts[c]) & _FIELD)
+             for lp, lq, c in zip(lo, lo_q, hull.pivots)]
+    out = _decode(hull, quot, kp - kq + sum(map(mul, shift, hull.lift)), dims, w, room)
+    # q * out == p holds once no slot of that product can overflow
+    if out is None or (_bits(q) + max(map(abs, out.values())).bit_length()
+                       + min(len(out), len(q._packed)).bit_length() + 1 >= 8 * w):
+        return _UNDECIDED
     _check_fields(out, mask)
     return _make(p.vars, out)
 

@@ -45,8 +45,8 @@ class ZeroEncountered(ArithmeticError):
     pass
 
 
-class TermBudgetExceeded(MemoryError):
-    pass
+class TermBudgetExceeded(ArithmeticError):
+    """A symbolic iterate has more terms than the ``max_terms`` budget."""
 
 
 def _pos(v: int) -> int:

@@ -124,9 +124,19 @@ def _poly_try_div_int(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...] | N
     return tuple(int(c) for c in quo)
 
 
+# Limits of the factor search, past which it raises ArithmeticError: the
+# largest trial divisor when listing the divisors of a coefficient, and the
+# trial factors tried in one factorization (about 0.1 ms each).
+DIVISOR_LIMIT = 10 ** 6
+TRIAL_LIMIT = 10 ** 4
+
+
 def _divisors(n: int) -> list[int]:
     """Positive divisors of |n| in increasing order ([] for 0)."""
     n = abs(n)
+    if math.isqrt(n) > DIVISOR_LIMIT:
+        raise ArithmeticError(f"factor search: the divisors of {n} need trial "
+                              f"divisors past the DIVISOR_LIMIT of {DIVISOR_LIMIT}")
     low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
     return low + [n // d for d in reversed(low) if d * d != n]
 
@@ -172,8 +182,13 @@ def factor_over_integers(p: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     """
     work = _poly_normalize(p)
     factors: dict[tuple[int, ...], int] = {}
+    trials = 0
     while len(work) > 1:
         for cand in _candidates(work):
+            trials += 1
+            if trials > TRIAL_LIMIT:
+                raise ArithmeticError(f"factor search: more than the TRIAL_LIMIT of "
+                                      f"{TRIAL_LIMIT} trial factors")
             quo = _poly_try_div_int(work, cand)
             if quo is not None:
                 factors[cand] = factors.get(cand, 0) + 1

@@ -1,14 +1,17 @@
 """End-to-end command-line behavior: artifacts, exit codes, determinism."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import cluster_painleve
+from cluster_painleve import cli
 from cluster_painleve.cli import _json_text, main
 from cluster_painleve.laurent import format_rational
 from cluster_painleve.tsystem import TStencil, iterate_t
@@ -286,6 +289,31 @@ def test_zsys_with_large_end_coefficients_finishes(tup, text):
         capture_output=True, text=True, env=_child_env(), timeout=10)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["char_poly"] == text
+
+
+@pytest.mark.parametrize("tup, limit", [
+    # about 10^9 trial divisions to list the divisors of 10^18
+    ("-1000000000000000000,1,0,1,-1000000000000000000", "DIVISOR_LIMIT"),
+    # 10^12 has 169 divisors: some 57,000 linear trial factors alone
+    ("-1000000000000,1,0,1,-1000000000000", "TRIAL_LIMIT"),
+])
+def test_zsys_factor_search_stops_at_its_limits(tup, limit):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cluster_painleve.cli", "zsys", "--tuple", tup],
+        capture_output=True, text=True, env=_child_env(), timeout=30)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("compute error: ArithmeticError: factor search:")
+    assert limit in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+def test_symbolic_term_budget_is_a_compute_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "iterate_t", functools.partial(iterate_t, max_terms=5))
+    rc = main(["run", "t", "--preset", "somos4", "--mode", "symbolic", "--steps", "8"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err == "compute error: TermBudgetExceeded: x_6 exceeds the 5-term budget\n"
 
 
 def test_values_past_the_int_digit_limit(tmp_path, capsys, monkeypatch, default_int_digits):

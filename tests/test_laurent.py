@@ -1,11 +1,16 @@
 """Sparse Laurent arithmetic and the certified-division primitive."""
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cluster_painleve import laurent
+from cluster_painleve.presets import get_preset
+from cluster_painleve.tsystem import TStencil, iterate_t, iterate_tz
+from cluster_painleve.zsystem import solve_z, z_stencil_from_tuple
 from cluster_painleve.laurent import (
     EXP_MAX,
     EXP_MIN,
@@ -306,3 +311,214 @@ def test_near_the_limit_a_product_is_exact_or_refused(case):
         assert not in_range
     else:
         assert in_range and dict(got.terms) == ref_mul(a, b)
+
+
+# -- dense kernels on the affine hull of the support -----------------------------
+
+@contextmanager
+def dense_kernels():
+    """Widen both dispatch gates, so that products of two non-monomials and
+    divisions by saturated hulls take the dense path unless their grid is
+    far too large (10^4 cell bits per term pair)."""
+    saved = laurent._SCAN_PAIRS, laurent._MUL_BITS, laurent._DIV_BITS
+    laurent._SCAN_PAIRS, laurent._MUL_BITS, laurent._DIV_BITS = 0, 10 ** 4, 10 ** 4
+    try:
+        yield
+    finally:
+        laurent._SCAN_PAIRS, laurent._MUL_BITS, laurent._DIV_BITS = saved
+
+
+big_or_small = st.one_of(st.integers(-5, 5), st.integers(-2 ** 80, 2 ** 80)).filter(bool)
+
+
+@st.composite
+def lattice_polys(draw, count=2, near_limit=False):
+    """Polynomials in 2-8 variables, each supported on its own coset of one
+    random lattice of rank at most 4; coefficients may cancel.  With
+    ``near_limit`` the first sits within 40 of one end of the
+    exponent range, so that products straddle it."""
+    n = draw(st.integers(2, 8))
+    d = draw(st.integers(1, min(4, n)))
+    basis = [draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(d)]
+    coefs = big_or_small if draw(st.booleans()) else st.integers(-5, 5).filter(bool)
+    sign = draw(st.sampled_from((1, -1)))
+    polys = []
+    for i in range(count):
+        lo, hi = (EXP_MAX - 40, EXP_MAX - 24) if near_limit and i == 0 else (-20, 20)
+        base = draw(st.tuples(*[st.integers(lo, hi)] * n))
+        coords = st.tuples(*[st.integers(0, 3)] * d)
+        terms: dict = {}
+        for t, c in draw(st.dictionaries(coords, coefs, min_size=1, max_size=14)).items():
+            e = tuple(sign * (b + sum(ti * v[j] for ti, v in zip(t, basis)))
+                      for j, b in enumerate(base))
+            terms[e] = terms.get(e, 0) + c
+        polys.append(terms)
+    return tuple(f"v{i}" for i in range(n)), polys
+
+
+@given(lattice_polys(count=3))
+@settings(max_examples=200, deadline=None)
+def test_dense_kernels_match_the_dict_and_heap_loops(case):
+    names, (a, b, extra) = case
+    pa, pb, pe = (LaurentPoly(names, t) for t in (a, b, extra))
+    want = laurent._mul_sparse(pa, pb)
+    assert dict(want.terms) == ref_mul(a, b)
+    with dense_kernels():
+        assert pa * pb == want
+        if not pb.is_zero():
+            assert laurent_try_div(want, pb) == pa
+            # a remainder below the leading rows, or a quotient that is not there
+            for p in (want + pe, pa):
+                if not p.is_zero():
+                    assert laurent_try_div(p, pb) == laurent._div_heap(p, pb)
+
+
+@given(lattice_polys())
+@settings(max_examples=100, deadline=None)
+def test_dense_division_is_right_or_undecided(case):
+    names, (a, b) = case
+    pa, pb = LaurentPoly(names, a), LaurentPoly(names, b)
+    p = pa * pb
+    if p.is_zero() or pb.is_zero():
+        return
+    # p plus its own last term: a remainder in the lowest row of the grid
+    e, c = min(p.terms.items())
+    for dividend, want in ((p, pa), (p + LaurentPoly.monomial(names, e), None)):
+        with dense_kernels():
+            grid = laurent._div_grid(dividend, pb)
+            if grid is None:
+                continue
+            got = laurent._div_dense(dividend, pb, grid)
+        if want is None:
+            want = laurent._div_heap(dividend, pb)
+        assert got is laurent._UNDECIDED or got == want
+
+
+def test_dense_product_of_one_row_and_one_column():
+    x, y, z = (LaurentPoly.gen(("x", "y", "z"), v) for v in "xyz")
+    one = LaurentPoly.const(x.vars, 1)
+    cases = [
+        (one + y + y * y, x * x + x * y + (x * z).scale(3)),  # the first factor has one row
+        (one - x, one + x ** 3 - x ** 5),                # a one-dimensional hull
+        (x * y - z, x * y + z),                          # x^2 y^2 - z^2: a cancelling sum
+    ]
+    for a, b in cases:
+        with dense_kernels():
+            got = a * b
+            assert laurent_try_div(got, b) == a and laurent_try_div(got, a) == b
+            assert laurent_try_div(got + one, b) is None
+        assert got == laurent._mul_sparse(a, b)
+
+
+def test_non_divisible_pair_whose_leading_rows_divide():
+    x, y = LaurentPoly.gen(V, "x"), LaurentPoly.gen(V, "y")
+    one = LaurentPoly.const(V, 1)
+    q = x * x + x * y + y * y + one
+    p = q * (x + y + one) + y   # the top row of p is the top row of q * (x + y + 1)
+    with dense_kernels():
+        grid = laurent._div_grid(p, q)
+        assert grid is not None and laurent._div_dense(p, q, grid) is None
+        assert laurent_try_div(p, q) is None
+
+
+def test_quotient_past_the_slot_bound_goes_to_the_heap():
+    # r = (1 + x + ... + x^9)^6 (1 + y) has coefficients of 16 bits, while
+    # p = (x^10 - 1)^6 (1 + y) and q = (x - 1)^6 have at most 5, so the
+    # grid sizes its slots at 16 bits
+    x, y = LaurentPoly.gen(V, "x"), LaurentPoly.gen(V, "y")
+    one = LaurentPoly.const(V, 1)
+    q = (x - one) ** 6
+    p = (x ** 10 - one) ** 6 * (one + y)
+    r = laurent._div_heap(p, q)
+    assert r is not None and max(r.terms.values()).bit_length() == 16
+    with dense_kernels():
+        grid = laurent._div_grid(p, q)
+        assert grid is not None and grid[-1] == 2
+        assert laurent._div_dense(p, q, grid) is laurent._UNDECIDED
+        assert laurent_try_div(p, q) == r
+
+
+def test_non_saturated_hull_divides_on_the_heap():
+    # the support spans the multiples of (2, 1): the pivot x takes odd
+    # values in no lattice point, so the grid cannot lift every quotient
+    x, y = LaurentPoly.gen(V, "x"), LaurentPoly.gen(V, "y")
+    one = LaurentPoly.const(V, 1)
+    a, b = one + x * x * y + (x ** 4 * y ** 2).scale(3), one - x * x * y
+    with dense_kernels():
+        p = a * b
+        assert laurent._hull_of(p).den == 2 and laurent._div_grid(p, b) is None
+        assert laurent_try_div(p, b) == a
+    assert p == laurent._mul_sparse(a, b)
+
+
+@given(lattice_polys(near_limit=True))
+@settings(max_examples=100, deadline=None)
+def test_near_the_limit_a_dense_product_is_exact_or_refused(case):
+    names, (a, b) = case
+    pa, pb = LaurentPoly(names, a), LaurentPoly(names, b)
+    try:
+        want = laurent._mul_sparse(pa, pb)
+    except ExponentOverflowError:
+        want = None
+    with dense_kernels():
+        if want is None:
+            with pytest.raises(ExponentOverflowError):
+                pa * pb
+        else:
+            assert pa * pb == want
+            if not want.is_zero():
+                assert laurent_try_div(want, pb) == pa
+
+
+def test_dense_division_refuses_quotients_past_the_limit():
+    x = LaurentPoly.gen(V, "x")
+    one = LaurentPoly.const(V, 1)
+    low = LaurentPoly.monomial(V, (EXP_MIN, 0)) * (one + x) * (one + x + x * x)
+    with dense_kernels():
+        assert laurent._div_grid(low, x * (one + x)) is not None
+        with pytest.raises(ExponentOverflowError):
+            laurent_try_div(low, x * (one + x))
+
+
+def somos4_orbit():
+    return iterate_t(TStencil(get_preset("somos4").a), None, 17, mode="symbolic")
+
+
+def test_somos4_orbit_is_the_same_on_both_paths():
+    dense = somos4_orbit().values
+    saved = laurent._SCAN_PAIRS
+    laurent._SCAN_PAIRS = 10 ** 9  # close the gate: dict and heap loops only
+    try:
+        sparse = somos4_orbit().values
+    finally:
+        laurent._SCAN_PAIRS = saved
+    assert dense[-1].n_terms() == 960
+    assert [dict(v.terms) for v in dense] == [dict(v.terms) for v in sparse]
+
+
+def _count_dense_calls(monkeypatch):
+    calls = []
+    for name in ("_mul_dense", "_div_dense"):
+        inner = getattr(laurent, name)
+
+        def counted(x, y, grid, _inner=inner, _name=name):
+            calls.append((_name, len(x.terms) * len(y.terms)))
+            return _inner(x, y, grid)
+        monkeypatch.setattr(laurent, name, counted)
+    return calls
+
+
+def test_dispatch_sends_only_low_dimensional_hulls_to_the_grid(monkeypatch):
+    calls = _count_dense_calls(monkeypatch)
+    somos4_orbit()
+    # the largest products and divisions of the somos4 orbit run dense
+    assert {name for name, _ in calls} == {"_mul_dense", "_div_dense"}
+    assert max(pairs for name, pairs in calls if name == "_mul_dense") == 607 * 607
+    assert max(pairs for name, pairs in calls if name == "_div_dense") == 2422 * 359
+    # 7- and 4-dimensional hulls stay on the dict and heap loops
+    calls.clear()
+    for name, steps in (("somos7", 12), ("prim4", 21)):
+        a = get_preset(name).a
+        z = solve_z(z_stencil_from_tuple(a))
+        iterate_tz(TStencil(a), z, None, steps, mode="symbolic")
+    assert calls == []

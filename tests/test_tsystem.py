@@ -72,6 +72,11 @@ def test_steps_must_be_nonnegative():
         iterate_t(TStencil(SOMOS4), [F(1)] * 4, -1)
 
 
+def test_term_budget_is_an_arithmetic_error():
+    with pytest.raises(ArithmeticError, match="exceeds the 5-term budget"):
+        iterate_t(TStencil(SOMOS4), None, 8, mode="symbolic", max_terms=5)
+
+
 def test_zero_initial_rejected():
     with pytest.raises(ZeroEncountered):
         iterate_t(TStencil(SOMOS4), [F(0), F(1), F(1), F(1)], 2)
