@@ -394,13 +394,14 @@ def test_dense_division_is_right_or_undecided(case):
         assert got is laurent._UNDECIDED or got == want
 
 
-def test_dense_product_of_one_row_and_one_column():
-    x, y, z = (LaurentPoly.gen(("x", "y", "z"), v) for v in "xyz")
+def test_dense_kernels_on_special_layouts():
+    x, y, z, t = (LaurentPoly.gen(("x", "y", "z", "t"), v) for v in "xyzt")
     one = LaurentPoly.const(x.vars, 1)
     cases = [
         (one + y + y * y, x * x + x * y + (x * z).scale(3)),  # the first factor has one row
-        (one - x, one + x ** 3 - x ** 5),                # a one-dimensional hull
-        (x * y - z, x * y + z),                          # x^2 y^2 - z^2: a cancelling sum
+        (one - x, one + x ** 3 - x ** 5),                     # a one-dimensional hull
+        (x * y - z, x * y + z),                               # x^2 y^2 - z^2: a cancelling sum
+        ((one + x + y + z + t) ** 2, (one - x + y - z + t.scale(-2)) ** 2),  # a 4-D hull
     ]
     for a, b in cases:
         with dense_kernels():
