@@ -47,9 +47,9 @@ homomorphism onto polynomials in the first one with int coefficients.
 - The grid runs only where two properties of the operands say it pays: at
   least ``_SCAN_PAIRS`` term pairs per term and variable (which amortises
   the scan), and at most ``_MUL_BITS`` (``_DIV_BITS``) cell bits per term
-  pair.  Spans of dimension 2, as in the somos4 and somos5 orbits, pass;
-  the 4- to 7-dimensional ones of somos6, somos7 and prim4 do not, and
-  stay with the dict and heap loops.
+  pair.  Spans of dimension 2, as in the somos4 and somos5 orbits, give
+  small grids; the 4- to 7-dimensional ones of somos6, somos7 and prim4 do
+  not, and stay with the dict and heap loops.
 """
 
 from __future__ import annotations

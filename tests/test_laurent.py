@@ -1,8 +1,8 @@
 """Sparse Laurent arithmetic and the certified-division primitive."""
 
 import json
-from contextlib import contextmanager
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,17 +315,11 @@ def test_near_the_limit_a_product_is_exact_or_refused(case):
 
 # -- dense kernels on the affine hull of the support -----------------------------
 
-@contextmanager
 def dense_kernels():
     """Widen both dispatch gates, so that products of two non-monomials and
     divisions by saturated hulls take the dense path unless their grid is
     far too large (10^4 cell bits per term pair)."""
-    saved = laurent._SCAN_PAIRS, laurent._MUL_BITS, laurent._DIV_BITS
-    laurent._SCAN_PAIRS, laurent._MUL_BITS, laurent._DIV_BITS = 0, 10 ** 4, 10 ** 4
-    try:
-        yield
-    finally:
-        laurent._SCAN_PAIRS, laurent._MUL_BITS, laurent._DIV_BITS = saved
+    return patch.multiple(laurent, _SCAN_PAIRS=0, _MUL_BITS=10 ** 4, _DIV_BITS=10 ** 4)
 
 
 big_or_small = st.one_of(st.integers(-5, 5), st.integers(-2 ** 80, 2 ** 80)).filter(bool)
@@ -382,7 +376,7 @@ def test_dense_division_is_right_or_undecided(case):
     if p.is_zero() or pb.is_zero():
         return
     # p plus its own last term: a remainder in the lowest row of the grid
-    e, c = min(p.terms.items())
+    e = min(p.terms)
     for dividend, want in ((p, pa), (p + LaurentPoly.monomial(names, e), None)):
         with dense_kernels():
             grid = laurent._div_grid(dividend, pb)
@@ -485,14 +479,10 @@ def somos4_orbit():
     return iterate_t(TStencil(get_preset("somos4").a), None, 17, mode="symbolic")
 
 
-def test_somos4_orbit_is_the_same_on_both_paths():
+def test_somos4_orbit_is_the_same_on_both_paths(monkeypatch):
     dense = somos4_orbit().values
-    saved = laurent._SCAN_PAIRS
-    laurent._SCAN_PAIRS = 10 ** 9  # close the gate: dict and heap loops only
-    try:
-        sparse = somos4_orbit().values
-    finally:
-        laurent._SCAN_PAIRS = saved
+    monkeypatch.setattr(laurent, "_SCAN_PAIRS", 10 ** 9)  # dict and heap loops only
+    sparse = somos4_orbit().values
     assert dense[-1].n_terms() == 960
     assert [dict(v.terms) for v in dense] == [dict(v.terms) for v in sparse]
 
