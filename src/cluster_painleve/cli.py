@@ -44,6 +44,8 @@ def _resolve_system(args) -> Preset:
     tup = getattr(args, "tuple", None)
     if preset and tup:
         raise ConfigInvalid("--preset and --tuple are mutually exclusive")
+    if getattr(args, "n", None) is not None and preset != "primN":
+        raise ConfigInvalid("--n applies only to --preset primN")
     if preset:
         try:
             return get_preset(preset, getattr(args, "n", None))
@@ -387,8 +389,8 @@ def _cmd_linrel(args) -> int:
         if getattr(args, "preset", None) or getattr(args, "tuple", None):
             raise ConfigInvalid("--orbit and --preset/--tuple are mutually exclusive")
         # the orbit comes from the file: these would only shape a computed one
-        given = {"--init": args.init, "--steps": args.steps, "--beta": args.beta,
-                 "--q": args.q, "--z-init": args.z_init}
+        given = {"--n": args.n, "--init": args.init, "--steps": args.steps,
+                 "--beta": args.beta, "--q": args.q, "--z-init": args.z_init}
         for flag, value in given.items():
             if value is not None:
                 raise ConfigInvalid(f"{flag} does not apply to linrel --orbit")
@@ -445,6 +447,8 @@ def _cmd_verify(args) -> int:
         else:
             keyword = args.filter
     results = run_criteria(numbers=numbers, keyword=keyword)
+    if not results:
+        raise ConfigInvalid(f"--filter {args.filter} matches no criterion")
     for r in results:
         print(r.line())
     s = summary(results)

@@ -18,18 +18,15 @@ mask test detects overflow and, in division, a non-divisible monomial.
 Exponents are limited to ``[EXP_MIN, EXP_MAX]``; anything outside raises
 :class:`ExponentOverflowError` rather than wrapping into a neighbouring field.
 
-Large operands whose support spans a small lattice are multiplied and
-divided on a dense grid.  The span of the exponent differences of a support
-(its affine hull, less a base point) is kept in reduced row echelon form
-and cached on the polynomial: a product made on the grid gets the sum of
-its factors' spans, which is its span since the extreme terms of a product
-never cancel, and any other polynomial is scanned once.  Projecting a coset of the span onto its pivot
-coordinates is injective, and lex order on the coset is lex order on the
-pivot coordinates.  On the grid a polynomial is a list of rows: one int per
-value of the first pivot coordinate, each coefficient in a fixed-width
-signed slot at the mixed-radix place of the other coordinates.  Reading the
-other coordinates as powers of ``2**(8 * slot bytes)`` is a ring
-homomorphism onto polynomials in the first one with int coefficients.
+Large operands whose exponents fill a small box are multiplied and divided
+on a dense grid.  On the grid a polynomial is a list of rows: one int per
+exponent of the first variable, each coefficient in a fixed-width signed
+slot at the mixed-radix place of the other exponents, less their minimum.
+Reading the other variables as powers of ``2**(8 * slot bytes)`` is a ring
+homomorphism onto polynomials in the first one with int coefficients; on
+polynomials of one box whose coefficients fit the slots it is injective.
+The box of a product is the sum of its factors' boxes, since the extreme
+terms in each variable never cancel.
 
 - A product is the convolution of the row lists, one int product per pair
   of rows.  Slots of ``bits(max|a|) + bits(max|b|) + bits(min(|a|, |b|)) +
@@ -37,19 +34,18 @@ homomorphism onto polynomials in the first one with int coefficients.
   are its coefficients.
 - Division is long division of the rows, each leading row divided with
   ``divmod``.  By the homomorphism, a remainder proves that there is no
-  quotient, as does a divisor whose span or extent the dividend's does not
-  contain.  A quotient whose digits lie in the degree room and satisfy
-  ``bits(max|q|) + bits(max|r|) + bits(min(|q|, |r|)) + 1 < slot bits`` is
-  certified: the map is injective on polynomials of that box whose
-  coefficients fit the slots, and ``q * r`` and ``p`` are two of them with
-  the same image.  Any other quotient, and any span whose grid points do
-  not all lift to integral exponents, goes to the heap division.
+  quotient, as does a divisor whose box is wider than the dividend's in
+  some variable.  A quotient whose digits lie in the degree room and
+  satisfy ``bits(max|q|) + bits(max|r|) + bits(min(|q|, |r|)) + 1 < slot
+  bits`` is certified, since ``q * r`` and ``p`` are then two polynomials
+  of the box with the same image.  Any other quotient goes to the heap
+  division.
 - The grid runs only where two properties of the operands say it pays: at
   least ``_SCAN_PAIRS`` term pairs per term and variable (which amortises
-  the scan), and at most ``_MUL_BITS`` (``_DIV_BITS``) cell bits per term
-  pair.  Spans of dimension 2, as in the somos4 and somos5 orbits, give
-  small grids; the 4- to 7-dimensional ones of somos6, somos7 and prim4 do
-  not, and stay with the dict and heap loops.
+  the extent scan), and at most ``_MUL_BITS`` (``_DIV_BITS``) cell bits per
+  term pair.  The somos4 and somos5 orbits, in the two lattice coordinates
+  of ``tsystem``, give small boxes; the larger boxes of somos6, somos7 and
+  prim4 and of the coefficient symbols stay with the dict and heap loops.
 """
 
 from __future__ import annotations
@@ -62,12 +58,10 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from math import lcm, prod
-from operator import mul, or_
+from math import prod
+from operator import or_
 from struct import calcsize
 from typing import Iterator, Sequence
-
-from .intlinalg import rref
 
 FIELD_BITS = 32
 _BIAS = 1 << (FIELD_BITS - 2)
@@ -120,7 +114,7 @@ def _check_fields(keys, mask: int) -> None:
 
 def _make(variables: tuple[str, ...], packed: dict[int, int]) -> "LaurentPoly":
     r = LaurentPoly.__new__(LaurentPoly)
-    r.vars, r._packed, r._hull = variables, packed, None
+    r.vars, r._packed = variables, packed
     return r
 
 
@@ -169,7 +163,7 @@ class LaurentPoly:
     require both operands to carry the same variable list.
     """
 
-    __slots__ = ("vars", "_packed", "_hull")
+    __slots__ = ("vars", "_packed")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], int] | None = None):
         self.vars = tuple(variables)
@@ -186,7 +180,6 @@ class LaurentPoly:
                 else:
                     del packed[k]
         self._packed = packed
-        self._hull: _Hull | None = None  # the span of the support, once known
 
     @property
     def terms(self) -> TermsView:
@@ -443,6 +436,46 @@ def _field_extent(packed: dict[int, int], shifts: tuple[int, ...]) -> tuple[list
     return lo, hi
 
 
+def monomial_map(p: LaurentPoly, variables: Sequence[str], images: Sequence[Sequence[int]],
+                 base: Sequence[int]) -> LaurentPoly:
+    """``x^base * p(x^images[0], ..., x^images[r-1], y)`` over ``variables``.
+
+    The first r variables of ``p`` go to monomials in the first variables
+    x of ``variables``, with linearly independent exponent vectors
+    ``images``; the variables y of ``p`` after them are the last ones of
+    ``variables``.  A key maps to the packed base plus its exponents times
+    the packed images, plus its low fields, which hold y in both layouts.
+    """
+    variables = tuple(variables)
+    r, nx = len(images), len(base)
+    if len(p.vars) - r != len(variables) - nx:
+        raise ValueError(f"{len(p.vars) - r} variables of {p.vars} do not carry over "
+                         f"to the last {len(variables) - nx} of {variables}")
+    in_shifts, shifts = _layout(len(p.vars))[2], _layout(len(variables))[2]
+    keys = list(p._packed)
+    cols = [[((k >> s) & _FIELD) - _BIAS for k in keys] for s in in_shifts[:r]]
+    # the largest absolute exponent of each mapped variable of p
+    top = [max(-min(c), max(c)) for c in cols] if keys else [0] * r
+    if all(abs(b) + sum(abs(img[j]) * t for img, t in zip(images, top)) <= EXP_MAX
+           for j, b in enumerate(base)):
+        start = sum((v + _BIAS) << s for v, s in zip(base, shifts))
+        low = (1 << FIELD_BITS * (len(variables) - nx)) - 1
+        out = [start + (k & low) for k in keys]
+        for img, col in zip(images, cols):
+            lift = sum(v << s for v, s in zip(img, shifts))
+            out = [o + c * lift for o, c in zip(out, col)]
+    else:
+        # an image exponent may leave the range: pack term by term, which
+        # raises only for one that does
+        out = [_pack([b + sum(c[t] * img[j] for img, c in zip(images, cols))
+                      for j, b in enumerate(base)] + list(_unpack(k, in_shifts)[r:]),
+                     len(variables)) for t, k in enumerate(keys)]
+    mapped = dict(zip(out, p._packed.values()))
+    if len(mapped) < len(keys):
+        raise ValueError("monomial images are not linearly independent")
+    return _make(variables, mapped)
+
+
 def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """Exact division in the Laurent ring: return ``r`` with ``q * r == p``.
 
@@ -525,13 +558,14 @@ def _div_heap(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     return _make(p.vars, out)
 
 
-# -- dense kernels on the affine hull of the support ---------------------------
+# -- dense kernels on the exponent box -----------------------------------------
 
-# Dispatch: the dense kernels run only when the term pairs pay for a hull
-# scan (at least _SCAN_PAIRS per term and variable) and the grid is small
-# against the work it replaces (cells times slot bits at most _MUL_BITS per
-# term pair for a product, _DIV_BITS per pair of dividend and divisor terms).
-_SCAN_PAIRS = 32
+# Dispatch: the dense kernels run only when the term pairs pay for the
+# extent scan (at least _SCAN_PAIRS per term and variable) and the grid is
+# small against the work it replaces (cells times slot bits at most _MUL_BITS
+# per term pair for a product, _DIV_BITS per pair of dividend and divisor
+# terms for a division).
+_SCAN_PAIRS = 16
 _MUL_BITS = 8
 _DIV_BITS = 2
 
@@ -540,76 +574,6 @@ _ORDER = "little"
 _CAST = {calcsize(f): f for f in "bhiq"} if sys.byteorder == _ORDER else {}
 # the answer of _div_dense when the heap division has to decide
 _UNDECIDED = object()
-
-
-class _Hull:
-    """The rational span of the exponent differences of a support.
-
-    ``rows`` is the reduced row echelon basis scaled by the common
-    denominator ``den`` to integers, ``pivots`` its pivot columns and
-    ``lift[i]`` the packed sum ``sum(rows[i][j] << shift_j)``.  A difference
-    vector ``v`` with packed sum ``dv`` lies in the span exactly when
-    ``den * dv == sum(v[pivots[i]] * lift[i])``: the right-hand side packs
-    the one vector of the span with the pivot entries of ``v``.
-    """
-
-    __slots__ = ("pivots", "rows", "den", "lift", "shifts")
-
-    def __init__(self, vectors: list[Sequence[int]], shifts: tuple[int, ...]):
-        rows, self.pivots = rref(vectors)
-        rows = rows[:len(self.pivots)]
-        self.den = lcm(*(x.denominator for r in rows for x in r))
-        self.rows = [[int(x * self.den) for x in r] for r in rows]
-        self.lift = [sum(v << s for v, s in zip(r, shifts)) for r in self.rows]
-        self.shifts = shifts
-
-    def covers(self, other: "_Hull") -> bool:
-        """Whether this span contains ``other``."""
-        return all(self.den * dv == sum(r[c] * w for c, w in zip(self.pivots, self.lift))
-                   for r, dv in zip(other.rows, other.lift))
-
-
-def _hull_of(p: LaurentPoly) -> _Hull:
-    """The span of ``p``'s support, scanned once and cached on ``p``."""
-    h = p._hull
-    if h is None:
-        shifts = _layout(len(p.vars))[2]
-        keys = list(p._packed)
-        k0 = keys[0]
-        h = _Hull([], shifts)
-        # grow the span on a sample of the keys first, then on all of them
-        for batch in (keys[::len(keys) // 16 + 1], keys):
-            while (k := _outside(h, batch, k0)) is not None:
-                e, e0 = _unpack(k, shifts), _unpack(k0, shifts)
-                h = _Hull(h.rows + [list(map(int.__sub__, e, e0))], shifts)
-        p._hull = h
-    return h
-
-
-def _outside(h: _Hull, keys: list[int], k0: int) -> int | None:
-    """A key whose difference from ``k0`` leaves the span, if any."""
-    res = [h.den * (k - k0) for k in keys]
-    for c, w in zip(h.pivots, h.lift):
-        s = h.shifts[c]
-        t0 = (k0 >> s) & _FIELD
-        res = [r - (((k >> s) & _FIELD) - t0) * w for r, k in zip(res, keys)]
-    if any(res):
-        return next(k for k, r in zip(keys, res) if r)
-    return None
-
-
-def _hull_sum(a: _Hull, b: _Hull) -> _Hull:
-    """The span of a product's support: the sum of its factors' spans."""
-    if a.covers(b):
-        return a
-    if b.covers(a):
-        return b
-    return _Hull(a.rows + b.rows, a.shifts)
-
-
-def _columns(p: LaurentPoly, hull: _Hull) -> list[list[int]]:
-    """The biased pivot fields of ``p``'s keys, one list per pivot."""
-    return [[(k >> hull.shifts[c]) & _FIELD for k in p._packed] for c in hull.pivots]
 
 
 def _bits(p: LaurentPoly) -> int:
@@ -623,18 +587,20 @@ def _slot_bytes(bits: int) -> int:
     return 1 << (w - 1).bit_length() if w <= 8 else w
 
 
-def _rows(p: LaurentPoly, cols: list[list[int]], lo: list[int], dims: list[int], w: int) -> list[int]:
-    """``p`` laid out on the grid: one int per value of the first pivot
-    coordinate, holding each coefficient in the ``w``-byte slot at the mixed
-    radix ``dims[1:]`` place of the other coordinates (less ``lo``)."""
+def _rows(p: LaurentPoly, lo: list[int], dims: list[int], w: int) -> list[int]:
+    """``p`` laid out on the grid: one int per exponent of the first
+    variable, holding each coefficient in the ``w``-byte slot at the mixed
+    radix ``dims[1:]`` place of the other exponents (less ``lo``)."""
+    shifts = _layout(len(p.vars))[2]
+    keys = p._packed
     width = prod(dims[1:])
-    flat = [(t - lo[0]) * width for t in cols[0]]
+    flat = [(((k >> shifts[0]) & _FIELD) - lo[0]) * width for k in keys]
     stride = width
-    for col, low, d in zip(cols[1:], lo[1:], dims[1:]):
+    for s, low, d in zip(shifts[1:], lo[1:], dims[1:]):
         stride //= d
-        flat = [f + (t - low) * stride for f, t in zip(flat, col)]
+        flat = [f + (((k >> s) & _FIELD) - low) * stride for f, k in zip(flat, keys)]
     size = width * w
-    nrows = max(cols[0]) - lo[0] + 1
+    nrows = max(flat) // width + 1
     pos = bytearray(nrows * size)
     neg = bytearray(nrows * size) if min(p._packed.values()) < 0 else None
     for f, c in zip(flat, p._packed.values()):
@@ -669,19 +635,18 @@ def _digits(row: int, width: int, w: int) -> list[int] | None:
     return [int.from_bytes(b[i:i + w], _ORDER, signed=True) for i in range(0, len(b), w)]
 
 
-def _decode(hull: _Hull, rows: list[int], const: int, dims: list[int], w: int,
+def _decode(rows: list[int], low: list[int], dims: list[int], w: int,
             room: list[int]) -> dict[int, int] | None:
     """The terms of grid rows as ``{key: coefficient}``, lex largest first.
 
-    The cell with coordinates ``u`` has key ``offset + (const + sum(u_i *
-    lift[i])) / den``.  Returns None when a row's digits do not fit its slots
-    or a nonzero digit lies past ``room``.
+    The cell ``u`` holds the exponent vector ``low + u``.  Returns None when
+    a row's digits do not fit its slots or a nonzero digit lies past
+    ``room``.
     """
-    offset = _layout(len(hull.shifts))[0]
-    den, lift = hull.den, hull.lift
-    cells: list[int | None] = [0]
-    for step, d, r in zip(lift[1:], dims[1:], room[1:]):
-        cells = [None if k is None or u > r else k + u * step for k in cells for u in range(d)]
+    shifts = _layout(len(low))[2]
+    cells: list[int | None] = [sum((v + _BIAS) << s for v, s in zip(low, shifts))]
+    for s, d, r in zip(shifts[1:], dims[1:], room[1:]):
+        cells = [None if k is None or u > r else k + (u << s) for k in cells for u in range(d)]
     width = len(cells)
     out = {}
     for u0 in reversed(range(len(rows))):
@@ -690,12 +655,12 @@ def _decode(hull: _Hull, rows: list[int], const: int, dims: list[int], w: int,
         digits = _digits(rows[u0], width, w)
         if digits is None:
             return None
-        base = const + u0 * lift[0]
+        base = u0 << shifts[0]
         for pos, c in reversed([t for t in enumerate(digits) if t[1]]):
             k = cells[pos]
             if k is None:
                 return None
-            out[(base + k) // den + offset] = c
+            out[base + k] = c
     return out
 
 
@@ -703,65 +668,50 @@ def _mul_grid(a: LaurentPoly, b: LaurentPoly):
     """The grid of the dense product of ``a`` and ``b``, or None when the
     term-pair loop is the better choice."""
     na, nb = len(a._packed), len(b._packed)
-    pairs = na * nb
-    if pairs < _SCAN_PAIRS * len(a.vars) * (na + nb):
+    if na * nb < _SCAN_PAIRS * len(a.vars) * (na + nb):
         return None
-    hull = _hull_sum(_hull_of(a), _hull_of(b))
-    ca, cb = _columns(a, hull), _columns(b, hull)
-    lo_a, lo_b = [min(c) for c in ca], [min(c) for c in cb]
-    dims = [max(x) - la + max(y) - lb + 1 for x, y, la, lb in zip(ca, cb, lo_a, lo_b)]
+    shifts = _layout(len(a.vars))[2]
+    lo_a, hi_a = _field_extent(a._packed, shifts)
+    lo_b, hi_b = _field_extent(b._packed, shifts)
+    dims = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
     # a product coefficient is a sum of at most min(na, nb) products
     w = _slot_bytes(_bits(a) + _bits(b) + min(na, nb).bit_length() + 2)
-    if prod(dims) * 8 * w > _MUL_BITS * pairs:
+    if prod(dims) * 8 * w > _MUL_BITS * na * nb:
         return None
-    return hull, ca, cb, lo_a, lo_b, dims, w
+    return lo_a, lo_b, dims, w
 
 
 def _mul_dense(a: LaurentPoly, b: LaurentPoly, grid) -> LaurentPoly:
     """The product as a convolution of grid rows, one int product per pair."""
-    hull, ca, cb, lo_a, lo_b, dims, w = grid
+    lo_a, lo_b, dims, w = grid
     rows = [0] * dims[0]
-    rb = list(enumerate(_rows(b, cb, lo_b, dims, w)))
-    for i, x in enumerate(_rows(a, ca, lo_a, dims, w)):
+    rb = list(enumerate(_rows(b, lo_b, dims, w)))
+    for i, x in enumerate(_rows(a, lo_a, dims, w)):
         if x:
             for j, y in rb:
                 if y:
                     rows[i + j] += x * y
-    offset, mask, shifts = _layout(len(a.vars))
-    ka, kb = next(iter(a._packed)), next(iter(b._packed))
-    shift = [la + lb - ((ka >> shifts[c]) & _FIELD) - ((kb >> shifts[c]) & _FIELD)
-             for la, lb, c in zip(lo_a, lo_b, hull.pivots)]
-    const = hull.den * (ka + kb - 2 * offset) + sum(map(mul, shift, hull.lift))
-    out = _decode(hull, rows, const, dims, w, [d - 1 for d in dims])
-    # the span of the product is the sum of the spans, so every lifted key is
-    # integral; the extreme terms in each variable never cancel, so checking
-    # the surviving keys catches every exponent past the range
-    _check_fields(out, mask)
-    r = _make(a.vars, out)
-    r._hull = hull
-    return r
+    low = [la + lb - 2 * _BIAS for la, lb in zip(lo_a, lo_b)]
+    out = _decode(rows, low, dims, w, [d - 1 for d in dims])
+    # the extreme terms in each variable never cancel, so checking the
+    # surviving keys catches every exponent past the range
+    _check_fields(out, _layout(len(a.vars))[1])
+    return _make(a.vars, out)
 
 
 def _div_grid(p: LaurentPoly, q: LaurentPoly):
     """The grid of ``p`` for a dense division by ``q``, or None when the
     heap division is the better choice."""
     np_, nq = len(p._packed), len(q._packed)
-    pairs = np_ * nq
-    if pairs < _SCAN_PAIRS * len(p.vars) * (np_ + nq):
+    if np_ * nq < _SCAN_PAIRS * len(p.vars) * (np_ + nq):
         return None
-    hull = _hull_of(p)
-    if hull.den > 1 or not hull.pivots:
-        # a monomial, or a grid whose points do not all lift to integral
-        # exponent vectors
-        return None
-    cols = _columns(p, hull)
-    lo = [min(c) for c in cols]
-    dims = [max(c) - low + 1 for c, low in zip(cols, lo)]
+    lo, hi = _field_extent(p._packed, _layout(len(p.vars))[2])
+    dims = [h - low + 1 for low, h in zip(lo, hi)]
     # sized for a quotient no larger than p; a larger one goes to the heap
     w = _slot_bytes(_bits(p) + _bits(q) + min(np_, nq).bit_length() + 2)
-    if prod(dims) * 8 * w > _DIV_BITS * pairs:
+    if prod(dims) * 8 * w > _DIV_BITS * np_ * nq:
         return None
-    return hull, cols, lo, dims, w
+    return lo, dims, w
 
 
 def _div_dense(p: LaurentPoly, q: LaurentPoly, grid):
@@ -770,16 +720,14 @@ def _div_dense(p: LaurentPoly, q: LaurentPoly, grid):
     Returns the quotient, None when there is none, or ``_UNDECIDED`` when
     the grid cannot certify it.
     """
-    hull, cols, lo, dims, w = grid
-    if not hull.covers(_hull_of(q)):
-        return None  # the span of a product contains the span of each factor
-    cq = _columns(q, hull)
-    lo_q = [min(c) for c in cq]
-    room = [d - 1 - (max(c) - low) for d, c, low in zip(dims, cq, lo_q)]
+    lo, dims, w = grid
+    lo_q, hi_q = _field_extent(q._packed, _layout(len(q.vars))[2])
+    # the box of a product is the sum of its factors' boxes
+    room = [d - 1 - (h - low) for d, low, h in zip(dims, lo_q, hi_q)]
     if min(room) < 0:
         return None
-    prows = _rows(p, cols, lo, dims, w)
-    qrows = _rows(q, cq, lo_q, dims, w)
+    prows = _rows(p, lo, dims, w)
+    qrows = _rows(q, lo_q, dims, w)
     k, lead = len(qrows) - 1, qrows[-1]
     tail = list(enumerate(qrows[:-1]))
     quot = [0] * (room[0] + 1)
@@ -794,16 +742,12 @@ def _div_dense(p: LaurentPoly, q: LaurentPoly, grid):
                     prows[i + j] -= c * y
     if any(prows[:k]):
         return None
-    offset, mask, shifts = _layout(len(p.vars))
-    kp, kq = next(iter(p._packed)), next(iter(q._packed))
-    shift = [lp - lq - ((kp >> shifts[c]) & _FIELD) + ((kq >> shifts[c]) & _FIELD)
-             for lp, lq, c in zip(lo, lo_q, hull.pivots)]
-    out = _decode(hull, quot, kp - kq + sum(map(mul, shift, hull.lift)), dims, w, room)
+    out = _decode(quot, [a - b for a, b in zip(lo, lo_q)], dims, w, room)
     # q * out == p holds once no slot of that product can overflow
     if out is None or (_bits(q) + max(map(abs, out.values())).bit_length()
                        + min(len(out), len(q._packed)).bit_length() + 1 >= 8 * w):
         return _UNDECIDED
-    _check_fields(out, mask)
+    _check_fields(out, _layout(len(p.vars))[1])
     return _make(p.vars, out)
 
 

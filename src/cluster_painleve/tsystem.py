@@ -23,6 +23,28 @@ Each value on the integer path is built in lowest terms by one
 `coprime.cancel` over its factors: N_n and the powers of the bases in M_n,
 grouped by the variable each base comes from (its numerator and denominator
 are coprime).
+
+Symbolic iteration runs in the coordinates of the lattice L = im B, the
+saturated image of the exchange matrix (`intlinalg.image_lattice_basis`,
+rows b_1..b_r in Hermite form).  By the separation formula of Fomin and
+Zelevinsky (Cluster algebras IV, 2007) every iterate is x^{g_n} P_n(w, z)
+with w_i = x^{b_i}, Z's symbols z and P_n a Laurent polynomial in r + |z|
+variables.  The ring Z[x^±, z^±] is graded by Z^N / L with z in degree 0,
+and every exchange relation is homogeneous, so the two monomials of step n
+differ by x^v with v = sum_j a_j g_{n+j} in L; its coordinates c in the
+basis give
+
+    P_{n+N} = Z_n (w^c P_+ + P_-) / P_n,    g_{n+N} = g_- - g_n,
+
+with P_± the products of the window's P over the exponents [±a_j]+ and g_±
+the matching sums of its g.
+Since L is saturated, Z^N / L is torsion-free, hence orderable, and a
+quotient of homogeneous elements of a graded domain over such a group is
+homogeneous: if x^{g_n} P_n divides the numerator in the Laurent ring of x
+and z, the quotient has degree g_- - g_n and so lies in x^{g_- - g_n}
+Z[w^±, z^±].  The division in w therefore certifies exactly what the
+division in x certifies, and fails at the same step.  Each value is lifted
+to x once, by `laurent.monomial_map`.
 """
 
 from __future__ import annotations
@@ -32,8 +54,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coprime import cancel
-from .laurent import LaurentPoly, laurent_try_div, format_rational, parse_rational
-from .quiver import NotPalindromic
+from .intlinalg import image_lattice_basis, solve_int
+from .laurent import LaurentPoly, format_rational, laurent_try_div, monomial_map, parse_rational
+from .quiver import NotPalindromic, build_from_tuple
 from .zsystem import AlgebraicZCase, ConstantZ
 
 
@@ -269,22 +292,41 @@ def iterate_tz(st: TStencil, z, init: Sequence[Fraction] | None, steps: int,
         return Orbit(st, "rational", vals, z)
     if mode != "symbolic":
         raise ValueError("mode must be 'rational' or 'symbolic'")
-    variables = tuple(f"x{i}" for i in range(n_)) + tuple(z.symbols)
-    vals = [LaurentPoly.gen(variables, f"x{i}") for i in range(n_)]
-    one = LaurentPoly.const(variables, 1)
+    return _symbolic(st, z, steps, max_terms)
+
+
+def _symbolic(st: TStencil, z, steps: int, max_terms: int) -> Orbit:
+    """Symbolic iterates as x^{g_n} P_n(w, z), lifted to x once each."""
+    n_ = st.n
+    basis = image_lattice_basis(build_from_tuple(st.a).as_lists())
+    r, zsyms = len(basis), tuple(z.symbols)
+    variables = tuple(f"x{i}" for i in range(n_)) + zsyms
+    # the rows are in Hermite form: their pivot columns fix the coordinates
+    pivots = [next(i for i, v in enumerate(row) if v) for row in basis]
+    columns = [[row[i] for i in pivots] for row in basis]
+    one = LaurentPoly.const(tuple(f"w{i + 1}" for i in range(r)) + zsyms, 1)
+    window = [one] * n_  # P over the sliding window
+    g = [tuple(int(i == k) for i in range(n_)) for k in range(n_)]
+    vals = [monomial_map(one, variables, basis, gk) for gk in g]
     for n in range(steps):
-        w = vals[n + 1 : n + n_]
-        num = _z_monomial_poly(z, n, variables) * (
-            _product_monomial(w, st.plus_exponents, one)
-            + _product_monomial(w, st.minus_exponents, one))
-        nxt = laurent_try_div(num, vals[n])
+        zmono = _z_monomial_poly(z, n, one.vars)
+        w, gw = window[1:], g[1:]
+        # the two monomials of the exchange differ by x^v, v in im B
+        c = solve_int(columns, [sum(a * x[i] for a, x in zip(st.a, gw)) for i in pivots])
+        num = (_product_monomial(w, st.plus_exponents, one).shift(c + (0,) * len(zsyms))
+               + _product_monomial(w, st.minus_exponents, one))
+        nxt = laurent_try_div(num, window[0])
         if nxt is None:
             raise NonLaurentIterate(
                 f"x_{n + n_} is not a Laurent polynomial in the initial window")
         if nxt.n_terms() > max_terms:
             raise TermBudgetExceeded(
                 f"x_{n + n_} exceeds the {max_terms}-term budget")
-        vals.append(nxt)
+        nxt = zmono * nxt
+        gnext = tuple(sum(e * x[i] for e, x in zip(st.minus_exponents, gw)) - g[0][i]
+                      for i in range(n_))
+        vals.append(monomial_map(nxt, variables, basis, gnext))
+        window, g = window[1:] + [nxt], g[1:] + [gnext]
     return Orbit(st, "symbolic", vals, z, variables)
 
 

@@ -229,6 +229,7 @@ class TestConfigErrors:
         (["--beta", "2"], "--beta"),
         (["--q", "3"], "--q"),
         (["--z-init", "2,3"], "--z-init"),
+        (["--n", "7"], "--n"),
     ])
     def test_linrel_orbit_rejects_flags_it_ignores(self, tmp_path, capsys, extra, flag):
         orbit = tmp_path / "orbit.json"
@@ -238,6 +239,25 @@ class TestConfigErrors:
         err = assert_config_error(capsys, ["linrel", "--orbit", str(orbit),
                                            "--offsets", "0,3,6", *extra])
         assert err == f"config error: {flag} does not apply to linrel --orbit\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "t", "--preset", "somos4", "--n", "7"],
+        ["reduce", "--preset", "prim4", "--n", "9"],
+        ["run", "t", "--preset", "prim5", "--n", "7"],
+        ["run", "t", "--tuple", "-1,2,-1", "--n", "7"],
+    ])
+    def test_n_needs_the_primN_preset(self, capsys, argv):
+        err = assert_config_error(capsys, argv)
+        assert err == "config error: --n applies only to --preset primN\n"
+
+    def test_n_sizes_the_primN_preset(self, capsys):
+        rc, d = run_json(capsys, ["run", "t", "--preset", "primN", "--n", "7", "--steps", "2"])
+        assert rc == 0 and len(d["stencil"]) == 6
+
+    @pytest.mark.parametrize("flt", ["99", "no such title"])
+    def test_verify_filter_must_match(self, capsys, flt):
+        err = assert_config_error(capsys, ["verify", "--filter", flt])
+        assert err == f"config error: --filter {flt} matches no criterion\n"
 
     def test_run_tz_needs_coefficient_values(self, capsys):
         rc = main(["run", "tz", "--preset", "somos4", "--init", "ones", "--steps", "8"])

@@ -313,12 +313,12 @@ def test_near_the_limit_a_product_is_exact_or_refused(case):
         assert in_range and dict(got.terms) == ref_mul(a, b)
 
 
-# -- dense kernels on the affine hull of the support -----------------------------
+# -- dense kernels on the exponent box ------------------------------------------
 
 def dense_kernels():
     """Widen both dispatch gates, so that products of two non-monomials and
-    divisions by saturated hulls take the dense path unless their grid is
-    far too large (10^4 cell bits per term pair)."""
+    divisions take the dense path unless their grid is far too large (10^4
+    cell bits per term pair)."""
     return patch.multiple(laurent, _SCAN_PAIRS=0, _MUL_BITS=10 ** 4, _DIV_BITS=10 ** 4)
 
 
@@ -326,31 +326,27 @@ big_or_small = st.one_of(st.integers(-5, 5), st.integers(-2 ** 80, 2 ** 80)).fil
 
 
 @st.composite
-def lattice_polys(draw, count=2, near_limit=False):
-    """Polynomials in 2-8 variables, each supported on its own coset of one
-    random lattice of rank at most 4; coefficients may cancel.  With
-    ``near_limit`` the first sits within 40 of one end of the
-    exponent range, so that products straddle it."""
-    n = draw(st.integers(2, 8))
-    d = draw(st.integers(1, min(4, n)))
-    basis = [draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(d)]
+def box_polys(draw, count=2, near_limit=False):
+    """Polynomials in 1-4 variables with supports spread over a box of side
+    at most 6 about a random corner; coefficients of up to 80 bits, and
+    signed, so that sums and products may cancel.  With ``near_limit`` the
+    first sits within 40 of one end of the exponent range, so that products
+    straddle it."""
+    n = draw(st.integers(1, 4))
     coefs = big_or_small if draw(st.booleans()) else st.integers(-5, 5).filter(bool)
     sign = draw(st.sampled_from((1, -1)))
     polys = []
     for i in range(count):
         lo, hi = (EXP_MAX - 40, EXP_MAX - 24) if near_limit and i == 0 else (-20, 20)
         base = draw(st.tuples(*[st.integers(lo, hi)] * n))
-        coords = st.tuples(*[st.integers(0, 3)] * d)
-        terms: dict = {}
-        for t, c in draw(st.dictionaries(coords, coefs, min_size=1, max_size=14)).items():
-            e = tuple(sign * (b + sum(ti * v[j] for ti, v in zip(t, basis)))
-                      for j, b in enumerate(base))
-            terms[e] = terms.get(e, 0) + c
-        polys.append(terms)
+        offsets = st.tuples(*[st.integers(0, 5)] * n)
+        terms = draw(st.dictionaries(offsets, coefs, min_size=1, max_size=14))
+        polys.append({tuple(sign * (b + t) for b, t in zip(base, e)): c
+                      for e, c in terms.items()})
     return tuple(f"v{i}" for i in range(n)), polys
 
 
-@given(lattice_polys(count=3))
+@given(box_polys(count=3))
 @settings(max_examples=200, deadline=None)
 def test_dense_kernels_match_the_dict_and_heap_loops(case):
     names, (a, b, extra) = case
@@ -359,25 +355,24 @@ def test_dense_kernels_match_the_dict_and_heap_loops(case):
     assert dict(want.terms) == ref_mul(a, b)
     with dense_kernels():
         assert pa * pb == want
-        if not pb.is_zero():
-            assert laurent_try_div(want, pb) == pa
-            # a remainder below the leading rows, or a quotient that is not there
-            for p in (want + pe, pa):
-                if not p.is_zero():
-                    assert laurent_try_div(p, pb) == laurent._div_heap(p, pb)
+        assert laurent_try_div(want, pb) == pa
+        # a remainder below the leading rows, or a quotient that is not there
+        for p in (want + pe, pa):
+            if not p.is_zero():
+                assert laurent_try_div(p, pb) == laurent._div_heap(p, pb)
 
 
-@given(lattice_polys())
+@given(box_polys())
 @settings(max_examples=100, deadline=None)
 def test_dense_division_is_right_or_undecided(case):
     names, (a, b) = case
     pa, pb = LaurentPoly(names, a), LaurentPoly(names, b)
     p = pa * pb
-    if p.is_zero() or pb.is_zero():
-        return
     # p plus its own last term: a remainder in the lowest row of the grid
     e = min(p.terms)
     for dividend, want in ((p, pa), (p + LaurentPoly.monomial(names, e), None)):
+        if dividend.is_zero():
+            continue
         with dense_kernels():
             grid = laurent._div_grid(dividend, pb)
             if grid is None:
@@ -393,9 +388,9 @@ def test_dense_kernels_on_special_layouts():
     one = LaurentPoly.const(x.vars, 1)
     cases = [
         (one + y + y * y, x * x + x * y + (x * z).scale(3)),  # the first factor has one row
-        (one - x, one + x ** 3 - x ** 5),                     # a one-dimensional hull
+        (one - x, one + x ** 3 - x ** 5),                     # one cell wide in y, z and t
         (x * y - z, x * y + z),                               # x^2 y^2 - z^2: a cancelling sum
-        ((one + x + y + z + t) ** 2, (one - x + y - z + t.scale(-2)) ** 2),  # a 4-D hull
+        ((one + x + y + z + t) ** 2, (one - x + y - z + t.scale(-2)) ** 2),  # a 4-variable box
     ]
     for a, b in cases:
         with dense_kernels():
@@ -433,20 +428,7 @@ def test_quotient_past_the_slot_bound_goes_to_the_heap():
         assert laurent_try_div(p, q) == r
 
 
-def test_non_saturated_hull_divides_on_the_heap():
-    # the support spans the multiples of (2, 1): the pivot x takes odd
-    # values in no lattice point, so the grid cannot lift every quotient
-    x, y = LaurentPoly.gen(V, "x"), LaurentPoly.gen(V, "y")
-    one = LaurentPoly.const(V, 1)
-    a, b = one + x * x * y + (x ** 4 * y ** 2).scale(3), one - x * x * y
-    with dense_kernels():
-        p = a * b
-        assert laurent._hull_of(p).den == 2 and laurent._div_grid(p, b) is None
-        assert laurent_try_div(p, b) == a
-    assert p == laurent._mul_sparse(a, b)
-
-
-@given(lattice_polys(near_limit=True))
+@given(box_polys(near_limit=True))
 @settings(max_examples=100, deadline=None)
 def test_near_the_limit_a_dense_product_is_exact_or_refused(case):
     names, (a, b) = case
@@ -475,6 +457,48 @@ def test_dense_division_refuses_quotients_past_the_limit():
             laurent_try_div(low, x * (one + x))
 
 
+# -- monomial maps ---------------------------------------------------------------
+
+def ref_monomial_map(terms, images, base, tail):
+    """Term by term: the first exponents through ``images``, the last ``tail``
+    ones carried over."""
+    out = {}
+    for e, c in terms.items():
+        head = e[:len(e) - tail]
+        x = tuple(b + sum(v * img[j] for v, img in zip(head, images)) for j, b in enumerate(base))
+        out[x + e[len(e) - tail:]] = c
+    return out
+
+
+@given(dense_polys(lo=-20, hi=20, count=1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_monomial_map_matches_the_term_by_term_map(case, data):
+    names, (a,) = case
+    tail = data.draw(st.integers(0, len(names) - 1))
+    r = len(names) - tail
+    nx = data.draw(st.integers(r, r + 2))
+    # independent images: the rows of a unit lower triangle
+    images = [tuple(data.draw(st.integers(-3, 3)) if j < i else int(i == j) for j in range(nx))
+              for i in range(r)]
+    base = data.draw(st.tuples(*[st.integers(-9, 9)] * nx))
+    out = tuple(f"x{j}" for j in range(nx)) + names[r:]
+    got = laurent.monomial_map(LaurentPoly(names, a), out, images, base)
+    assert got.vars == out and dict(got.terms) == ref_monomial_map(a, images, base, tail)
+
+
+def test_monomial_map_at_the_limit():
+    w = LaurentPoly(("w",), {(EXP_MAX,): 1, (0,): 2})
+    # the box of the image reaches past the range, the image itself does not
+    assert dict(laurent.monomial_map(w, V, [(1, 0)], (-1, 5)).terms) == {
+        (EXP_MAX - 1, 5): 1, (-1, 5): 2}
+    with pytest.raises(ExponentOverflowError):
+        laurent.monomial_map(w, V, [(1, 0)], (1, 0))
+    with pytest.raises(ExponentOverflowError):
+        laurent.monomial_map(w, V, [(2, 1)], (0, 0))
+    with pytest.raises(ValueError, match="not linearly independent"):
+        laurent.monomial_map(LaurentPoly(V, {(1, 0): 1, (0, 1): 1}), ("x",), [(1,), (1,)], (0,))
+
+
 def somos4_orbit():
     return iterate_t(TStencil(get_preset("somos4").a), None, 17, mode="symbolic")
 
@@ -499,14 +523,19 @@ def _count_dense_calls(monkeypatch):
     return calls
 
 
-def test_dispatch_sends_only_low_dimensional_hulls_to_the_grid(monkeypatch):
+def test_dispatch_sends_only_small_boxes_to_the_grid(monkeypatch):
     calls = _count_dense_calls(monkeypatch)
-    somos4_orbit()
-    # the largest products and divisions of the somos4 orbit run dense
-    assert {name for name, _ in calls} == {"_mul_dense", "_div_dense"}
-    assert max(pairs for name, pairs in calls if name == "_mul_dense") == 607 * 607
-    assert max(pairs for name, pairs in calls if name == "_div_dense") == 2422 * 359
-    # 7- and 4-dimensional hulls stay on the dict and heap loops
+    # the largest products and divisions of the somos4 and somos5 orbits run
+    # dense, on the 2-variable boxes of their lattice coordinates
+    for name, steps, mul_pairs, div_pairs in (("somos4", 17, 607 * 607, 2422 * 359),
+                                              ("somos5", 16, 139 * 294, 809 * 104)):
+        calls.clear()
+        iterate_t(TStencil(get_preset(name).a), None, steps, mode="symbolic")
+        assert {name for name, _ in calls} == {"_mul_dense", "_div_dense"}
+        assert max(pairs for name, pairs in calls if name == "_mul_dense") == mul_pairs
+        assert max(pairs for name, pairs in calls if name == "_div_dense") == div_pairs
+    # the 7- and 6-variable boxes of somos7 and prim4 with solved
+    # coefficients stay on the dict and heap loops
     calls.clear()
     for name, steps in (("somos7", 12), ("prim4", 21)):
         a = get_preset(name).a

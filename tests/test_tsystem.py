@@ -4,7 +4,10 @@ The rational and symbolic iteration paths are independent implementations
 of the same dynamics; several tests pin them against each other.  The
 rational path runs in integer arithmetic (x_n = N_n / M_n) until its first
 inexact step; `fraction_orbit` below is the plain Fraction loop it is
-checked against, values and exceptions alike.
+checked against, values and exceptions alike.  The symbolic path runs in
+the coordinates of the lattice im B; `x_symbolic_orbit` below is the loop in
+the coordinates of the initial window it is checked against, terms and
+exceptions alike.
 """
 
 from fractions import Fraction
@@ -13,9 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cluster_painleve import coprime, tsystem
+from cluster_painleve.laurent import LaurentPoly, laurent_try_div
+from cluster_painleve.presets import get_preset
 from cluster_painleve.tsystem import (
     NonLaurentIterate,
     Orbit,
+    TermBudgetExceeded,
     TStencil,
     ZeroEncountered,
     check_orbit,
@@ -327,3 +333,90 @@ def test_every_integer_step_makes_one_cancel(monkeypatch):
         assert integer_steps(SOMOS4, z, init, 24) == 24
         assert len(calls) == 24
         assert_matches_reference(SOMOS4, z, init, 24)
+
+
+# -- lattice coordinates against the loop in the initial window ---------------
+
+
+def x_symbolic_orbit(a, z, steps, max_terms=10 ** 6):
+    """Reference: x_{n+N} = Z_n (prod x^[a]+ + prod x^[-a]+) / x_n, each
+    division certified in the Laurent ring of x_0..x_{N-1} and Z's symbols."""
+    st_ = TStencil(a)
+    n_ = st_.n
+    variables = tuple(f"x{i}" for i in range(n_)) + tuple(z.symbols)
+    vals = [LaurentPoly.gen(variables, f"x{i}") for i in range(n_)]
+    one = LaurentPoly.const(variables, 1)
+    for n in range(steps):
+        w = vals[n + 1 : n + n_]
+        num = tsystem._z_monomial_poly(z, n, variables) * (
+            tsystem._product_monomial(w, st_.plus_exponents, one)
+            + tsystem._product_monomial(w, st_.minus_exponents, one))
+        nxt = laurent_try_div(num, vals[n])
+        if nxt is None:
+            raise NonLaurentIterate(
+                f"x_{n + n_} is not a Laurent polynomial in the initial window")
+        if nxt.n_terms() > max_terms:
+            raise TermBudgetExceeded(f"x_{n + n_} exceeds the {max_terms}-term budget")
+        vals.append(nxt)
+    return vals
+
+
+def _symbolic_outcome(f):
+    """The variables and terms of each value, or the error."""
+    try:
+        vals = f()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return [(v.vars, dict(v.terms)) for v in vals]
+
+
+def assert_symbolic_matches_reference(a, z, steps, max_terms=10 ** 6):
+    got = _symbolic_outcome(
+        lambda: iterate_tz(TStencil(a), z, None, steps, "symbolic", max_terms).values)
+    assert got == _symbolic_outcome(lambda: x_symbolic_orbit(a, z, steps, max_terms))
+    return got
+
+
+def _solved(a):
+    """The symbolic solution of a's coefficient constraint, if a has one."""
+    try:
+        return solve_z(z_stencil_from_tuple(a))
+    except ValueError:
+        return None
+
+
+# (tuple, steps): the six presets, prim3-prim9, rank 0 and full rank
+LATTICE_CASES = [(get_preset(name).a, steps) for name, steps in (
+    ("somos4", 10), ("somos5", 10), ("somos6", 9), ("somos7", 10),
+    ("prim4", 12), ("nonintegrable6", 3))]
+LATTICE_CASES += [(get_preset(f"prim{n}").a, n + 4) for n in range(3, 10)]
+LATTICE_CASES += [((0, 0), 8), ((2, -3, 2), 5), ((0, 1, 0), 8)]
+
+
+@pytest.mark.parametrize("a, steps", LATTICE_CASES)
+def test_lattice_coordinates_match_the_initial_window(a, steps):
+    for z in (ConstantZ(), GeometricZ(), _solved(a)):
+        if z is not None:
+            assert_symbolic_matches_reference(a, z, steps, max_terms=2000)
+
+
+def test_errors_match_the_initial_window():
+    got = assert_symbolic_matches_reference(PRIM4, GeometricZ(), 8)
+    assert got == (NonLaurentIterate, "x_8 is not a Laurent polynomial in the initial window")
+    got = assert_symbolic_matches_reference(SOMOS4, ConstantZ(), 12, max_terms=20)
+    assert got == (TermBudgetExceeded, "x_9 exceeds the 20-term budget")
+    got = assert_symbolic_matches_reference(SOMOS4, ConstantZ(3), 2)
+    assert got[0] is AlgebraicZCase
+
+
+small_palindromes = st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.integers(-2, 2), min_size=(k + 1) // 2, max_size=(k + 1) // 2).map(
+    lambda h: tuple(h + h[::-1][k % 2:])))
+
+
+@given(small_palindromes, st.sampled_from(["one", "geo", "solved"]), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_lattice_coordinates_on_palindromic_tuples(a, kind, steps):
+    z = {"one": ConstantZ(), "geo": GeometricZ(), "solved": _solved(a)}[kind]
+    if z is not None:
+        assert_symbolic_matches_reference(a, z, steps, max_terms=60)
