@@ -20,7 +20,7 @@ from cluster_painleve import (
     tropical_iterate,
     z_stencil_from_tuple,
 )
-from cluster_painleve.zsystem import exponent_degree_sequence
+from cluster_painleve.zsystem import exponent_degree_sequence, factor_roots, spectral_radius
 
 WOBBLE = {0: Fraction(-1), 1: Fraction(-1, 16), 2: Fraction(-1, 4),
           3: Fraction(-9, 16), 4: Fraction(0), 5: Fraction(-9, 16),
@@ -46,7 +46,7 @@ def main() -> None:
     p6 = get_preset("nonintegrable6")
     st = z_stencil_from_tuple(p6.a)
     cp = char_poly(st)
-    lam = max(abs(r) for r in _roots(cp))
+    lam = spectral_radius(factor_roots(cp))
     print(f"   constraint char poly {cp.format_text()}, spectral radius {lam:.10f}")
 
     tr6 = tropical_iterate(p6.a, [1] * 6, 40)
@@ -58,17 +58,6 @@ def main() -> None:
     print(f"   coefficient-exponent ratio (n=40): {r_exp:.10f}")
     print(f"   entropy estimate: {est6.entropy:.10f} (band {est6.band:.2e})")
     print(f"   log(spectral radius) = {math.log(lam):.10f}")
-
-
-def _roots(cp):
-    import mpmath
-
-    out = []
-    with mpmath.workdps(30):
-        for f, _ in cp.factors:
-            if len(f) > 1:
-                out += [complex(r) for r in mpmath.polyroots(list(map(int, reversed(f))))]
-    return out or [1.0]
 
 
 if __name__ == "__main__":

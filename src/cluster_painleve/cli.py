@@ -24,7 +24,10 @@ from .laurent import format_rational, parse_int, parse_rational
 from .presets import Preset, UnknownPreset, get_preset, list_presets
 from .quiver import build_from_tuple
 from .tsystem import TStencil, iterate_t, iterate_tz, orbit_from_json
-from .zsystem import GeometricZ, char_poly, format_poly, solve_z, z_stencil_from_tuple
+from .zsystem import (
+    GeometricZ, char_poly, factor_roots, format_poly, solve_z, spectral_radius,
+    z_stencil_from_tuple,
+)
 
 EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
@@ -279,27 +282,18 @@ ZSYS_STEPS = 8  # values listed past the initial window when `zsys` has --init
 def _cmd_zsys(args) -> int:
     if args.steps is not None and not args.init:
         raise ConfigInvalid("--steps does not apply to zsys without --init")
-    import mpmath
     p = _resolve_system(args)
     st = z_stencil_from_tuple(p.a)
     cp = char_poly(st)
-    roots = []
-    with mpmath.workdps(30):
-        for f, mult in cp.factors:
-            rts = mpmath.polyroots([int(c) for c in reversed(f)]) if len(f) > 1 else []
-            roots.append({
-                "factor": format_poly(f),
-                "multiplicity": mult,
-                "roots": [[float(mpmath.re(r)), float(mpmath.im(r))] for r in rts],
-            })
-    moduli = [abs(complex(re, im)) for blk in roots for re, im in blk["roots"]]
+    roots = factor_roots(cp)
     payload = {
         "system": p.name,
         "constraint": st.constraint_text(),
         "order": st.order,
         "char_poly": cp.format_text(),
-        "roots": roots,
-        "spectral_radius": max(moduli) if moduli else 0.0,
+        "roots": [{"factor": format_poly(f), "multiplicity": mult, "roots": rts}
+                  for (f, mult), rts in zip(cp.factors, roots)],
+        "spectral_radius": spectral_radius(roots),
         "precision": "roots to ~1e-12; exact factors listed in char_poly",
     }
     if args.init:

@@ -489,15 +489,18 @@ def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
         raise ValueError("variable mismatch in division")
     if p.is_zero():
         return LaurentPoly.zero(p.vars)
-    grid = _div_grid(p, q)
+    # every route reads both exponent boxes: scan each operand once
+    shifts = _layout(len(p.vars))[2]
+    p_box, q_box = _field_extent(p._packed, shifts), _field_extent(q._packed, shifts)
+    grid = _div_grid(p, q, p_box)
     if grid is not None:
-        r = _div_dense(p, q, grid)
+        r = _div_dense(p, q, grid, q_box)
         if r is not _UNDECIDED:
             return r
-    return _div_heap(p, q)
+    return _div_heap(p, q, p_box, q_box)
 
 
-def _div_heap(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
+def _div_heap(p: LaurentPoly, q: LaurentPoly, p_box, q_box) -> LaurentPoly | None:
     """Division of nonzero operands by lex leading terms.
 
     Monomial factors are units here, so both operands are first shifted to
@@ -511,11 +514,11 @@ def _div_heap(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     coefficient 0 and is skipped when popped.  An exact quotient has degree
     ``deg p - deg q`` in every variable, so a quotient term outside that box
     proves there is none; the box also keeps every remainder key inside the
-    degree range of ``p``, far from the field limits.
+    degree range of ``p``, far from the field limits.  ``p_box`` and
+    ``q_box`` are the operands' ``_field_extent``.
     """
     offset, mask, shifts = _layout(len(p.vars))
-    plo, phi = _field_extent(p._packed, shifts)
-    qlo, qhi = _field_extent(q._packed, shifts)
+    (plo, phi), (qlo, qhi) = p_box, q_box
     box = 0
     for s, pl, ph, ql, qh in zip(shifts, plo, phi, qlo, qhi):
         room = (ph - pl) - (qh - ql)
@@ -699,13 +702,13 @@ def _mul_dense(a: LaurentPoly, b: LaurentPoly, grid) -> LaurentPoly:
     return _make(a.vars, out)
 
 
-def _div_grid(p: LaurentPoly, q: LaurentPoly):
-    """The grid of ``p`` for a dense division by ``q``, or None when the
-    heap division is the better choice."""
+def _div_grid(p: LaurentPoly, q: LaurentPoly, p_box):
+    """The grid of ``p`` (whose ``_field_extent`` is ``p_box``) for a dense
+    division by ``q``, or None when the heap division is the better choice."""
     np_, nq = len(p._packed), len(q._packed)
     if np_ * nq < _SCAN_PAIRS * len(p.vars) * (np_ + nq):
         return None
-    lo, hi = _field_extent(p._packed, _layout(len(p.vars))[2])
+    lo, hi = p_box
     dims = [h - low + 1 for low, h in zip(lo, hi)]
     # sized for a quotient no larger than p; a larger one goes to the heap
     w = _slot_bytes(_bits(p) + _bits(q) + min(np_, nq).bit_length() + 2)
@@ -714,14 +717,15 @@ def _div_grid(p: LaurentPoly, q: LaurentPoly):
     return lo, dims, w
 
 
-def _div_dense(p: LaurentPoly, q: LaurentPoly, grid):
-    """Long division of grid rows, each leading row divided with ``divmod``.
+def _div_dense(p: LaurentPoly, q: LaurentPoly, grid, q_box):
+    """Long division of grid rows, each leading row divided with ``divmod``;
+    ``q_box`` is the ``_field_extent`` of ``q``.
 
     Returns the quotient, None when there is none, or ``_UNDECIDED`` when
     the grid cannot certify it.
     """
     lo, dims, w = grid
-    lo_q, hi_q = _field_extent(q._packed, _layout(len(q.vars))[2])
+    lo_q, hi_q = q_box
     # the box of a product is the sum of its factors' boxes
     room = [d - 1 - (h - low) for d, low, h in zip(dims, lo_q, hi_q)]
     if min(room) < 0:

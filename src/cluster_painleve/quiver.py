@@ -6,6 +6,15 @@ and every other node down by one.  A matrix is *shift-periodic* when mutation
 at node 0 equals that relabelling, which pins the whole matrix down to its
 first row; the first row (minus its leading zero) is then a palindromic
 integer tuple.
+
+The rows of such a matrix B span a rank-r sublattice im B of Z^N that is
+invariant under the shift s and the reversal of the index window.  It has a
+Z-basis of the shifts s^0(v), ..., s^{r-1}(v) of one palindromic integer
+vector v whose support has length N-r+1 (`palindromic_basis`).  The shifts
+are in echelon form with pivots in columns 0..r-1, so the last row of the
+Hermite basis of im B is s^{r-1}(v) and gives v.  The monomials
+U_n = x^{s^n v} are the reduced variables of `reduction` and the lattice
+coordinates of symbolic orbits in `tsystem`.
 """
 
 from __future__ import annotations
@@ -14,9 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .intlinalg import image_lattice_basis, lattice_equal
+
 
 class NotPalindromic(ValueError):
     """Tuple fails a_j == a_{N-j}."""
+
+
+class EliminationFailed(ArithmeticError):
+    """Internal consistency failure while reducing (should never happen)."""
 
 
 def _pos(b: int) -> int:
@@ -45,9 +60,6 @@ class ExchangeMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.rows[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
 
     def as_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -163,6 +175,67 @@ def build_from_tuple(a: Sequence[int]) -> ExchangeMatrix:
     if witness is not None:
         raise AssertionError(f"builder produced a non-periodic matrix: {witness}")
     return m
+
+
+# -- palindromic lattice bases --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PalindromicBasis:
+    """Z-basis s^0(v), ..., s^{r-1}(v) of the row lattice of B."""
+
+    n: int
+    rank: int
+    generator: tuple[int, ...]
+
+    @property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        out = []
+        for i in range(self.rank):
+            out.append(tuple([0] * i + list(self.generator[: self.n - i])))
+        return tuple(out)
+
+    def coordinates(self, exps: Sequence[int]) -> tuple[int, ...] | None:
+        """Integers c with sum_i c_i s^i(v) == exps, or None if there are none.
+
+        Row s^i(v) has the pivot v[0] in column i and zeros before it, so the
+        first r columns give c by forward substitution and the remaining ones
+        must then vanish.
+        """
+        if len(exps) != self.n:
+            raise ValueError(f"exponent vector must have {self.n} entries")
+        v, r = self.generator, self.rank
+        c: list[int] = []
+        for j, e in enumerate(exps):
+            res = e - sum(ci * v[j - i] for i, ci in enumerate(c))
+            if j >= r:
+                if res:
+                    return None
+                continue
+            q, rem = divmod(res, v[0])
+            if rem:
+                return None
+            c.append(q)
+        return tuple(c)
+
+
+def palindromic_basis(b: ExchangeMatrix) -> PalindromicBasis:
+    """Shift-palindromic Z-basis of im B (unique up to overall sign; the
+    leading entry of the generator is normalized positive)."""
+    n = b.n
+    if not any(map(any, b.rows)):
+        return PalindromicBasis(n, 0, (0,) * n)
+    img = image_lattice_basis(b.as_lists())
+    r = len(img)
+    gen = tuple(img[-1][r - 1:]) + (0,) * (r - 1)
+    support = gen[:max(i for i, x in enumerate(gen) if x) + 1]
+    if support != support[::-1]:
+        raise EliminationFailed("generator is not palindromic")
+
+    basis = PalindromicBasis(n, r, gen)
+    if not lattice_equal([list(w) for w in basis.vectors], img):
+        raise EliminationFailed("shifted family does not span the row lattice")
+    return basis
 
 
 # -- seeds with coefficients --------------------------------------------------

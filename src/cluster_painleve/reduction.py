@@ -1,17 +1,13 @@
 """Reduction of a rank-r exchange matrix to an order-r recurrence.
 
-The rows of a period-1 exchange matrix B span a rank-r sublattice im B of
-Z^N that is invariant under the shift s and the reversal r of the index
-window.  That lattice always has a Z-basis of shifted copies of a single
-palindromic integer vector v with support of length N-r+1; the monomial map
-U_n = prod_j x_{n+j}^{v_{j+1}} then intertwines the order-N bilinear
-recurrence with an order-r recurrence U_{n+r} U_n = F(U_{n+1..n+r-1}) in the
-reduced variables, carrying a log-canonical symplectic/presymplectic form.
-The shifts of v are in echelon form with pivots in columns 0..r-1, so the
-last row of the Hermite basis of im B is s^{r-1}(v) and gives v.
-This module constructs the basis, eliminates the recurrence, and verifies
-the conjugacy, the 2-form invariance, and (numerically) the dilogarithm
-generating function of the reduced map.
+With v the generator of the palindromic basis of im B
+(`quiver.palindromic_basis`), the monomial map
+U_n = prod_j x_{n+j}^{v_{j+1}} intertwines the order-N bilinear recurrence
+with an order-r recurrence U_{n+r} U_n = F(U_{n+1..n+r-1}) in the reduced
+variables, carrying a log-canonical symplectic/presymplectic form.
+This module eliminates the recurrence, and verifies the conjugacy, the
+2-form invariance, and (numerically) the dilogarithm generating function of
+the reduced map.
 """
 
 from __future__ import annotations
@@ -22,16 +18,10 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .coprime import cancel
-from .intlinalg import (
-    image_lattice_basis, invert_fraction, lattice_equal, mat_mul, transpose,
-)
+from .intlinalg import invert_fraction, mat_mul, transpose
 from .laurent import LaurentPoly
-from .quiver import ExchangeMatrix
+from .quiver import EliminationFailed, ExchangeMatrix, PalindromicBasis, palindromic_basis
 from .tsystem import TStencil, iterate_t, iterate_tz
-
-
-class EliminationFailed(ArithmeticError):
-    """Internal consistency failure while reducing (should never happen)."""
 
 
 class ZeroComponent(ValueError):
@@ -48,67 +38,6 @@ class DomainError(ValueError):
 
 class ZeroRank(ValueError):
     pass
-
-
-# -- palindromic lattice bases --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PalindromicBasis:
-    """Z-basis s^0(v), ..., s^{r-1}(v) of the row lattice of B."""
-
-    n: int
-    rank: int
-    generator: tuple[int, ...]
-
-    @property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for i in range(self.rank):
-            out.append(tuple([0] * i + list(self.generator[: self.n - i])))
-        return tuple(out)
-
-    def coordinates(self, exps: Sequence[int]) -> tuple[int, ...] | None:
-        """Integers c with sum_i c_i s^i(v) == exps, or None if there are none.
-
-        Row s^i(v) has the pivot v[0] in column i and zeros before it, so the
-        first r columns give c by forward substitution and the remaining ones
-        must then vanish.
-        """
-        if len(exps) != self.n:
-            raise ValueError(f"exponent vector must have {self.n} entries")
-        v, r = self.generator, self.rank
-        c: list[int] = []
-        for j, e in enumerate(exps):
-            res = e - sum(ci * v[j - i] for i, ci in enumerate(c))
-            if j >= r:
-                if res:
-                    return None
-                continue
-            q, rem = divmod(res, v[0])
-            if rem:
-                return None
-            c.append(q)
-        return tuple(c)
-
-
-def palindromic_basis(b: ExchangeMatrix) -> PalindromicBasis:
-    """Shift-palindromic Z-basis of im B (unique up to overall sign; the
-    leading entry of the generator is normalized positive)."""
-    n = b.n
-    if not any(map(any, b.rows)):
-        return PalindromicBasis(n, 0, (0,) * n)
-    img = image_lattice_basis(b.as_lists())
-    r = len(img)
-    gen = tuple(img[-1][r - 1:]) + (0,) * (r - 1)
-    support = gen[:max(i for i, x in enumerate(gen) if x) + 1]
-    if support != support[::-1]:
-        raise EliminationFailed("generator is not palindromic")
-
-    basis = PalindromicBasis(n, r, gen)
-    if not lattice_equal([list(w) for w in basis.vectors], img):
-        raise EliminationFailed("shifted family does not span the row lattice")
-    return basis
 
 
 def project(basis: PalindromicBasis, window: Sequence[Fraction]) -> tuple[Fraction, ...]:

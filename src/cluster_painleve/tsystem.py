@@ -25,16 +25,17 @@ grouped by the variable each base comes from (its numerator and denominator
 are coprime).
 
 Symbolic iteration runs in the coordinates of the lattice L = im B, the
-saturated image of the exchange matrix (`intlinalg.image_lattice_basis`,
-rows b_1..b_r in Hermite form).  By the separation formula of Fomin and
-Zelevinsky (Cluster algebras IV, 2007) every iterate is x^{g_n} P_n(w, z)
-with w_i = x^{b_i}, Z's symbols z and P_n a Laurent polynomial in r + |z|
+saturated image of the exchange matrix, on its palindromic basis: the
+shifts s^i(v), i < r, of one palindromic vector v
+(`quiver.palindromic_basis`).  By the separation formula of Fomin and
+Zelevinsky (Cluster algebras IV, 2007) every iterate is x^{g_n} P_n(U, z)
+with U_i = x^{s^i v}, Z's symbols z and P_n a Laurent polynomial in r + |z|
 variables.  The ring Z[x^±, z^±] is graded by Z^N / L with z in degree 0,
 and every exchange relation is homogeneous, so the two monomials of step n
-differ by x^v with v = sum_j a_j g_{n+j} in L; its coordinates c in the
-basis give
+differ by x^d with d = sum_j a_j g_{n+j} in L; its coordinates c in the
+basis (`PalindromicBasis.coordinates`) give
 
-    P_{n+N} = Z_n (w^c P_+ + P_-) / P_n,    g_{n+N} = g_- - g_n,
+    P_{n+N} = Z_n (U^c P_+ + P_-) / P_n,    g_{n+N} = g_- - g_n,
 
 with P_± the products of the window's P over the exponents [±a_j]+ and g_±
 the matching sums of its g.
@@ -42,9 +43,10 @@ Since L is saturated, Z^N / L is torsion-free, hence orderable, and a
 quotient of homogeneous elements of a graded domain over such a group is
 homogeneous: if x^{g_n} P_n divides the numerator in the Laurent ring of x
 and z, the quotient has degree g_- - g_n and so lies in x^{g_- - g_n}
-Z[w^±, z^±].  The division in w therefore certifies exactly what the
+Z[U^±, z^±].  The division in U therefore certifies exactly what the
 division in x certifies, and fails at the same step.  Each value is lifted
-to x once, by `laurent.monomial_map`.
+to x once, by `laurent.monomial_map`.  For somos4, v = (1, -2, 1, 0) and
+x_4 = x_0^{-1} x_1 x_3 (1 + U_1^{-1}).
 """
 
 from __future__ import annotations
@@ -54,9 +56,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coprime import cancel
-from .intlinalg import image_lattice_basis, solve_int
 from .laurent import LaurentPoly, format_rational, laurent_try_div, monomial_map, parse_rational
-from .quiver import NotPalindromic, build_from_tuple
+from .quiver import NotPalindromic, build_from_tuple, palindromic_basis
 from .zsystem import AlgebraicZCase, ConstantZ
 
 
@@ -296,23 +297,20 @@ def iterate_tz(st: TStencil, z, init: Sequence[Fraction] | None, steps: int,
 
 
 def _symbolic(st: TStencil, z, steps: int, max_terms: int) -> Orbit:
-    """Symbolic iterates as x^{g_n} P_n(w, z), lifted to x once each."""
+    """Symbolic iterates as x^{g_n} P_n(U, z), lifted to x once each."""
     n_ = st.n
-    basis = image_lattice_basis(build_from_tuple(st.a).as_lists())
-    r, zsyms = len(basis), tuple(z.symbols)
+    basis = palindromic_basis(build_from_tuple(st.a))
+    images, zsyms = basis.vectors, tuple(z.symbols)
     variables = tuple(f"x{i}" for i in range(n_)) + zsyms
-    # the rows are in Hermite form: their pivot columns fix the coordinates
-    pivots = [next(i for i, v in enumerate(row) if v) for row in basis]
-    columns = [[row[i] for i in pivots] for row in basis]
-    one = LaurentPoly.const(tuple(f"w{i + 1}" for i in range(r)) + zsyms, 1)
+    one = LaurentPoly.const(tuple(f"U{i}" for i in range(basis.rank)) + zsyms, 1)
     window = [one] * n_  # P over the sliding window
     g = [tuple(int(i == k) for i in range(n_)) for k in range(n_)]
-    vals = [monomial_map(one, variables, basis, gk) for gk in g]
+    vals = [monomial_map(one, variables, images, gk) for gk in g]
     for n in range(steps):
         zmono = _z_monomial_poly(z, n, one.vars)
         w, gw = window[1:], g[1:]
-        # the two monomials of the exchange differ by x^v, v in im B
-        c = solve_int(columns, [sum(a * x[i] for a, x in zip(st.a, gw)) for i in pivots])
+        # the two monomials of the exchange differ by x^d, d in im B
+        c = basis.coordinates([sum(a * x[i] for a, x in zip(st.a, gw)) for i in range(n_)])
         num = (_product_monomial(w, st.plus_exponents, one).shift(c + (0,) * len(zsyms))
                + _product_monomial(w, st.minus_exponents, one))
         nxt = laurent_try_div(num, window[0])
@@ -325,7 +323,7 @@ def _symbolic(st: TStencil, z, steps: int, max_terms: int) -> Orbit:
         nxt = zmono * nxt
         gnext = tuple(sum(e * x[i] for e, x in zip(st.minus_exponents, gw)) - g[0][i]
                       for i in range(n_))
-        vals.append(monomial_map(nxt, variables, basis, gnext))
+        vals.append(monomial_map(nxt, variables, images, gnext))
         window, g = window[1:] + [nxt], g[1:] + [gnext]
     return Orbit(st, "symbolic", vals, z, variables)
 

@@ -54,10 +54,6 @@ class ZStencil:
     def trimmed(self) -> tuple[int, ...]:
         return self.exponents[self.lo - 1 : self.hi]
 
-    @property
-    def leading(self) -> int:
-        return self.exponents[self.hi - 1]
-
     def constraint_text(self) -> str:
         num, den = [], []
         for j, e in enumerate(self.exponents, start=1):
@@ -174,11 +170,33 @@ def _candidates(work: tuple[int, ...]):
                         yield _poly_normalize((c0s, b, a2))
 
 
+def _squarefree_part(p: tuple[int, ...]) -> tuple[int, ...]:
+    # p / gcd(p, p') over Q, then primitive over Z
+    dp = tuple(k * p[k] for k in range(1, len(p)))
+    a = [Fraction(c) for c in p]
+    b = [Fraction(c) for c in dp]
+    while any(c != 0 for c in b):
+        _, r = _poly_divmod_frac(a, b)
+        while r and r[-1] == 0:
+            r.pop()
+        a, b = b, r or [Fraction(0)]
+    # a = gcd; divide
+    quo, rem = _poly_divmod_frac([Fraction(c) for c in p], a)
+    if any(r != 0 for r in rem):
+        raise ArithmeticError("squarefree part: polynomial gcd left a remainder")
+    m = 1
+    for c in quo:
+        m = math.lcm(m, c.denominator)
+    return _poly_normalize([int(c * m) for c in quo])
+
+
 def factor_over_integers(p: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    """Peel degree-1 and degree-2 integer factors; leftover kept whole.
+    """Peel degree-1 and degree-2 integer factors; split the leftover into
+    squarefree factors, each with its multiplicity.
 
     Good enough for the low-degree reciprocal polynomials that arise from
     palindromic constraint stencils; not a general factorization routine.
+    Every factor is squarefree, but a leftover one need not be irreducible.
     """
     work = _poly_normalize(p)
     factors: dict[tuple[int, ...], int] = {}
@@ -195,8 +213,17 @@ def factor_over_integers(p: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
                 work = _poly_normalize(quo)
                 break
         else:
-            factors[work] = factors.get(work, 0) + 1
             break
+    # no small factor divides what is left.  Its squarefree part sf holds each
+    # factor once; those that occur exactly m times are gone from work / sf.
+    m = 1
+    while len(work) > 1:
+        sf = _squarefree_part(work)
+        work = _poly_try_div_int(work, sf)
+        once = _poly_try_div_int(sf, _squarefree_part(work))
+        if len(once) > 1:
+            factors[once] = factors.get(once, 0) + m
+        m += 1
     return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
@@ -238,49 +265,26 @@ def char_poly(st: ZStencil) -> CharPoly:
     return CharPoly(coeffs, tuple(factor_over_integers(coeffs)))
 
 
-def _squarefree_part(p: tuple[int, ...]) -> tuple[int, ...]:
-    # p / gcd(p, p') over Q, then primitive over Z
-    dp = tuple(k * p[k] for k in range(1, len(p)))
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in dp]
-    while any(c != 0 for c in b):
-        _, r = _poly_divmod_frac(a, b)
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r or [Fraction(0)]
-    # a = gcd; divide
-    quo, rem = _poly_divmod_frac([Fraction(c) for c in p], a)
-    if any(r != 0 for r in rem):
-        raise ArithmeticError("squarefree part: polynomial gcd left a remainder")
-    m = 1
-    for c in quo:
-        m = math.lcm(m, c.denominator)
-    return _poly_normalize([int(c * m) for c in quo])
-
-
-def spectral_radius(coeffs: Sequence[int]) -> tuple[float, float]:
-    """Largest root modulus of an integer polynomial, with an error bound.
-
-    Roots are found on the squarefree part at two working precisions; the
-    bound is their disagreement (plus rounding slack), required below 1e-10.
-    """
+def factor_roots(cp: CharPoly) -> list[list[tuple[float, float]]]:
+    """The complex roots of each factor of ``cp`` as (re, im) floats, found
+    at 30 digits; ArithmeticError when a root search does not converge."""
     import mpmath
-    p = _poly_normalize(coeffs)
-    if len(p) <= 1:
-        raise ValueError("polynomial must be nonconstant")
-    sf = _squarefree_part(p)
-    if len(sf) == 2:
-        root = Fraction(-sf[0], sf[1])
-        return float(abs(root)), 0.0
-    results = []
-    for dps in (50, 90):
-        with mpmath.workdps(dps):
-            roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(sf)], maxsteps=200, extraprec=60)
-            results.append(max(abs(r) for r in roots))
-    err = abs(float(results[0] - results[1])) + 1e-14
-    if err > 1e-11:
-        raise ArithmeticError("root finding did not converge to the required accuracy")
-    return float(results[1]), err
+    from mpmath.libmp import NoConvergence
+
+    out = []
+    with mpmath.workdps(30):
+        for f, _ in cp.factors:
+            try:
+                roots = mpmath.polyroots([int(c) for c in reversed(f)])
+            except NoConvergence as exc:
+                raise ArithmeticError(f"the roots of {format_poly(f)} did not converge") from exc
+            out.append([(float(mpmath.re(r)), float(mpmath.im(r))) for r in roots])
+    return out
+
+
+def spectral_radius(roots: list[list[tuple[float, float]]]) -> float:
+    """Largest modulus of the roots of `factor_roots`, 0.0 when there are none."""
+    return max((abs(complex(re, im)) for block in roots for re, im in block), default=0.0)
 
 
 # -- Z-sequences ---------------------------------------------------------------
@@ -362,7 +366,6 @@ class ZSolution:
     stencil: ZStencil
     symbols: tuple[str, ...]
     init_values: tuple[Fraction, ...] | None
-    algebraic_ambiguity: bool
     closed_form: dict | None
     _tables: list[tuple[Fraction, ...]] = field(default_factory=list)
 
@@ -477,19 +480,15 @@ def _recognize_closed_form(st: ZStencil) -> dict | None:
     return None
 
 
-def solve_z(st: ZStencil, init: Sequence[Fraction] | int | None = None) -> ZSolution:
+def solve_z(st: ZStencil, init: Sequence[Fraction] | None = None) -> ZSolution:
     """Solve the constraint as exact exponent tables over the initial window.
 
-    `init` may be rational values to bind, or None/int for a purely symbolic
-    solution (int fixes the symbol count check).  A leading exponent of
-    magnitude > 1 makes the solution algebraic: signs are fixed to + and the
-    ambiguity is flagged.
+    `init` holds the rational values to bind, one per symbol, or is None for
+    a purely symbolic solution.  A leading exponent of magnitude > 1 makes
+    exponents fractional: `ZSolution.value` then takes the positive rational
+    root, or raises AlgebraicZCase when there is none.
     """
     r = st.order
-    if isinstance(init, int):
-        if init != r:
-            raise ValueError(f"stencil needs {r} initial entries, got {init}")
-        init = None
     values: tuple[Fraction, ...] | None = None
     if init is not None:
         values = tuple(Fraction(v) for v in init)
@@ -502,7 +501,6 @@ def solve_z(st: ZStencil, init: Sequence[Fraction] | int | None = None) -> ZSolu
         stencil=st,
         symbols=symbols,
         init_values=values,
-        algebraic_ambiguity=abs(st.leading) > 1,
         closed_form=_recognize_closed_form(st),
         _tables=[tuple(Fraction(1) if i == m else Fraction(0) for i in range(r))
                  for m in range(r)],

@@ -83,6 +83,15 @@ def test_zsys_report(capsys):
     assert d["spectral_radius"] == pytest.approx((3 + 5 ** 0.5) / 2)
 
 
+def test_zsys_splits_a_repeated_leftover(capsys):
+    # a leftover kept whole had double roots, on which the root search
+    # did not converge: exit 1 with a traceback
+    rc, d = run_json(capsys, ["zsys", "--tuple", "-1,-2,-7,-8,-13,-8,-7,-2,-1"])
+    assert rc == 0 and d["char_poly"] == "(L^4 + L^3 + 3L^2 + L + 1)^2"
+    assert [(r["multiplicity"], len(r["roots"])) for r in d["roots"]] == [(2, 4)]
+    assert d["spectral_radius"] == 1.539222338420433
+
+
 def test_zsys_with_values(capsys):
     rc, d = run_json(capsys, ["zsys", "--preset", "prim4",
                               "--init", "2,3", "--steps", "4"])

@@ -1,7 +1,8 @@
 """The package depends at run time on the standard library and `mpmath` alone.
 
 `numpy` and `sympy` may be installed next to it, but they are not declared,
-so an import of either (or of anything else) in `src/` fails here.
+so an import of either (or of anything else) in `src/` fails here.  So does
+an imported name that nothing in `src/` reads, since no linter runs on it.
 """
 
 import ast
@@ -32,3 +33,39 @@ def test_the_scan_sees_function_level_imports():
     tree = ast.parse("def f():\n    import numpy.linalg\n    from sympy import S\n"
                      "    from . import laurent\n")
     assert list(_absolute_imports(tree)) == ["numpy.linalg", "sympy"]
+
+
+def _unused_imports(trees):
+    """``module: name`` for each name a module imports that neither the module
+    itself reads nor another one reads as ``module.name``.  ``__future__``
+    imports are skipped, and so is ``__init__``, whose imports are exports."""
+    attrs = {(node.value.id, node.attr) for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        loads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in loads and (stem, name) not in attrs:
+                        yield f"{stem}: {name}"
+
+
+def test_src_reads_every_name_it_imports():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    assert len(trees) > 10 and list(_unused_imports(trees)) == []
+
+
+def test_the_scan_sees_unused_imports():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "from __future__ import annotations\nimport os.path\nfrom .b import f, g as h\n"
+             "def k(x: h):\n    from .c import m\n    return os.path.join(x)\n",
+        "b": "from .a import k\nfrom .c import n\n",
+        "c": "from . import b\nb.n()\n",
+        "__init__": "from .a import k\n",
+    }.items()}
+    assert sorted(_unused_imports(trees)) == ["a: f", "a: m", "b: k"]

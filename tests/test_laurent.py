@@ -322,6 +322,11 @@ def dense_kernels():
     return patch.multiple(laurent, _SCAN_PAIRS=0, _MUL_BITS=10 ** 4, _DIV_BITS=10 ** 4)
 
 
+def box(p):
+    """The operand box the division kernels take: ``_field_extent`` of ``p``."""
+    return laurent._field_extent(p._packed, laurent._layout(len(p.vars))[2])
+
+
 big_or_small = st.one_of(st.integers(-5, 5), st.integers(-2 ** 80, 2 ** 80)).filter(bool)
 
 
@@ -359,7 +364,7 @@ def test_dense_kernels_match_the_dict_and_heap_loops(case):
         # a remainder below the leading rows, or a quotient that is not there
         for p in (want + pe, pa):
             if not p.is_zero():
-                assert laurent_try_div(p, pb) == laurent._div_heap(p, pb)
+                assert laurent_try_div(p, pb) == laurent._div_heap(p, pb, box(p), box(pb))
 
 
 @given(box_polys())
@@ -374,12 +379,12 @@ def test_dense_division_is_right_or_undecided(case):
         if dividend.is_zero():
             continue
         with dense_kernels():
-            grid = laurent._div_grid(dividend, pb)
+            grid = laurent._div_grid(dividend, pb, box(dividend))
             if grid is None:
                 continue
-            got = laurent._div_dense(dividend, pb, grid)
+            got = laurent._div_dense(dividend, pb, grid, box(pb))
         if want is None:
-            want = laurent._div_heap(dividend, pb)
+            want = laurent._div_heap(dividend, pb, box(dividend), box(pb))
         assert got is laurent._UNDECIDED or got == want
 
 
@@ -406,8 +411,8 @@ def test_non_divisible_pair_whose_leading_rows_divide():
     q = x * x + x * y + y * y + one
     p = q * (x + y + one) + y   # the top row of p is the top row of q * (x + y + 1)
     with dense_kernels():
-        grid = laurent._div_grid(p, q)
-        assert grid is not None and laurent._div_dense(p, q, grid) is None
+        grid = laurent._div_grid(p, q, box(p))
+        assert grid is not None and laurent._div_dense(p, q, grid, box(q)) is None
         assert laurent_try_div(p, q) is None
 
 
@@ -419,12 +424,12 @@ def test_quotient_past_the_slot_bound_goes_to_the_heap():
     one = LaurentPoly.const(V, 1)
     q = (x - one) ** 6
     p = (x ** 10 - one) ** 6 * (one + y)
-    r = laurent._div_heap(p, q)
+    r = laurent._div_heap(p, q, box(p), box(q))
     assert r is not None and max(r.terms.values()).bit_length() == 16
     with dense_kernels():
-        grid = laurent._div_grid(p, q)
+        grid = laurent._div_grid(p, q, box(p))
         assert grid is not None and grid[-1] == 2
-        assert laurent._div_dense(p, q, grid) is laurent._UNDECIDED
+        assert laurent._div_dense(p, q, grid, box(q)) is laurent._UNDECIDED
         assert laurent_try_div(p, q) == r
 
 
@@ -452,7 +457,7 @@ def test_dense_division_refuses_quotients_past_the_limit():
     one = LaurentPoly.const(V, 1)
     low = LaurentPoly.monomial(V, (EXP_MIN, 0)) * (one + x) * (one + x + x * x)
     with dense_kernels():
-        assert laurent._div_grid(low, x * (one + x)) is not None
+        assert laurent._div_grid(low, x * (one + x), box(low)) is not None
         with pytest.raises(ExponentOverflowError):
             laurent_try_div(low, x * (one + x))
 
@@ -516,9 +521,9 @@ def _count_dense_calls(monkeypatch):
     for name in ("_mul_dense", "_div_dense"):
         inner = getattr(laurent, name)
 
-        def counted(x, y, grid, _inner=inner, _name=name):
+        def counted(x, y, *rest, _inner=inner, _name=name):
             calls.append((_name, len(x.terms) * len(y.terms)))
-            return _inner(x, y, grid)
+            return _inner(x, y, *rest)
         monkeypatch.setattr(laurent, name, counted)
     return calls
 

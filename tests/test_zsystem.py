@@ -14,7 +14,9 @@ from cluster_painleve.zsystem import (
     char_poly,
     exponent_degree_sequence,
     factor_over_integers,
+    factor_roots,
     solve_z,
+    spectral_radius,
     z_stencil_from_tuple,
 )
 from cluster_painleve.zsystem import _exact_fraction_root, _poly_normalize
@@ -82,6 +84,32 @@ class TestCharPoly:
     def test_preset_factorizations(self, name, text):
         assert char_poly(z_stencil_from_tuple(get_preset(name).a)).format_text() == text
 
+    def test_leftover_splits_into_squarefree_factors(self):
+        # no factor of degree 1 or 2 divides these leftovers
+        cp = char_poly(z_stencil_from_tuple((-1, -2, -7, -8, -13, -8, -7, -2, -1)))
+        assert cp.factors == (((1, 1, 3, 1, 1), 2),)
+        assert cp.format_text() == "(L^4 + L^3 + 3L^2 + L + 1)^2"
+        quartic, quintic = (1, 1, 3, 1, 1), (1, 0, 0, 1, 0, 1)
+        p = _poly_mul(_poly_mul(quartic, quartic), _poly_mul(quintic, _poly_mul(quintic, quintic)))
+        assert factor_over_integers(p) == [(quartic, 2), (quintic, 3)]
+
+    def test_roots_per_factor(self):
+        cp = char_poly(z_stencil_from_tuple((-1, -2, -7, -8, -13, -8, -7, -2, -1)))
+        roots = factor_roots(cp)
+        assert [len(block) for block in roots] == [4]
+        assert spectral_radius(roots) == 1.539222338420433
+        assert spectral_radius(factor_roots(char_poly(z_stencil_from_tuple((0, 1, 0))))) == 0.0
+
+    def test_a_root_search_that_does_not_converge_names_its_factor(self, monkeypatch):
+        import mpmath
+        from mpmath.libmp import NoConvergence
+
+        def stuck(*args, **kwargs):
+            raise NoConvergence("no convergence")
+        monkeypatch.setattr(mpmath, "polyroots", stuck)
+        with pytest.raises(ArithmeticError, match=r"roots of L\^2 - 3L \+ 1 did not"):
+            factor_roots(char_poly(z_stencil_from_tuple(get_preset("nonintegrable6").a)))
+
     @given(st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=4),
            st.sampled_from([1, -1, 2, -3]))
     @settings(max_examples=150, deadline=None)
@@ -127,10 +155,9 @@ def test_solved_antiperiodic_cycle():
 
 def test_solve_z_symbol_count_check():
     st = z_stencil_from_tuple((-1, 2, -1))
-    sol = solve_z(st, 2)  # int init = assert on the symbol count
-    assert sol.symbols == ("Z0", "Z1")
-    with pytest.raises(ValueError):
-        solve_z(st, 3)
+    assert solve_z(st, [F(2), F(3)]).symbols == ("Z0", "Z1")
+    with pytest.raises(ValueError, match="needs 2 initial entries, got 3"):
+        solve_z(st, [F(2), F(3), F(5)])
 
 
 def test_solve_z_rejects_zero_values():
