@@ -216,14 +216,14 @@ def factor_over_integers(p: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
             break
     # no small factor divides what is left.  Its squarefree part sf holds each
     # factor once; those that occur exactly m times are gone from work / sf.
-    m = 1
+    m, sf = 1, _squarefree_part(work)
     while len(work) > 1:
-        sf = _squarefree_part(work)
         work = _poly_try_div_int(work, sf)
-        once = _poly_try_div_int(sf, _squarefree_part(work))
+        nxt = _squarefree_part(work)
+        once = _poly_try_div_int(sf, nxt)
         if len(once) > 1:
             factors[once] = factors.get(once, 0) + m
-        m += 1
+        sf, m = nxt, m + 1
     return sorted(factors.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 

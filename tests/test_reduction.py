@@ -118,14 +118,17 @@ def _coordinate_targets(basis, rng, rounds):
 
 
 def test_coordinates_match_solve_int_on_shift_bases():
-    # the shift bases of every palindromic tuple of length 1-8 with entries in [-2, 2]
+    # the shift bases of every palindromic tuple of length 1-9 with entries in
+    # [-1, 1], two rounds each, and of length 1-8 with an entry of +-2, one round
     rng = random.Random(0)
-    for length in range(1, 9):
-        for half in itertools.product(range(-2, 3), repeat=(length + 1) // 2):
+    for length in range(1, 10):
+        entries = range(-2, 3) if length <= 8 else range(-1, 2)
+        for half in itertools.product(entries, repeat=(length + 1) // 2):
             a = half + half[: length // 2][::-1]
             bas = reduction.palindromic_basis(build_from_tuple(a))
             cols = [list(v) for v in bas.vectors]
-            for t in _coordinate_targets(bas, rng, 1):
+            rounds = 2 if max(map(abs, a)) <= 1 else 1
+            for t in _coordinate_targets(bas, rng, rounds):
                 assert bas.coordinates(t) == intlinalg.solve_int(cols, t), (a, t)
 
 
