@@ -238,56 +238,28 @@ def palindromic_basis(b: ExchangeMatrix) -> PalindromicBasis:
     return basis
 
 
-# -- seeds with coefficients --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Seed:
-    """A labelled seed: matrix plus positive rational cluster and coefficient
-    tuples.  Coefficient addition uses ordinary + (the universal-positive
-    semifield evaluated at rational points)."""
-
-    b: ExchangeMatrix
-    x: tuple[Fraction, ...]
-    y: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.x) != self.b.n or len(self.y) != self.b.n:
-            raise ValueError("cluster/coefficient tuples must match matrix size")
-        if any(v <= 0 for v in self.x) or any(v <= 0 for v in self.y):
-            raise ValueError("seed data must be positive")
+# -- coefficient mutation -------------------------------------------------------
 
 
 def _sgn(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def mutate_seed(seed: Seed, k: int) -> Seed:
-    """Seed mutation at node k: coefficient update first, then the exchange
-    relation with coefficients."""
-    b, x, y = seed.b, seed.x, seed.y
+def mutate_seed(b: ExchangeMatrix, y: Sequence[Fraction],
+                k: int) -> tuple[ExchangeMatrix, tuple[Fraction, ...]]:
+    """Mutation at node k of a matrix with positive rational coefficients.
+
+    Coefficient addition is ordinary + (the universal-positive semifield
+    evaluated at rational points); the cluster variables are not carried.
+    """
     n = b.n
     if not 0 <= k < n:
         raise IndexError(f"node {k} out of range")
-
     new_y = []
     for j in range(n):
         if j == k:
             new_y.append(1 / y[k])
         else:
             bkj = b[k, j]
-            factor = (1 + y[k] ** (-_sgn(bkj))) ** (-bkj)
-            new_y.append(y[j] * factor)
-
-    top_plus = y[k]
-    top_minus = Fraction(1)
-    for j in range(n):
-        bkj = b[k, j]
-        if bkj > 0:
-            top_plus *= x[j] ** bkj
-        elif bkj < 0:
-            top_minus *= x[j] ** (-bkj)
-    new_xk = (top_plus + top_minus) / ((1 + y[k]) * x[k])
-
-    new_x = tuple(new_xk if j == k else x[j] for j in range(n))
-    return Seed(mutate_matrix(b, k), new_x, tuple(new_y))
+            new_y.append(y[j] * (1 + y[k] ** (-_sgn(bkj))) ** (-bkj))
+    return mutate_matrix(b, k), tuple(new_y)

@@ -231,15 +231,9 @@ def verify_conjugacy(b: ExchangeMatrix, init: Sequence[Fraction], steps: int,
         xorb = iterate_t(st, init, steps + r)
     else:
         xorb = iterate_tz(st, z, init, steps + r)
-    vals = xorb.values
-    v = spec.generator
-    projected = []
-    for m in range(steps + r):
-        u = Fraction(1)
-        for j, ej in enumerate(v):
-            if ej:
-                u *= Fraction(vals[m + j]) ** ej
-        projected.append(u)
+    # the window at m projects to U_m, ..., U_{m+r-1}
+    projected = [u for m in range(0, steps + r, r)
+                 for u in project(basis, xorb.values[m:m + n])][:steps + r]
     direct = iterate_usystem(spec, projected[:r], steps, z=z)
     return direct == projected
 
@@ -251,20 +245,24 @@ def reduced_structure_matrix(b: ExchangeMatrix, basis: PalindromicBasis) -> list
     """Unique skew matrix C with V^T C V = B, where V stacks the basis rows.
 
     C gives the reduced 2-form sum_{i<j} C_ij dlogU_i ^ dlogU_j whose pullback
-    is the quiver's log-canonical form.
+    is the quiver's log-canonical form.  The rows of B lie in im B, which the
+    basis spans over Z, so B = K V with row i of K the coordinates of B's
+    row i.  V has full row rank, so V^T C V = K V gives V^T C = K, and since
+    C is skew, C V = -K^T: row i of C is the coordinates of minus column i
+    of K.  Both solves are exact (`PalindromicBasis.coordinates` checks that
+    the trailing columns vanish), so when both succeed V^T C V = B and C is
+    skew.  C is integral when the leading generator entry is 1, since the
+    basis is then unimodular; a basis that spans B's rows only over Q raises.
     """
-    vmat = [list(vec) for vec in basis.vectors]
-    vt = transpose(vmat)
-    minv = invert_fraction(mat_mul(vmat, vt))
-    if minv is None:
-        raise EliminationFailed("basis Gram matrix is singular")
-    c = mat_mul(mat_mul(minv, mat_mul(mat_mul(vmat, b.rows), vt)), minv)
-    # exactness check: V^T C V must reproduce B entrywise
-    n = basis.n
-    back = mat_mul(mat_mul(vt, c), vmat) if vmat else [[0] * n for _ in range(n)]
-    if back != b.as_lists():
-        raise EliminationFailed("2-form does not push down exactly")
-    return c
+    def solve(rows):
+        out = [basis.coordinates(row) for row in rows]
+        if None in out:
+            raise EliminationFailed("2-form does not push down exactly")
+        return out
+
+    k = solve(b.rows)
+    c = solve([[-row[i] for row in k] for i in range(basis.rank)])
+    return [[Fraction(x) for x in row] for row in c]
 
 
 def _phase_map(spec: USystemSpec, u: Sequence[Fraction]) -> tuple[list[Fraction], list[list[Fraction]]]:

@@ -164,22 +164,17 @@ def check_orbit(orb: Orbit, start: int = 0) -> bool:
     z = orb.z if orb.z is not None else ConstantZ(1)
     vals = orb.values
     if orb.kind == "rational":
-        one = Fraction(1)
-        for n in range(start, len(vals) - n_):
-            w = vals[n + 1 : n + n_]
-            rhs = z.value(n) * (
-                _product_monomial(w, st.plus_exponents, one)
-                + _product_monomial(w, st.minus_exponents, one))
-            if vals[n + n_] * vals[n] != rhs:
-                return False
-        return True
-    one = LaurentPoly.const(orb.variables, 1)
+        one, zval = Fraction(1), z.value
+    else:
+        one = LaurentPoly.const(orb.variables, 1)
+
+        def zval(n):
+            return _z_monomial_poly(z, n, orb.variables)
     for n in range(start, len(vals) - n_):
         w = vals[n + 1 : n + n_]
-        zmono = _z_monomial_poly(z, n, orb.variables)
-        rhs = zmono * (_product_monomial(w, st.plus_exponents, one)
-                       + _product_monomial(w, st.minus_exponents, one))
-        if not (rhs - vals[n + n_] * vals[n]).is_zero():
+        rhs = zval(n) * (_product_monomial(w, st.plus_exponents, one)
+                         + _product_monomial(w, st.minus_exponents, one))
+        if vals[n + n_] * vals[n] != rhs:
             return False
     return True
 

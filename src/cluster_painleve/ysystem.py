@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coprime import cancel
-from .quiver import ExchangeMatrix, Seed, mutate_seed
+from .quiver import ExchangeMatrix, mutate_seed
 from .reduction import _u_steps
 from .tsystem import Orbit, check_orbit
 
@@ -167,7 +167,7 @@ def z_from_qp1(ys: Sequence[Fraction]) -> list[Fraction]:
 
 def y_from_seed_dynamics(b: ExchangeMatrix, y_init: Sequence[Fraction],
                          steps: int) -> list[Fraction]:
-    """Extract the Y-system solution from seed mutation.
+    """Extract the Y-system solution from mutating the matrix and its coefficients.
 
     Nodes are mutated cyclically 0, 1, 2, ...; the chain value y_n is the
     coefficient at node n mod N after n mutations (so the first N values are
@@ -178,10 +178,9 @@ def y_from_seed_dynamics(b: ExchangeMatrix, y_init: Sequence[Fraction],
     ys = _check_positive(y_init, "seed coefficients")
     if len(ys) != n_:
         raise ValueError(f"seed needs {n_} coefficients")
-    seed = Seed(b, tuple(Fraction(1) for _ in range(n_)), tuple(ys))
     out = []
     for n in range(n_ + steps):
         k = n % n_
-        out.append(seed.y[k])
-        seed = mutate_seed(seed, k)
+        out.append(ys[k])
+        b, ys = mutate_seed(b, ys, k)
     return out

@@ -14,6 +14,7 @@ import cluster_painleve
 from cluster_painleve import cli
 from cluster_painleve.cli import _json_text, main
 from cluster_painleve.laurent import format_rational
+from cluster_painleve.presets import get_preset
 from cluster_painleve.tsystem import TStencil, iterate_t
 
 
@@ -74,6 +75,15 @@ def test_reduce_with_z(capsys):
     assert rc == 0
     d = json.loads(out.partition("\n")[2])
     assert d["z_power"] == 1 and d["r"] == 2
+
+
+def test_reduce_primN_form_is_the_exchange_matrix(capsys):
+    # generator e_0 and rank N: the reduced variables are the x's themselves
+    rc = main(["reduce", "--preset", "primN", "--n", "60"])
+    d = json.loads(capsys.readouterr().out.partition("\n")[2])
+    assert rc == 0 and d["r"] == 60 and d["generator"] == [1] + [0] * 59
+    rows = get_preset("primN", 60).matrix.rows
+    assert d["reduced_form"] == [[str(x) for x in row] for row in rows]
 
 
 def test_zsys_report(capsys):

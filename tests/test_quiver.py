@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cluster_painleve.presets import get_preset
+
 from cluster_painleve.quiver import (
     ExchangeMatrix,
     build_from_tuple,
     is_period1,
     mutate_matrix,
+    mutate_seed,
     period1_witness,
     rho_conjugate,
 )
@@ -110,3 +113,11 @@ def test_rho_conjugate_is_cyclic_relabelling():
     for i in range(n):
         for j in range(n):
             assert rho.rows[i][j] == S4.rows[perm[i]][perm[j]]
+
+
+@pytest.mark.parametrize("name", ["somos4", "somos6", "prim4", "nonintegrable6"])
+def test_seed_mutation_is_an_involution(name):
+    b = get_preset(name).matrix
+    y = tuple(Fraction(k + 2, 2 * k + 3) for k in range(b.n))
+    for k in range(b.n):
+        assert mutate_seed(*mutate_seed(b, y, k), k) == (b, y)

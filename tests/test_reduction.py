@@ -102,6 +102,32 @@ def test_failed_basis_checks_raise(monkeypatch):
         reduction.reduced_structure_matrix(b, wrong)
 
 
+def _gram_structure_matrix(b, basis):
+    """Reference 2-form: C = M^-1 (V B V^T) M^-1 with Gram matrix M = V V^T."""
+    vmat = [list(vec) for vec in basis.vectors]
+    vt = intlinalg.transpose(vmat)
+    minv = intlinalg.invert_fraction(intlinalg.mat_mul(vmat, vt))
+    return intlinalg.mat_mul(
+        intlinalg.mat_mul(minv, intlinalg.mat_mul(intlinalg.mat_mul(vmat, b.rows), vt)), minv)
+
+
+def test_structure_matrix_matches_the_gram_inverse():
+    # every palindromic tuple of length 1-6 with entries in [-2, 2] and
+    # nonzero rank; a leading generator entry of 1 makes C integral
+    swept = 0
+    for length in range(1, 7):
+        for half in itertools.product(range(-2, 3), repeat=(length + 1) // 2):
+            a = half + half[: length // 2][::-1]
+            b = build_from_tuple(a)
+            bas = reduction.palindromic_basis(b)
+            if not bas.rank:
+                continue
+            assert bas.generator[0] == 1, a
+            assert reduction.reduced_structure_matrix(b, bas) == _gram_structure_matrix(b, bas), a
+            swept += 1
+    assert swept == 304
+
+
 def _coordinate_targets(basis, rng, rounds):
     """Lattice members, members moved off the lattice, and random vectors."""
     n, vecs = basis.n, basis.vectors
