@@ -2,22 +2,57 @@
 
 `Fraction(n, d)` divides both by `gcd(n, d)`, a quadratic-time gcd on the
 full-size integers.  The orbit engines know in advance most of what their
-values' numerators and denominators have in common, so they cancel factor by
-factor and construct the result directly.  This is Henrici's
-cross-cancellation (P. Henrici, "A subroutine for computations with rational
-numbers", J. ACM 3, 1956), which Fraction's own `*` and `/` use on two
-operands; here it spans every factor of one value.  `cancel` is the one way
-the exact engines (the integer T-path, U, q-P_I and Y) build a value in
-lowest terms.
+values' numerators and denominators have in common, so they construct the
+result directly, in one of two ways.
+
+`cancel` cancels factor by factor.  This is Henrici's cross-cancellation
+(P. Henrici, "A subroutine for computations with rational numbers", J. ACM
+3, 1956), which Fraction's own `*` and `/` use on two operands; here it
+spans every factor of one value.  The integer T-path builds its values so:
+their factors are a few small bases of the initial data.
+
+`Pieces` serves the U-, q-P_I and Y-engines, whose values are monomials in
+the values before them: a Y-value is y_n = prod_j x_{n+j}^{-a_j} in
+T-values and 1 + y_n an exchange binomial (Fomin and Zelevinsky, "Cluster
+algebras IV", Compositio 143, 2007), and U_n = x^{s^n v}.  So consecutive
+values share large factors, and the same factor turns up again at every
+window position.  The store keeps integers > 1 (pieces) under ids, and each
+live value is a sign and an exponent dict over piece ids (positive
+exponents for the numerator, negative for the denominator).
+
+- A new value's dict is a signed sum of its window's dicts plus the step's
+  new pieces, so a factor shared by numerator and denominator cancels by
+  id, with no arithmetic.
+- Then only the numerator/denominator pairs of that dict are tested, each
+  pair found coprime is remembered while both pieces live, and a divisor
+  of a piece inherits every coprimality of that piece.  Coprimality known
+  by proof enters the same memo with no gcd: the numerator and denominator
+  of a value in lowest terms, a + b against every piece of a/b, and what
+  the engine proves of its new pieces (`reduction._u_steps` at order 2).
+- A pair with gcd g > 1 is split: both pieces become g and their
+  cofactors, in every live dict.  This is the refinement step of factor
+  refinement (E. Bach, J. Driscoll and J. Shallit, "Factor refinement",
+  J. Algorithms 15, 1993), run only until each numerator piece is coprime
+  to each denominator piece, which puts the product in lowest terms.  Most
+  splits find one piece dividing the other, so a pair is tested by
+  dividing the larger by the smaller first: a zero remainder gives the
+  cofactor at once, and otherwise the gcd goes on from the remainder.
+- Lowest terms are unique, so the value is the one Fraction would give.
+- A value of fewer than SMALL_BITS bits before cancelling takes one gcd
+  instead of splits, which cost more there in bookkeeping, and enters as
+  two new pieces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 Factor = tuple[int, int, Hashable]  # (base, exponent >= 0, group)
+Exps = dict[int, int]  # piece id -> exponent, never 0
+SMALL_BITS = 8192  # below this many bits a value takes one gcd
 
 
 def _from_coprime_ints(n: int, d: int) -> Fraction:
@@ -64,3 +99,155 @@ def cancel(num_factors: Sequence[Factor], den_factors: Sequence[Factor]) -> Frac
     if d < 0:
         n, d = -n, -d
     return _from_coprime_ints(n, d)
+
+
+def add_exps(target: Exps, exps: Exps, up: int, down: int | None = None) -> None:
+    """target += up * (numerator of exps) + down * (its denominator), with
+    down = up by default, dropping the exponents that reach 0."""
+    if down is None:
+        down = up
+    for p, e in exps.items():
+        t = target.get(p, 0) + (up if e > 0 else down) * e
+        if t:
+            target[p] = t
+        else:
+            target.pop(p, None)
+
+
+class Pieces:
+    """Integers > 1 under ids, and the pairs of them known to be coprime."""
+
+    def __init__(self) -> None:
+        self.value: dict[int, int] = {}
+        self.coprime: dict[int, set[int]] = {}
+        self._ids = count()
+        self._prune_at = 0
+
+    def _add(self, v: int, coprime_to: Iterable[int]) -> int:
+        p = next(self._ids)
+        self.value[p] = v
+        self.coprime[p] = set()
+        if coprime_to:
+            self._join(p, coprime_to)
+        return p
+
+    def _join(self, p: int, ids: Iterable[int]) -> None:
+        known = self.coprime
+        known[p].update(ids)
+        for q in ids:
+            known[q].add(p)
+
+    def _drop(self, p: int) -> None:
+        del self.value[p]
+        for q in self.coprime.pop(p):
+            self.coprime[q].discard(p)
+
+    def new(self, v: int, coprime_to: Iterable[int] = ()) -> Exps:
+        """The dict of the integer v >= 1: one new piece, coprime to the
+        pieces `coprime_to` (which the caller knows by proof)."""
+        return {self._add(v, coprime_to): 1} if v > 1 else {}
+
+    def of(self, f: Fraction) -> Exps:
+        """The dict of |f|: numerator and denominator, one piece each."""
+        num = self.new(abs(f.numerator))
+        exps = {p: -1 for p in self.new(f.denominator, num)}
+        exps.update(num)
+        return exps
+
+    def _ints(self, exps: Exps) -> tuple[int, int]:
+        val = self.value
+        n = d = 1
+        for p, e in exps.items():
+            if e > 0:
+                n *= val[p] ** e
+            else:
+                d *= val[p] ** -e
+        return n, d
+
+    def build(self, sign: int, exps: Exps, live: Sequence[Exps]) -> Fraction:
+        """The value sign * prod(piece**e), with `exps` put in lowest terms.
+
+        `live` must hold every dict that may still be read, `exps` among
+        them: a split rewrites them all.
+        """
+        val = self.value
+        if sum(abs(e) * val[p].bit_length() for p, e in exps.items()) < SMALL_BITS:
+            n, d = self._ints(exps)
+            g = gcd(n, d)
+            f = _from_coprime_ints(sign * (n // g), d // g)
+            exps.clear()
+            exps.update(self.of(f))
+            return f
+        self._lowest_terms(exps, live)
+        n, d = self._ints(exps)
+        return _from_coprime_ints(sign * n, d)
+
+    def _lowest_terms(self, exps: Exps, live: Sequence[Exps]) -> None:
+        """Split pieces until each numerator piece of `exps` is coprime to
+        each of its denominator pieces."""
+        while (pair := self._common_pair(exps)) is not None:
+            self._split(*pair, live)
+
+    def _common_pair(self, exps: Exps):
+        """A numerator and a denominator piece of `exps` not coprime, with
+        their gcd and the cofactors found on the way; None if there is none.
+        Each pair found coprime is remembered."""
+        val, known = self.value, self.coprime
+        den = [q for q, e in exps.items() if e < 0]
+        for p, e in exps.items():
+            if e > 0:
+                kp = known[p]
+                for q in den:
+                    if q not in kp:
+                        # the larger mod the smaller, where gcd starts; when
+                        # that is 0 the quotient is the larger one's cofactor
+                        x, y = (p, q) if val[p] >= val[q] else (q, p)
+                        quo, rem = divmod(val[x], val[y])
+                        if not rem:
+                            return p, q, val[y], {x: quo}
+                        g = gcd(val[y], rem)
+                        if g > 1:
+                            return p, q, g, {}
+                        kp.add(q)
+                        known[q].add(p)
+        return None
+
+    def _split(self, p: int, q: int, g: int, cofactors: dict[int, int],
+               live: Sequence[Exps]) -> None:
+        """Write p and q, whose gcd is g > 1, as g times a cofactor."""
+        val, known = self.value, self.coprime
+        if g == val[p]:
+            gid = p
+        elif g == val[q]:
+            gid = q
+        else:
+            gid = self._add(g, known[p] | known[q])
+        for x in (p, q):
+            if x == gid:
+                continue
+            rest = cofactors[x] if x in cofactors else val[x] // g
+            parts = {gid: 1}
+            if rest > 1:
+                parts[self._add(rest, known[x])] = 1
+            if gid in (p, q):
+                self._join(gid, known[x])
+            for exps in live:
+                e = exps.pop(x, 0)
+                if e:
+                    add_exps(exps, parts, e)
+            self._drop(x)
+
+    def prune(self, live: Iterable[Exps]) -> None:
+        """Forget the pieces that no dict of `live` holds, once the store
+        has doubled since it last did, so that the cost is amortised."""
+        if len(self.value) < self._prune_at:
+            return
+        known = self.coprime
+        dead = self.value.keys() - set().union(*live)
+        for p in dead:
+            del self.value[p]
+        for p in dead:
+            for q in known.pop(p):
+                if q not in dead:
+                    known[q].discard(p)
+        self._prune_at = 2 * len(self.value) + 16

@@ -200,14 +200,16 @@ class PalindromicBasis:
 
         Row s^i(v) has the pivot v[0] in column i and zeros before it, so the
         first r columns give c by forward substitution and the remaining ones
-        must then vanish.
+        must then vanish.  v is zero past index n - r, so column j meets only
+        the rows i >= j - (n - r).
         """
         if len(exps) != self.n:
             raise ValueError(f"exponent vector must have {self.n} entries")
         v, r = self.generator, self.rank
+        w = self.n - r
         c: list[int] = []
         for j, e in enumerate(exps):
-            res = e - sum(ci * v[j - i] for i, ci in enumerate(c))
+            res = e - sum(c[i] * v[j - i] for i in range(max(0, j - w), len(c)))
             if j >= r:
                 if res:
                     return None

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
-from .coprime import cancel
+from .coprime import Pieces, add_exps
 from .intlinalg import invert_fraction, mat_mul, transpose
 from .laurent import LaurentPoly
 from .quiver import EliminationFailed, ExchangeMatrix, PalindromicBasis, palindromic_basis
@@ -149,6 +149,10 @@ def derive_uzsystem(b: ExchangeMatrix) -> USystemSpec:
     return _derive(b, z_flag=True)
 
 
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
 def _u_steps(terms: Mapping[tuple[int, ...], int], r: int, us: list[Fraction],
              steps: int, zfactors=None) -> list[Fraction]:
     """Append `steps` values of U_{n+r} U_n = Z_n F(U_{n+1}, ..., U_{n+r-1}).
@@ -157,10 +161,12 @@ def _u_steps(terms: Mapping[tuple[int, ...], int], r: int, us: list[Fraction],
     U_{n+j} = a_j / b_j in lowest terms and lo_j, hi_j the lowest and top
     exponent of U_j in F, F = Ph * prod_j a_j^lo_j b_j^-hi_j where
     Ph = sum_t c_t prod_j a_j^(e_tj - lo_j) b_j^(hi_j - e_tj) is the
-    homogenised numerator, so each value is one `cancel` of integer factors.
-    `zfactors(n)`, when given, returns Z_n as lists of numerator and
-    denominator factors.  A zero in the window raises what
-    `LaurentPoly.evaluate` and Fraction division raised there.
+    homogenised numerator.  Each value is an exponent dict over one
+    `coprime.Pieces` store, and Ph is one new piece a step.
+    `zfactors(n)`, when given, returns Z_n as (base, exponent) pairs of
+    Fractions and exponents >= 0; a base reused from the step before keeps
+    its pieces.  A zero in the window raises what `LaurentPoly.evaluate`
+    and Fraction division raised there.
     """
     terms = dict(terms)
     items = list(terms.items())
@@ -170,35 +176,48 @@ def _u_steps(terms: Mapping[tuple[int, ...], int], r: int, us: list[Fraction],
               for e, c in items]
     if r == 2:
         # Ph = c_lo b^D mod a and c_hi a^D mod b, so Ph is coprime to a and b
-        # when c_lo and c_hi are; the group is decided per step
+        # when c_lo and c_hi are; that is decided per step
         c_lo, c_hi = terms[(lo[0],)], terms[(hi[0],)]
+    store = Pieces()
+    reps = [store.of(u) for u in us]  # U_k as piece exponents
+    zreps: dict[Fraction, dict[int, int]] = {}
     for n in range(steps):
         w = us[n:n + r]
         a = [u.numerator for u in w]
         b = [u.denominator for u in w]
         if 0 in a and any(a[j] == 0 and lo[j - 1] < 0 for j in range(1, r)):
             raise ZeroDivisionError("negative exponent at zero value")
-        num, den = zfactors(n) if zfactors else ([], [])
+        zf = zfactors(n) if zfactors else ()
+        zreps = {z: zreps[z] if z in zreps else store.of(z) for z, _ in zf}
         ph = 0
         for c, pw in powers:
             t = c
             for j, ka, kb in pw:
                 t *= a[j] ** ka * b[j] ** kb
             ph += t
-        group = 1 if r == 2 and gcd(c_lo, a[1]) == 1 == gcd(c_hi, b[1]) else "ph"
-        num.append((ph, 1, group))
-        # a small power goes in as copies, whose gcds are cheaper
+        sign = _sign(ph)
+        for z, e in zf:
+            sign *= _sign(z) ** e
         for j in range(1, r):
-            (num if lo[j - 1] > 0 else den).extend([(a[j], 1, j)] * abs(lo[j - 1]))
-            (den if hi[j - 1] > 0 else num).extend([(b[j], 1, j)] * abs(hi[j - 1]))
+            sign *= _sign(a[j]) ** abs(lo[j - 1])
         if a[0] == 0:
             # Fraction's division by 0/1 cancels gcd(numerator, 0) first, so
             # its message carries only the sign of Z_n * F
-            zf = cancel(num, den)
-            raise ZeroDivisionError(f"Fraction({(zf > 0) - (zf < 0)}, 0)")
-        num.append((b[0], 1, 0))
-        den.append((a[0], 1, 0))
-        us.append(cancel(num, den))
+            raise ZeroDivisionError(f"Fraction({sign}, 0)")
+        window = reps[n + 1:]
+        live = window + list(zreps.values())
+        rep = {}
+        if sign:
+            seed = window[0] if r == 2 and gcd(c_lo, a[1]) == 1 == gcd(c_hi, b[1]) else ()
+            rep = store.new(abs(ph), seed)
+            for z, e in zf:
+                add_exps(rep, zreps[z], e)
+            for j in range(1, r):
+                add_exps(rep, reps[n + j], lo[j - 1], hi[j - 1])
+            add_exps(rep, reps[n], -1)
+        us.append(store.build(sign * _sign(a[0]), rep, live + [rep]))
+        reps.append(rep)
+        store.prune(live + [rep])
     return us
 
 
@@ -212,11 +231,12 @@ def iterate_usystem(spec: USystemSpec, init: Sequence[Fraction], steps: int,
         raise ZeroComponent("initial window contains zero")
     if spec.z_flag and z is None:
         raise ValueError("recurrence carries a coefficient sequence; pass z")
+    if not spec.z_flag and z is not None:
+        raise ValueError("recurrence carries no coefficient sequence; z would be ignored")
     zfactors = None
     if spec.z_flag:
         def zfactors(n):
-            zv, zp = z.value(n), spec.z_power
-            return [(zv.numerator, zp, "z")], [(zv.denominator, zp, "z")]
+            return [(z.value(n), spec.z_power)]
     return _u_steps(spec.f_laurent.terms, r, us, steps, zfactors)
 
 

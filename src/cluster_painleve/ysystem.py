@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .coprime import cancel
+from .coprime import Pieces, add_exps
 from .quiver import ExchangeMatrix, mutate_seed
 from .reduction import _u_steps
 from .tsystem import Orbit, check_orbit
@@ -66,7 +66,8 @@ def iterate_y(a: Sequence[int], init: Sequence[Fraction], steps: int) -> list[Fr
     With y_{n+j} = a_j / b_j in lowest terms and s_j = a_j + b_j,
     1 + y = s/b and 1 + 1/y = s/a, so y_{n+N} = prod_j s_j^m_j a_j^p_j d /
     (prod_j s_j^p_j b_j^m_j c) for y_n = c/d, p_j = [a_j]+, m_j = [-a_j]+.
-    a_j, b_j and s_j are pairwise coprime, so each j is one `cancel` group.
+    Each value and its s are exponent dicts over one `coprime.Pieces`
+    store; s is one new piece, coprime to every piece of its value.
     """
     a = tuple(int(v) for v in a)
     n_ = len(a) + 1
@@ -74,19 +75,27 @@ def iterate_y(a: Sequence[int], init: Sequence[Fraction], steps: int) -> list[Fr
     if len(ys) != n_:
         raise ValueError(f"initial window must have {n_} entries")
     exps = [(j, _pos(aj), _pos(-aj)) for j, aj in enumerate(a, start=1) if aj]
+    store = Pieces()
+    reps: list[dict[int, int]] = []  # y_k as piece exponents
+    sums: list[dict[int, int]] = []  # its numerator plus denominator
+
+    def push(y, rep):
+        reps.append(rep)
+        sums.append(store.new(y.numerator + y.denominator, rep))
+
+    for y in ys:
+        push(y, store.of(y))
     for n in range(steps):
-        num, den = [(ys[n].denominator, 1, 0)], [(ys[n].numerator, 1, 0)]
+        rep: dict[int, int] = {}
         for j, p, m in exps:
-            aj, bj = ys[n + j].numerator, ys[n + j].denominator
-            sj = aj + bj
-            # a small power goes in as copies, whose gcds are cheaper
-            if m:
-                num += [(sj, 1, j)] * m
-                den += [(bj, 1, j)] * m
-            else:
-                num += [(aj, 1, j)] * p
-                den += [(sj, 1, j)] * p
-        ys.append(cancel(num, den))
+            add_exps(rep, sums[n + j], m - p)
+            add_exps(rep, reps[n + j], p, m)
+        add_exps(rep, reps[n], -1)
+        live = reps[n + 1:] + sums[n + 1:]
+        y = store.build(1, rep, live + [rep])
+        ys.append(y)
+        push(y, rep)
+        store.prune(live + [rep, sums[-1]])
     return ys
 
 
@@ -153,10 +162,7 @@ def qp1_iterate(beta: Fraction, q: Fraction, init: Sequence[Fraction],
     if len(ys) != 2:
         raise ValueError("initial window must have 2 entries")
     # the Somos-4 U-map U1^-1 + U1^-2 with Z_n = beta * q^n
-    bn, bd, qn, qd = beta.numerator, beta.denominator, q.numerator, q.denominator
-    return _u_steps({(-1,): 1, (-2,): 1}, 2, ys, steps,
-                    lambda n: ([(bn, 1, "beta"), (qn, n, "q")],
-                               [(bd, 1, "beta"), (qd, n, "q")]))
+    return _u_steps({(-1,): 1, (-2,): 1}, 2, ys, steps, lambda n: [(beta, 1), (q, n)])
 
 
 def z_from_qp1(ys: Sequence[Fraction]) -> list[Fraction]:

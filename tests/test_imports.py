@@ -2,7 +2,8 @@
 
 `numpy` and `sympy` may be installed next to it, but they are not declared,
 so an import of either (or of anything else) in `src/` fails here.  So does
-an imported name that nothing in `src/` reads, since no linter runs on it.
+an imported name that nothing in `src/` reads, since no linter runs on it,
+and a module other than `coprime` that names a private slot of Fraction.
 """
 
 import ast
@@ -69,3 +70,30 @@ def test_the_scan_sees_unused_imports():
         "__init__": "from .a import k\n",
     }.items()}
     assert sorted(_unused_imports(trees)) == ["a: f", "a: m", "b: k"]
+
+
+FRACTION_SLOTS = {"_numerator", "_denominator"}
+
+
+def _slot_names(tree):
+    """Line numbers where the tree names a Fraction slot: as an attribute, a
+    bare name or a string (for getattr and setattr)."""
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute) else
+                node.id if isinstance(node, ast.Name) else
+                node.value if isinstance(node, ast.Constant) else None)
+        if name in FRACTION_SLOTS:
+            yield node.lineno
+
+
+def test_only_coprime_touches_fraction_internals():
+    files = sorted(SRC.glob("*.py"))
+    bad = [f"{path.name}:{line}" for path in files if path.stem != "coprime"
+           for line in _slot_names(ast.parse(path.read_text(), str(path)))]
+    assert len(files) > 10 and bad == []
+
+
+def test_the_scan_sees_fraction_slots():
+    tree = ast.parse("x = f._numerator\nsetattr(f, '_denominator', 1)\n"
+                     "_numerator = 2\ny = f.numerator, '_numerators'\n")
+    assert sorted(_slot_names(tree)) == [1, 2, 3]

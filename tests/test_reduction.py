@@ -18,6 +18,7 @@ from cluster_painleve.laurent import LaurentPoly
 from cluster_painleve.presets import get_preset
 from cluster_painleve.quiver import ExchangeMatrix, build_from_tuple
 from cluster_painleve.tsystem import TStencil, iterate_t
+from cluster_painleve.zsystem import GeometricZ
 
 F = Fraction
 
@@ -243,6 +244,15 @@ def test_projection_rejects_zero_entries():
     bas = reduction.palindromic_basis(get_preset("somos4").matrix)
     with pytest.raises(reduction.ZeroComponent):
         reduction.project(bas, [F(1), F(0), F(1), F(1)])
+
+
+def test_usystem_takes_z_exactly_when_the_recurrence_carries_one():
+    b = get_preset("somos4").matrix
+    z = GeometricZ(5, 7)
+    with pytest.raises(ValueError, match="carries a coefficient sequence; pass z"):
+        reduction.iterate_usystem(reduction.derive_uzsystem(b), [F(2), F(3)], 4)
+    with pytest.raises(ValueError, match="carries no coefficient sequence; z would be ignored"):
+        reduction.iterate_usystem(reduction.derive_usystem(b), [F(2), F(3)], 4, z=z)
 
 
 rational9 = st.fractions(min_value=F(1, 9), max_value=F(9), max_denominator=9)
