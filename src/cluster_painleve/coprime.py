@@ -38,9 +38,6 @@ exponents for the numerator, negative for the denominator).
   dividing the larger by the smaller first: a zero remainder gives the
   cofactor at once, and otherwise the gcd goes on from the remainder.
 - Lowest terms are unique, so the value is the one Fraction would give.
-- A value of fewer than SMALL_BITS bits before cancelling takes one gcd
-  instead of splits, which cost more there in bookkeeping, and enters as
-  two new pieces.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from typing import Hashable, Iterable, Sequence
 
 Factor = tuple[int, int, Hashable]  # (base, exponent >= 0, group)
 Exps = dict[int, int]  # piece id -> exponent, never 0
-SMALL_BITS = 8192  # below this many bits a value takes one gcd
 
 
 def _from_coprime_ints(n: int, d: int) -> Fraction:
@@ -170,14 +166,6 @@ class Pieces:
         `live` must hold every dict that may still be read, `exps` among
         them: a split rewrites them all.
         """
-        val = self.value
-        if sum(abs(e) * val[p].bit_length() for p, e in exps.items()) < SMALL_BITS:
-            n, d = self._ints(exps)
-            g = gcd(n, d)
-            f = _from_coprime_ints(sign * (n // g), d // g)
-            exps.clear()
-            exps.update(self.of(f))
-            return f
         self._lowest_terms(exps, live)
         n, d = self._ints(exps)
         return _from_coprime_ints(sign * n, d)

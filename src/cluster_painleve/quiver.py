@@ -243,7 +243,7 @@ def palindromic_basis(b: ExchangeMatrix) -> PalindromicBasis:
 # -- coefficient mutation -------------------------------------------------------
 
 
-def _sgn(v: int) -> int:
+def _sgn(v: int | Fraction) -> int:
     return (v > 0) - (v < 0)
 
 

@@ -20,7 +20,8 @@ from typing import Mapping, Sequence
 from .coprime import Pieces, add_exps
 from .intlinalg import invert_fraction, mat_mul, transpose
 from .laurent import LaurentPoly
-from .quiver import EliminationFailed, ExchangeMatrix, PalindromicBasis, palindromic_basis
+from .quiver import (EliminationFailed, ExchangeMatrix, PalindromicBasis, _sgn,
+                     palindromic_basis)
 from .tsystem import TStencil, iterate_t, iterate_tz
 
 
@@ -149,10 +150,6 @@ def derive_uzsystem(b: ExchangeMatrix) -> USystemSpec:
     return _derive(b, z_flag=True)
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
 def _u_steps(terms: Mapping[tuple[int, ...], int], r: int, us: list[Fraction],
              steps: int, zfactors=None) -> list[Fraction]:
     """Append `steps` values of U_{n+r} U_n = Z_n F(U_{n+1}, ..., U_{n+r-1}).
@@ -195,11 +192,11 @@ def _u_steps(terms: Mapping[tuple[int, ...], int], r: int, us: list[Fraction],
             for j, ka, kb in pw:
                 t *= a[j] ** ka * b[j] ** kb
             ph += t
-        sign = _sign(ph)
+        sign = _sgn(ph)
         for z, e in zf:
-            sign *= _sign(z) ** e
+            sign *= _sgn(z) ** e
         for j in range(1, r):
-            sign *= _sign(a[j]) ** abs(lo[j - 1])
+            sign *= _sgn(a[j]) ** abs(lo[j - 1])
         if a[0] == 0:
             # Fraction's division by 0/1 cancels gcd(numerator, 0) first, so
             # its message carries only the sign of Z_n * F
@@ -215,7 +212,7 @@ def _u_steps(terms: Mapping[tuple[int, ...], int], r: int, us: list[Fraction],
             for j in range(1, r):
                 add_exps(rep, reps[n + j], lo[j - 1], hi[j - 1])
             add_exps(rep, reps[n], -1)
-        us.append(store.build(sign * _sign(a[0]), rep, live + [rep]))
+        us.append(store.build(sign * _sgn(a[0]), rep, live + [rep]))
         reps.append(rep)
         store.prune(live + [rep])
     return us

@@ -4,9 +4,7 @@ The U-, q-P_I and Y-engines carry each value as a product of shared pieces
 (`coprime.Pieces`) and construct the Fraction without a gcd on the
 full-size integers.  The plain Fraction loops are kept below as references:
 every value must agree with them on `==` and on the exact numerator and
-denominator, and every raised exception on its type and message.  Values
-below `coprime.SMALL_BITS` bits skip the piece splitting, so the long
-deterministic orbits run once with that threshold at 0 as well.
+denominator, and every raised exception on its type and message.
 """
 
 import functools
@@ -302,16 +300,11 @@ def test_y_presets_with_composite_window(name, steps):
 
 
 # -- long orbits from shared composites ------------------------------------------------
-# Thirty steps let pieces split again and again; with the threshold at 0 every
-# value goes through the splits, with the default the early ones do not.
-
-small_bits = pytest.mark.parametrize("threshold", [0, coprime.SMALL_BITS])
+# Thirty steps let pieces split again and again.
 
 
-@small_bits
 @pytest.mark.parametrize("name", ["somos4", "somos5", "somos6", "somos7"])
-def test_y_long_orbit_from_shared_composites(name, threshold, monkeypatch):
-    monkeypatch.setattr(coprime, "SMALL_BITS", threshold)
+def test_y_long_orbit_from_shared_composites(name):
     a = get_preset(name).a
     init = [F(6, 5), F(10, 9), F(15, 4), F(12, 35), F(2 ** 5 * 3, 7), F(1, 6),
             F(2 ** 3 * 3, 5)][:len(a) + 1]
@@ -319,10 +312,8 @@ def test_y_long_orbit_from_shared_composites(name, threshold, monkeypatch):
                 lambda: fraction_y(a, init, 30))
 
 
-@small_bits
 @pytest.mark.parametrize("name", ["somos4", "somos6"])
-def test_u_long_orbit_with_geometric_z_sharing_primes(name, threshold, monkeypatch):
-    monkeypatch.setattr(coprime, "SMALL_BITS", threshold)
+def test_u_long_orbit_with_geometric_z_sharing_primes(name):
     spec = spec_of(get_preset(name).a, True)
     init = [F(-6, 5), F(10, 3), F(-15, 4), F(12, 7)][:spec.order]
     z = GeometricZ(F(-10, 21), F(6, 35))
@@ -330,9 +321,7 @@ def test_u_long_orbit_with_geometric_z_sharing_primes(name, threshold, monkeypat
                 lambda: fraction_usystem(spec, init, 30, z))
 
 
-@small_bits
-def test_qp1_long_orbit_with_parameters_sharing_primes(threshold, monkeypatch):
-    monkeypatch.setattr(coprime, "SMALL_BITS", threshold)
+def test_qp1_long_orbit_with_parameters_sharing_primes():
     beta, q, init = F(12, 35), F(10, 21), [F(6, 7), F(15, 2 ** 4 * 3)]
     assert_same(lambda: ysystem.qp1_iterate(beta, q, init, 30),
                 lambda: fraction_qp1(beta, q, init, 30))
@@ -356,9 +345,7 @@ def test_pieces_build_lowest_terms_and_keep_live_values(ints, data):
 
     before = [value(d) for d in live]
     sign = data.draw(st.sampled_from([1, -1]))
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(coprime, "SMALL_BITS", data.draw(st.sampled_from([0, coprime.SMALL_BITS])))
-        got = store.build(sign, live[0], live)
+    got = store.build(sign, live[0], live)
     want = sign * before[0]
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert [value(d) for d in live] == before
