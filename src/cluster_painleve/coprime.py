@@ -5,11 +5,15 @@ full-size integers.  The orbit engines know in advance most of what their
 values' numerators and denominators have in common, so they construct the
 result directly, in one of two ways.
 
-`cancel` cancels factor by factor.  This is Henrici's cross-cancellation
-(P. Henrici, "A subroutine for computations with rational numbers", J. ACM
-3, 1956), which Fraction's own `*` and `/` use on two operands; here it
-spans every factor of one value.  The integer T-path builds its values so:
-their factors are a few small bases of the initial data.
+`coprime_base` serves the integer T-path, whose values are x = N / M with
+N an integer and M a monomial in a few small bases of the initial data.
+Refined once per orbit into a pairwise coprime base C, M is a numerator
+part prod c^-e (e < 0) over a denominator part prod c^e (e > 0), coprime to
+each other because no c is on both sides.  Each denominator element c
+shares with N exactly gcd(N, c^e), and dividing N and c^e by it leaves them
+coprime; the numerator part and the other denominator elements are coprime
+to c^e too, so the result is in lowest terms.  An element c with
+gcd(N mod c, c) = 1 is coprime to N and needs no gcd on N at all.
 
 `Pieces` serves the U-, q-P_I and Y-engines, whose values are monomials in
 the values before them: a Y-value is y_n = prod_j x_{n+j}^{-a_j} in
@@ -45,9 +49,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import gcd
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-Factor = tuple[int, int, Hashable]  # (base, exponent >= 0, group)
 Exps = dict[int, int]  # piece id -> exponent, never 0
 
 
@@ -64,37 +67,42 @@ def _from_coprime_ints(n: int, d: int) -> Fraction:
     return obj
 
 
-def cancel(num_factors: Sequence[Factor], den_factors: Sequence[Factor]) -> Fraction:
-    """prod(base**exp of num_factors) / prod(base**exp of den_factors), reduced.
+def coprime_base(ints: Sequence[int]) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """A pairwise coprime base C of the nonzero `ints`, and each |int| over it.
 
-    A numerator and a denominator factor of the same group must have coprime
-    bases, which the caller knows by construction (the numerator and
-    denominator of one value, and their sum).  Every other pair of a
-    numerator and a denominator factor is tested by the gcd of its bases;
-    when that exceeds 1, both powered values are divided by their gcd.
-    After that each numerator factor is coprime to each denominator factor,
-    so the products are in lowest terms.  Denominator bases must be nonzero.
+    Returns C (integers > 1) and, for each input x, the sparse list of
+    (index into C, multiplicity) with |x| = prod c^m; the list of 1 and -1
+    is empty.  C comes from the refinement step of Bach, Driscoll and
+    Shallit: a candidate that shares g > 1 with a member of C is replaced,
+    with that member, by g, the member's cofactor and its own cofactor,
+    each of them a candidate again.
     """
-    # [powered value, divided as it goes; base; exponent; group]
-    num = [[b ** e, b, e, g] for b, e, g in num_factors if e]
-    den = [[b ** e, b, e, g] for b, e, g in den_factors if e]
-    for x in num:
-        for y in den:
-            # with both exponents 1 the gcd of the bases is no cheaper than
-            # that of the (already divided) values, so take that at once
-            if x[3] != y[3] and (x[2] == y[2] == 1 or gcd(x[1], y[1]) > 1):
-                c = gcd(x[0], y[0])
-                if c > 1:
-                    x[0] //= c
-                    y[0] //= c
-    n = d = 1
-    for x in num:
-        n *= x[0]
-    for y in den:
-        d *= y[0]
-    if d < 0:
-        n, d = -n, -d
-    return _from_coprime_ints(n, d)
+    base: list[int] = []
+    todo = [abs(x) for x in ints]
+    while todo:
+        x = todo.pop()
+        if x == 1:
+            continue
+        for i, c in enumerate(base):
+            g = gcd(x, c)
+            if g > 1:
+                del base[i]
+                todo += [g, c // g, x // g]
+                break
+        else:
+            base.append(x)
+    factors = []
+    for x in ints:
+        x, fac = abs(x), []
+        for i, c in enumerate(base):
+            m = 0
+            while not x % c:
+                x //= c
+                m += 1
+            if m:
+                fac.append((i, m))
+        factors.append(fac)
+    return base, factors
 
 
 def add_exps(target: Exps, exps: Exps, up: int, down: int | None = None) -> None:

@@ -221,6 +221,8 @@ def _u_steps(terms: Mapping[tuple[int, ...], int], r: int, us: list[Fraction],
 def iterate_usystem(spec: USystemSpec, init: Sequence[Fraction], steps: int,
                     z=None) -> list[Fraction]:
     r = spec.order
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     us = [Fraction(u) for u in init]
     if len(us) != r:
         raise ValueError(f"initial window must have {r} entries")

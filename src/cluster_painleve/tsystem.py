@@ -19,10 +19,14 @@ the bound coefficient values (`monomial` and `bound` in `zsystem`), the
 orbit goes on in plain Fraction arithmetic, the only path for non-Laurent
 data.
 
-Each value on the integer path is built in lowest terms by one
-`coprime.cancel` over its factors: N_n and the powers of the bases in M_n,
-grouped by the variable each base comes from (its numerator and denominator
-are coprime).
+The bases are refined once per orbit into a pairwise coprime base C
+(`coprime.coprime_base`), so M_n is a sign times prod c^e over C, a
+numerator part (e < 0) over a denominator part (e > 0) with no c in both.
+Both parts are carried from step to step and pick up only the changed
+exponents, one product and one exact division each.  Each value is then in
+lowest terms once N_n is divided by its gcd with c^e for every denominator
+element c that shares a factor with it, which one residue of N_n modulo
+the product of those c decides (the argument is in `coprime`).
 
 Symbolic iteration runs in the coordinates of the lattice L = im B, the
 saturated image of the exchange matrix, on its palindromic basis: the
@@ -53,9 +57,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 from typing import Sequence
 
-from .coprime import cancel
+from .coprime import _from_coprime_ints, coprime_base
 from .laurent import LaurentPoly, format_rational, laurent_try_div, monomial_map, parse_rational
 from .quiver import NotPalindromic, build_from_tuple, palindromic_basis
 from .zsystem import AlgebraicZCase, ConstantZ
@@ -187,6 +192,22 @@ def _z_monomial_poly(z, n: int, variables: tuple[str, ...]) -> LaurentPoly:
     return LaurentPoly.monomial(variables, (0,) * (len(variables) - len(exps)) + exps)
 
 
+def _rescale(m: int, old: dict[int, int], new: dict[int, int], base: list[int]) -> int:
+    """m = prod base[i]^old[i] as prod base[i]^new[i], by the changed exponents."""
+    up = down = 1
+    for i in old.keys() | new.keys():
+        delta = new.get(i, 0) - old.get(i, 0)
+        if delta > 0:
+            up *= base[i] ** delta
+        elif delta < 0:
+            down *= base[i] ** -delta
+    if up > 1:
+        m *= up
+    if down > 1:
+        m //= down
+    return m
+
+
 def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
     """Append x_n = N_n / M_n to `vals` while each step divides exactly.
 
@@ -207,12 +228,17 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
     slots = [(k, b, e) for k, v in enumerate(variables)
              for b, e in ((v.numerator, -1), (v.denominator, 1)) if b != 1]
     bases = [b for _, b, _ in slots]
+    base, factors = coprime_base(bases)  # |bases[i]| = prod base[j]^m over factors[i]
+    negative = [i for i, b in enumerate(bases) if b < 0]
     # M of the bare variable p/q is p^-1 q, so N = 1 for each initial value
     units = [[e if i == k else 0 for i, _, e in slots] for k in range(len(variables))]
     zunits = units[n_:]
     plus = [(j, e) for j, e in enumerate(st.plus_exponents, start=1) if e]
     minus = [(j, e) for j, e in enumerate(st.minus_exponents, start=1) if e]
     nums = [1] * n_  # N over the sliding window
+    num = den = 1  # the numerator and denominator parts of the last M
+    num_exps: dict[int, int] = {}  # their exponents over the base
+    den_exps: dict[int, int] = {}
     degs = units[:n_]  # the matching exponent vectors of M
 
     def side(exps):
@@ -246,13 +272,33 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
             if zk:
                 for i, d in enumerate(u):
                     deg[i] += zk * d
-        # x = quo / prod b^d.  The group of a base is its variable, whose
-        # numerator and denominator are coprime; quo has a group of its own.
-        num, den = [(quo, 1, -1)], []
-        for (k, b, _), d in zip(slots, deg):
+        # x = quo / M with M = +-prod c^e over the base; the running parts
+        # of M pick up the changed exponents only
+        mono: dict[int, int] = {}
+        for d, fac in zip(deg, factors):
             if d:
-                (den if d > 0 else num).append((b, abs(d), k))
-        vals.append(cancel(num, den))
+                for i, m in fac:
+                    mono[i] = mono.get(i, 0) + d * m
+        num_new = {i: -e for i, e in mono.items() if e < 0}
+        den_new = {i: e for i, e in mono.items() if e > 0}
+        num = _rescale(num, num_exps, num_new, base)
+        den = _rescale(den, den_exps, den_new, base)
+        num_exps, den_exps = num_new, den_new
+        # quo against the denominator part: one pass over quo, then a gcd
+        # on quo only for the elements that share a factor with it
+        n_out, d_out = quo, den
+        modulus = prod(base[i] for i in den_exps)
+        r = quo % modulus
+        if gcd(r, modulus) > 1:
+            for i, e in den_exps.items():
+                c = base[i]
+                if gcd(r % c, c) > 1:
+                    g = gcd(n_out, c ** e)
+                    n_out //= g
+                    d_out //= g
+        if sum(deg[i] for i in negative) % 2:
+            n_out = -n_out
+        vals.append(_from_coprime_ints(n_out * num, d_out))
         nums = nums[1:] + [quo]
         degs = degs[1:] + [deg]
     return steps

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coprime import Pieces, add_exps
-from .quiver import ExchangeMatrix, mutate_seed
+from .quiver import ExchangeMatrix, mutate_matrix
 from .reduction import _u_steps
 from .tsystem import Orbit, check_orbit
 
@@ -71,6 +71,8 @@ def iterate_y(a: Sequence[int], init: Sequence[Fraction], steps: int) -> list[Fr
     """
     a = tuple(int(v) for v in a)
     n_ = len(a) + 1
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     ys = _check_positive(init, "initial y window")
     if len(ys) != n_:
         raise ValueError(f"initial window must have {n_} entries")
@@ -155,6 +157,8 @@ def verify_tz_correspondence(a: Sequence[int], xorb: Orbit, steps: int) -> list[
 def qp1_iterate(beta: Fraction, q: Fraction, init: Sequence[Fraction],
                 steps: int) -> list[Fraction]:
     """y_{n+2} y_n = beta*q^n*(1 + y_{n+1}) / y_{n+1}^2 on positive data."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     beta, q = Fraction(beta), Fraction(q)
     if beta <= 0 or q <= 0:
         raise NonPositiveParameter("beta and q must be strictly positive")
@@ -179,14 +183,36 @@ def y_from_seed_dynamics(b: ExchangeMatrix, y_init: Sequence[Fraction],
     coefficient at node n mod N after n mutations (so the first N values are
     read off while the window slides past the seed).  Returns N + steps
     values, which satisfy the Y-system of the matrix's defining tuple.
+
+    Mutation at k (`quiver.mutate_seed`) sends y_k to 1/y_k and each other
+    y_j to y_j (1 + y_k^-sgn(b_kj))^-b_kj.  With y_k = p/q in lowest terms
+    and s = p + q, 1 + 1/y_k = s/p and 1 + y_k = s/q.  Each coefficient is
+    an exponent dict over one `coprime.Pieces` store, so a mutation is one
+    new piece s, coprime to p and q, and exponent sums; only y_k, the value
+    read off, is put in lowest terms.
     """
     n_ = b.n
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     ys = _check_positive(y_init, "seed coefficients")
     if len(ys) != n_:
         raise ValueError(f"seed needs {n_} coefficients")
+    store = Pieces()
+    reps = [store.of(y) for y in ys]  # the coefficients as piece exponents
     out = []
     for n in range(n_ + steps):
         k = n % n_
-        out.append(ys[k])
-        b, ys = mutate_seed(b, ys, k)
+        y = store.build(1, reps[k], reps)
+        out.append(y)
+        if n == n_ + steps - 1:
+            break
+        s = store.new(y.numerator + y.denominator, reps[k])
+        for j, bkj in enumerate(b.rows[k]):
+            if bkj:
+                # (s/p)^-bkj for bkj > 0, (s/q)^-bkj for bkj < 0
+                add_exps(reps[j], s, -bkj)
+                add_exps(reps[j], reps[k], _pos(bkj), _pos(-bkj))
+        reps[k] = {p: -e for p, e in reps[k].items()}
+        b = mutate_matrix(b, k)
+        store.prune(reps)
     return out

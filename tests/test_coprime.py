@@ -1,13 +1,16 @@
 """Orbit values built in lowest terms, against the plain Fraction loops.
 
-The U-, q-P_I and Y-engines carry each value as a product of shared pieces
-(`coprime.Pieces`) and construct the Fraction without a gcd on the
-full-size integers.  The plain Fraction loops are kept below as references:
-every value must agree with them on `==` and on the exact numerator and
-denominator, and every raised exception on its type and message.
+The U-, q-P_I and Y-engines and the seed mutation chain carry each value as
+a product of shared pieces (`coprime.Pieces`) and construct the Fraction
+without a gcd on the full-size integers.  The plain Fraction loops are kept
+below as references: every value must agree with them on `==` and on the
+exact numerator and denominator, and every raised exception on its type and
+message.  The integer T-path's coprime base (`coprime.coprime_base`) is
+tested here too; its orbits are checked in `test_tsystem.py`.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,9 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cluster_painleve import coprime, reduction, ysystem
+from cluster_painleve.analysis import tropical_iterate
 from cluster_painleve.laurent import LaurentPoly
 from cluster_painleve.presets import get_preset
-from cluster_painleve.quiver import build_from_tuple
+from cluster_painleve.quiver import build_from_tuple, mutate_seed
 from cluster_painleve.zsystem import (ConstantZ, GeometricZ, PerturbedZ, solve_z,
                                       z_stencil_from_tuple)
 
@@ -48,6 +52,18 @@ def fraction_y(a, init, steps):
     for n in range(steps):
         ys.append(ysystem.y_step(a, ys[n + 1:n + n_]) / ys[n])
     return ys
+
+
+def fraction_chain(b, y_init, steps):
+    """Reference for `ysystem.y_from_seed_dynamics`: the `mutate_seed` loop."""
+    n_ = b.n
+    ys = [F(v) for v in y_init]
+    out = []
+    for n in range(n_ + steps):
+        k = n % n_
+        out.append(ys[k])
+        b, ys = mutate_seed(b, ys, k)
+    return out
 
 
 def fraction_qp1(beta, q, init, steps):
@@ -101,43 +117,36 @@ def test_coprime_constructor_hypothesis(n, d):
         (want.numerator, want.denominator, hash(want), str(want))
 
 
-# -- cancel ----------------------------------------------------------------------------
+# -- the coprime base of the integer T-path ----------------------------------------
 
 
-# one "value" a/b per group: a, b and a + b are pairwise coprime
-value_groups = st.lists(
-    st.tuples(st.integers(-10 ** 12, 10 ** 12).filter(bool), st.integers(1, 10 ** 12),
-              st.sampled_from(["a", "b", "s"]), st.sampled_from(["a", "b", "s"]),
-              st.integers(1, 3), st.integers(1, 3)),
-    min_size=1, max_size=4)
-# small shared bases (composites, duplicates, signs), each in a group of its own
-loose = st.lists(st.tuples(st.sampled_from([-6, -1, 1, 2, 3, 6, 10, 15, 49, 1001]),
-                           st.integers(0, 5), st.booleans()), max_size=4)
+def assert_coprime_base(ints):
+    base, factors = coprime.coprime_base(ints)
+    assert all(c > 1 for c in base)
+    assert all(math.gcd(c, d) == 1 for c, d in itertools.combinations(base, 2))
+    assert len(factors) == len(ints)
+    for x, fac in zip(ints, factors):
+        assert all(m > 0 for _, m in fac) and len({i for i, _ in fac}) == len(fac)
+        assert math.prod(base[i] ** m for i, m in fac) == abs(x)
 
 
-@given(value_groups, loose)
+@pytest.mark.parametrize("ints", [
+    [], [1], [-1, 1], [2, 2, -2], [6, 35, 10, 21, 15, 14, 7, 6],
+    [12, 18, -8, 27], [1009, -1013, 1, 1009 * 1013], [2 ** 40, 6 ** 7, 3 ** 5, -1],
+])
+def test_coprime_base(ints):
+    assert_coprime_base(ints)
+
+
+# products of a few small primes share factors in every way; signs and 1 too
+smooth = st.builds(lambda s, ps: s * math.prod(ps), st.sampled_from([1, -1]),
+                   st.lists(st.sampled_from([2, 3, 5, 7, 1009]), max_size=6))
+
+
+@given(st.lists(st.one_of(smooth, st.integers(-10 ** 6, 10 ** 6).filter(bool)), max_size=10))
 @settings(max_examples=300, deadline=None)
-def test_cancel_gives_lowest_terms(groups, extra):
-    num, den = [], []
-    for g, (a, b, pick_n, pick_d, en, ed) in enumerate(groups):
-        a, b = a // math.gcd(a, b), b // math.gcd(a, b)
-        part = {"a": a, "b": b, "s": a + b}
-        if pick_n == pick_d or part[pick_d] == 0:
-            continue
-        num.append((part[pick_n], en, g))
-        den.append((part[pick_d], ed, g))
-    for k, (base, e, upstairs) in enumerate(extra):
-        (num if upstairs else den).append((base, e, ("loose", k)))
-    top = math.prod(b ** e for b, e, _ in num)
-    bottom = math.prod(b ** e for b, e, _ in den)
-    got, want = coprime.cancel(num, den), Fraction(top, bottom)
-    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
-
-
-def test_cancel_with_a_zero_numerator():
-    # 0/1 is one value (group 0); 14 shares every factor with 0
-    got = coprime.cancel([(0, 1, 0), (7, 2, 1)], [(1, 1, 0), (-3, 1, 1), (14, 1, 2)])
-    assert (got.numerator, got.denominator) == (0, 1)
+def test_coprime_base_hypothesis(ints):
+    assert_coprime_base(ints)
 
 
 # -- U-systems --------------------------------------------------------------------------
@@ -280,10 +289,39 @@ def test_qp1_shared_and_composite_bases(beta, q, init):
 # -- Y-systems ---------------------------------------------------------------------------
 
 
+# The height of a Y-value grows like the tropical degree of its x-orbit:
+# quadratically for the integrable tuples (at most 18 after 10 steps), and
+# exponentially for the others, where the Fraction loop takes seconds a step
+# past this degree (nonintegrable6 goes past it after 8 steps).
+DEGREE_LIMIT = 250_000
+
+
+def tropical_degree(a, steps):
+    """The largest |exponent| of one initial variable in x_0..x_{N+steps}."""
+    n_ = len(a) + 1
+    return max(max(map(abs, tropical_iterate(a, [-(i == k) for i in range(n_)], steps + n_).d))
+               for k in range(n_))
+
+
+def capped(a, steps, ahead=0):
+    """`steps`, cut back to the last step whose degree `ahead` steps on is
+    within DEGREE_LIMIT."""
+    while steps and tropical_degree(a, steps + ahead) > DEGREE_LIMIT:
+        steps -= 1
+    return steps
+
+
+def test_degree_cap_keeps_the_integrable_steps():
+    for name in ("somos4", "somos5", "somos6", "somos7", "prim4"):
+        assert capped(get_preset(name).a, 10) == 10
+    assert capped(get_preset("nonintegrable6").a, 10) == 8
+
+
 @given(tuples, st.data(), st.integers(0, 10))
 @settings(max_examples=100, deadline=None)
 def test_y_matches_fraction_loop(a, data, steps):
     init = data.draw(st.lists(positive, min_size=len(a) + 1, max_size=len(a) + 1))
+    steps = capped(a, steps)
     assert_same(lambda: ysystem.iterate_y(a, init, steps),
                 lambda: fraction_y(a, init, steps))
 
@@ -297,6 +335,37 @@ def test_y_presets_with_composite_window(name, steps):
     init = [F(6, 35), F(10, 21), F(15, 14), F(7, 6), F(14, 15), F(35), F(1, 6)][:len(a) + 1]
     assert_same(lambda: ysystem.iterate_y(a, init, steps),
                 lambda: fraction_y(a, init, steps))
+
+
+# -- the seed mutation chain ---------------------------------------------------------
+
+COMPOSITE = [F(6, 35), F(10, 21), F(15, 14), F(7, 6), F(14, 15), F(35), F(1, 6)]
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("somos4", 30), ("somos5", 24), ("somos6", 20), ("somos7", 16), ("prim4", 30),
+    ("prim5", 30),
+    ("nonintegrable6", 3),  # its chain heights grow about 3-fold a step
+])
+@pytest.mark.parametrize("window", ["composite", "small"])
+def test_chain_matches_fraction_loop(name, steps, window):
+    b = build_from_tuple(get_preset("primN", 5).a if name == "prim5" else get_preset(name).a)
+    init = COMPOSITE[:b.n] if window == "composite" else [F(2), F(1, 3), F(5), F(7, 2),
+                                                           F(1), F(4, 9), F(3)][:b.n]
+    assert_same(lambda: ysystem.y_from_seed_dynamics(b, init, steps),
+                lambda: fraction_chain(b, init, steps))
+
+
+@given(tuples, st.data(), st.integers(0, 10))
+@settings(max_examples=100, deadline=None)
+def test_chain_matches_fraction_loop_hypothesis(a, data, steps):
+    b = build_from_tuple(a)
+    init = data.draw(st.lists(positive, min_size=b.n, max_size=b.n))
+    # the chain reads its first N values while mutating its way along the
+    # seed, so its heights run about N steps ahead of the Y-orbit's
+    steps = capped(a, steps, b.n)
+    assert_same(lambda: ysystem.y_from_seed_dynamics(b, init, steps),
+                lambda: fraction_chain(b, init, steps))
 
 
 # -- long orbits from shared composites ------------------------------------------------

@@ -246,6 +246,12 @@ def test_projection_rejects_zero_entries():
         reduction.project(bas, [F(1), F(0), F(1), F(1)])
 
 
+def test_usystem_steps_must_be_nonnegative():
+    spec = reduction.derive_usystem(get_preset("somos4").matrix)
+    with pytest.raises(ValueError, match="^steps must be nonnegative$"):
+        reduction.iterate_usystem(spec, [F(2), F(3)], -1)
+
+
 def test_usystem_takes_z_exactly_when_the_recurrence_carries_one():
     b = get_preset("somos4").matrix
     z = GeometricZ(5, 7)

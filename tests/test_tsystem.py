@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cluster_painleve import coprime, tsystem
+from cluster_painleve import tsystem
 from cluster_painleve.laurent import LaurentPoly, laurent_try_div
 from cluster_painleve.presets import get_preset
 from cluster_painleve.tsystem import (
@@ -311,28 +311,18 @@ def test_shared_and_composite_bases_match_fraction_loop(a, data, steps):
     assert_matches_reference(a, _coefficients(data, a), init, steps)
 
 
-def test_every_integer_step_makes_one_cancel(monkeypatch):
-    calls = []
-
-    def counting(num_factors, den_factors):
-        calls.append(1)
-        return coprime.cancel(num_factors, den_factors)
-
-    monkeypatch.setattr(tsystem, "cancel", counting)
-    # distinct primes near 1000
-    init = [F(1009, 1013), F(-1019, 1021), F(1031, 1033), F(1039, 1049)]
-    assert integer_steps(SOMOS4, ConstantZ(1), init, 30) == 30
-    assert len(calls) == 30
-    assert_matches_reference(SOMOS4, ConstantZ(1), init, 30)
-    # N_n shares factors with M_n (2 divides every N_n from the first window
-    # below; composite bases in the second; Z's symbols in the third)
-    for z, init in [(ConstantZ(1), [F(2, 37), F(-11, 3), F(13, 17), F(19, 23)]),
-                    (ConstantZ(1), [F(6, 35), F(-10, 21), F(15, 14), F(7, 6)]),
-                    (GeometricZ(F(3, 2), F(5, 7)), [F(2, 3), F(-1, 5), F(7), F(3, 4)])]:
-        calls.clear()
-        assert integer_steps(SOMOS4, z, init, 24) == 24
-        assert len(calls) == 24
-        assert_matches_reference(SOMOS4, z, init, 24)
+def test_every_step_on_the_integer_path_is_in_lowest_terms():
+    for z, init, steps in [
+            # distinct primes near 1000
+            (ConstantZ(1), [F(1009, 1013), F(-1019, 1021), F(1031, 1033), F(1039, 1049)], 30),
+            # N_n shares factors with M_n: 2 divides every N_n from this window
+            (ConstantZ(1), [F(2, 37), F(-11, 3), F(13, 17), F(19, 23)], 24),
+            # composite bases, refined to the coprime base 2, 3, 5, 7
+            (ConstantZ(1), [F(6, 35), F(-10, 21), F(15, 14), F(7, 6)], 24),
+            # Z's symbol values share primes with the window
+            (GeometricZ(F(3, 2), F(5, 7)), [F(2, 3), F(-1, 5), F(7), F(3, 4)], 24)]:
+        assert integer_steps(SOMOS4, z, init, steps) == steps
+        assert_matches_reference(SOMOS4, z, init, steps)
 
 
 # -- lattice coordinates against the loop in the initial window ---------------

@@ -105,3 +105,13 @@ def test_seed_mutation_needs_full_window():
     p = get_preset("somos4")
     with pytest.raises(ValueError):
         ysystem.y_from_seed_dynamics(p.matrix, [F(1)] * 3, 2)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: ysystem.iterate_y(get_preset("somos4").a, [F(1)] * 4, -1),
+    lambda: ysystem.qp1_iterate(F(1), F(2), [F(1), F(1)], -1),
+    lambda: ysystem.y_from_seed_dynamics(get_preset("somos4").matrix, [F(1)] * 4, -2),
+], ids=["iterate_y", "qp1_iterate", "y_from_seed_dynamics"])
+def test_steps_must_be_nonnegative(run):
+    with pytest.raises(ValueError, match="^steps must be nonnegative$"):
+        run()
