@@ -90,6 +90,8 @@ def tropical_iterate(a: Sequence[int], init: Sequence[int], steps: int) -> Degre
     per-variable degree data of the symbolic orbit exactly, term by term,
     because all iterates have positive coefficients (no cancellation).
     """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     n = len(a) + 1
     if len(init) != n:
         raise ValueError(f"initial data must have {n} entries")
@@ -235,9 +237,9 @@ def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int)
     if train < 1 or verify < 1:
         raise ValueError("train and verify counts must be positive")
     need = offs[-1] + train + verify
-    vals = [Fraction(v) for v in orb.values]
-    if len(vals) < need:
-        raise InsufficientData(f"orbit has {len(vals)} values; need {need}")
+    if len(orb.values) < need:
+        raise InsufficientData(f"orbit has {len(orb.values)} values; need {need}")
+    vals = [Fraction(v) for v in orb.values[:need]]
     m = len(offs) - 1
     rows = [[vals[n + o] for o in offs[1:]] for n in range(train)]
     rhs = [-vals[n + offs[0]] for n in range(train)]

@@ -42,6 +42,28 @@ exponents for the numerator, negative for the denominator).
   dividing the larger by the smaller first: a zero remainder gives the
   cofactor at once, and otherwise the gcd goes on from the remainder.
 - Lowest terms are unique, so the value is the one Fraction would give.
+
+`int_divmod` serves the integer T-path's one exact division a step and the
+pair test of `Pieces`, whose divisors reach tens of thousands of bits.
+Builtin `divmod` is schoolbook long division up to Python 3.11, quadratic
+where `*` is Karatsuba.  Past its gate the helper runs the recursive
+division of C. Burnikel and J. Ziegler ("Fast recursive division",
+MPI-I-98-1-022, 1998), the method CPython 3.12 adopted internally for the
+same sizes: the dividend is cut into blocks of n = |b|'s bit length, and
+each 2n-by-n division is two 3h-by-2h divisions on halves h = n/2, each
+estimated by one recursive h-bit division of the top halves and corrected
+with one h-by-h product.  Since b has exactly n bits (its top bit set), an
+estimate is at most two too large, and the correction loop ends with
+0 <= r < b; so the quotient and remainder are the unique ones of floor
+division, the `(q, r)` of `divmod`, signs mapped as `divmod` maps them.
+Leaves whose quotient has at most 4,000 bits go to builtin `divmod`.  The
+gate is a divisor over 9,000 bits and a quotient over 4,000: measured on
+Python 3.11 (a 2.0 GHz x86-64 VM), equal divisor and quotient sizes take
+0.183 / 0.180 ms (builtin / recursive) at 9,000 bits, 0.90 / 0.67 ms at
+20,000 bits, and a 43,755-bit divisor under a 91,839-bit dividend takes
+3.5 / 1.4 ms; a 5,000-bit divisor with a 60,000-bit quotient was slower
+recursively (0.74 / 0.93 ms), and a small divisor would cut a large
+dividend into thousands of blocks.
 """
 
 from __future__ import annotations
@@ -65,6 +87,52 @@ def _from_coprime_ints(n: int, d: int) -> Fraction:
     obj._numerator = n
     obj._denominator = d
     return obj
+
+
+_DIV_BITS = 9000  # divisors past this many bits divide recursively
+_QUO_BITS = 4000  # and quotients past this many; smaller ones are leaves
+
+
+def int_divmod(a: int, b: int) -> tuple[int, int]:
+    """Exactly `divmod(a, b)`, in subquadratic time past the gate."""
+    n = b.bit_length()
+    if n <= _DIV_BITS or a.bit_length() - n <= _QUO_BITS:
+        return divmod(a, b)
+    if b < 0:
+        q, r = int_divmod(-a, -b)
+        return q, -r
+    if a < 0:  # a = -1 - ~a, with ~a >= 0
+        q, r = int_divmod(~a, b)
+        return ~q, b + ~r
+    q = r = 0
+    mask = (1 << n) - 1
+    for shift in range((a.bit_length() - 1) // n * n, -1, -n):  # n-bit blocks, top first
+        d, r = _div2n1n(r << n | a >> shift & mask, b, n)
+        q = q << n | d
+    return q, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b * 2^n."""
+    if a.bit_length() - n <= _QUO_BITS:
+        return divmod(a, b)
+    pad = n & 1  # an odd n: shift a and b up one bit, and r back down
+    a, b, n = a << pad, b << pad, n + pad
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    q, r = 0, a >> n
+    for low in (a >> h & mask, a & mask):  # two 3h-by-2h steps, r < b before each
+        if r >> h == b1:  # the estimate r // b1 would be 2^h or more
+            d, s = mask, r - (b1 << h) + b1
+        else:
+            d, s = _div2n1n(r, b1, h)
+        r = (s << h | low) - d * b2
+        while r < 0:  # at most twice
+            d -= 1
+            r += b
+        q = q << h | d
+    return q, r >> pad
 
 
 def coprime_base(ints: Sequence[int]) -> tuple[list[int], list[list[tuple[int, int]]]]:
@@ -198,7 +266,7 @@ class Pieces:
                         # the larger mod the smaller, where gcd starts; when
                         # that is 0 the quotient is the larger one's cofactor
                         x, y = (p, q) if val[p] >= val[q] else (q, p)
-                        quo, rem = divmod(val[x], val[y])
+                        quo, rem = int_divmod(val[x], val[y])
                         if not rem:
                             return p, q, val[y], {x: quo}
                         g = gcd(val[y], rem)

@@ -13,7 +13,9 @@ Rational iteration writes x_n = N_n / M_n with N_n an integer and M_n a
 monomial in the numerators and denominators of the initial window and of
 the bound coefficient values; the exponents of M_n are the max-plus
 (tropical) degree vectors of x_n, so by the Laurent phenomenon each step is
-one exact integer division.  A zero remainder proves the step.  From the
+one exact integer division.  A zero remainder proves the step; the division
+is `coprime.int_divmod`, the quotient and remainder of `divmod` in
+subquadratic time once the divisor passes 9,000 bits.  From the
 first step with a remainder, or whose Z_n has no integral monomial form in
 the bound coefficient values (`monomial` and `bound` in `zsystem`), the
 orbit goes on in plain Fraction arithmetic, the only path for non-Laurent
@@ -60,7 +62,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Sequence
 
-from .coprime import _from_coprime_ints, coprime_base
+from .coprime import _from_coprime_ints, coprime_base, int_divmod
 from .laurent import LaurentPoly, format_rational, laurent_try_div, monomial_map, parse_rational
 from .quiver import NotPalindromic, build_from_tuple, palindromic_basis
 from .zsystem import AlgebraicZCase, ConstantZ
@@ -262,7 +264,7 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
                 ca *= b ** (t - u)
             if t != d:
                 cb *= b ** (t - d)
-        quo, rem = divmod(ca * na + cb * nb, nums[0])
+        quo, rem = int_divmod(ca * na + cb * nb, nums[0])
         if rem:
             return n
         if not quo:

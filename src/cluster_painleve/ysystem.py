@@ -133,6 +133,8 @@ def verify_tz_correspondence(a: Sequence[int], xorb: Orbit, steps: int) -> list[
     recurrence with it (checked).  The two boolean columns of the report
     coincide at every index for any valid coefficient dynamics.
     """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     a = tuple(int(v) for v in a)
     n_ = len(a) + 1
     if xorb.z is None:

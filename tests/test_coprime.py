@@ -5,14 +5,17 @@ a product of shared pieces (`coprime.Pieces`) and construct the Fraction
 without a gcd on the full-size integers.  The plain Fraction loops are kept
 below as references: every value must agree with them on `==` and on the
 exact numerator and denominator, and every raised exception on its type and
-message.  The integer T-path's coprime base (`coprime.coprime_base`) is
+message.  The integer T-path's coprime base (`coprime.coprime_base`) and
+its exact division (`coprime.int_divmod`, against builtin `divmod`) are
 tested here too; its orbits are checked in `test_tsystem.py`.
 """
 
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,6 +150,95 @@ smooth = st.builds(lambda s, ps: s * math.prod(ps), st.sampled_from([1, -1]),
 @settings(max_examples=300, deadline=None)
 def test_coprime_base_hypothesis(ints):
     assert_coprime_base(ints)
+
+
+# -- the exact division of the integer T-path ---------------------------------------
+
+SIGNS = list(itertools.product([1, -1], repeat=2))
+
+
+def bits(rnd, k):
+    """A random integer of exactly k bits (0 for k = 0)."""
+    return rnd.getrandbits(k) | 1 << k - 1 if k else 0
+
+
+def assert_divmod(a, b):
+    got = coprime.int_divmod(a, b)
+    assert got == divmod(a, b)
+    assert all(type(x) is int for x in got)
+
+
+# divisor sizes on both sides of the 9,000-bit gate, quotients on both sides of
+# 4,000 bits, dividends up to about 60,000 bits
+@given(st.one_of(st.integers(1, 300), st.integers(8_900, 30_000)),
+       st.integers(-300, 30_000), st.sampled_from(SIGNS),
+       st.sampled_from(["any", "exact", "inexact"]), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_int_divmod_is_divmod(nb, nq, signs, kind, rnd):
+    b = bits(rnd, nb)
+    if kind == "any":
+        a = bits(rnd, max(nb + nq, 0))
+    else:
+        a = bits(rnd, max(nq, 0)) * b + (rnd.randrange(1, b) if kind == "inexact" and b > 1 else 0)
+    assert_divmod(signs[0] * a, signs[1] * b)
+
+
+@given(st.integers(0, 2_000), st.integers(1, 1_000), st.sampled_from(SIGNS),
+       st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_int_divmod_recursion_on_small_ints(na, nb, signs, rnd):
+    # a gate of a few bits runs every branch of the recursion, down to
+    # one-bit halves, on small integers
+    with mock.patch.object(coprime, "_DIV_BITS", 8), mock.patch.object(coprime, "_QUO_BITS", 2):
+        assert_divmod(signs[0] * bits(rnd, na), signs[1] * bits(rnd, nb))
+
+
+@pytest.mark.parametrize("sa, sb", SIGNS)
+@pytest.mark.parametrize("nb, nq", [(9_001, 4_001), (20_000, 20_000), (20_001, 39_999),
+                                    (43_755, 48_084), (12_000, 48_000)])
+def test_int_divmod_exact_and_inexact(sa, sb, nb, nq):
+    rnd = random.Random(nb * nq)
+    b, q = bits(rnd, nb), bits(rnd, nq)
+    for r in (0, 1, rnd.randrange(1, b), b - 1):
+        assert_divmod(sa * (q * b + r), sb * b)
+
+
+@pytest.mark.parametrize("sa, sb", SIGNS)
+def test_int_divmod_edge_sizes(sa, sb):
+    rnd = random.Random(7)
+    big = bits(rnd, 60_000)
+    for a, b in [(big, 3), (big, 1), (big, bits(rnd, 9_000)), (big, bits(rnd, 9_001)),
+                 (bits(rnd, 20_000), big), (big - 1, big), (big, big), (0, big), (0, 1)]:
+        assert_divmod(sa * a, sb * b)
+
+
+def test_int_divmod_by_zero():
+    for a in (0, 1, -5, 1 << 60_000):
+        with pytest.raises(ZeroDivisionError):
+            coprime.int_divmod(a, 0)
+
+
+def test_int_divmod_odd_lengths_are_padded():
+    # an odd divisor length at the top, and odd halves below it
+    rnd = random.Random(11)
+    for nb in (20_001, 18_003, 9_001):
+        b = bits(rnd, nb)
+        assert_divmod(bits(rnd, 2 * nb - 1), b)
+        assert_divmod(bits(rnd, 3 * nb + 5), b)
+
+
+def test_int_divmod_equal_top_halves_need_the_correction():
+    # b = b1 * 2^h + b2 with b2 all ones, and the 3h-by-2h step's top half
+    # equal to b1: the estimate 2^h - 1 is too large and must be corrected
+    h = 10_000
+    b1, b2 = 1 << h - 1, (1 << h) - 1
+    b = b1 << h | b2
+    a = b1 << 3 * h
+    assert a >> 3 * h == b >> h and a < b << 2 * h
+    assert divmod(a, b)[0] >> h < (1 << h) - 1
+    for sa, sb in SIGNS:
+        assert_divmod(sa * a, sb * b)
+        assert_divmod(sa * (a + b - 1), sb * b)
 
 
 # -- U-systems --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cluster_painleve import tsystem
+from cluster_painleve import coprime, tsystem
 from cluster_painleve.laurent import LaurentPoly, laurent_try_div
 from cluster_painleve.presets import get_preset
 from cluster_painleve.tsystem import (
@@ -323,6 +323,39 @@ def test_every_step_on_the_integer_path_is_in_lowest_terms():
             (GeometricZ(F(3, 2), F(5, 7)), [F(2, 3), F(-1, 5), F(7), F(3, 4)], 24)]:
         assert integer_steps(SOMOS4, z, init, steps) == steps
         assert_matches_reference(SOMOS4, z, init, steps)
+
+
+# -- divisions past the recursive gate of coprime.int_divmod ------------------
+
+
+@pytest.fixture
+def recursive_divisors(monkeypatch):
+    """The divisor bit lengths of the recursive 2n-by-n divisions that run."""
+    seen = []
+    inner = coprime._div2n1n
+
+    def spy(a, b, n):
+        seen.append(n)
+        return inner(a, b, n)
+
+    monkeypatch.setattr(coprime, "_div2n1n", spy)
+    return seen
+
+
+def test_long_orbit_divides_recursively_and_matches_fraction_loop(recursive_divisors):
+    # prime quotients from [1000, 1100); the last divisors have about 44,000 bits
+    init = [F(1009, 1013), F(1019, 1021), F(1031, 1033), F(1039, 1049)]
+    assert integer_steps(SOMOS4, ConstantZ(1), init, 85) == 85
+    assert max(recursive_divisors) > 40_000
+    assert_matches_reference(SOMOS4, ConstantZ(1), init, 85)
+
+
+def test_long_integral_orbit_divides_recursively(recursive_divisors):
+    orb = iterate_t(TStencil(SOMOS4), [F(1)] * 4, 300)
+    assert max(recursive_divisors) > coprime._DIV_BITS
+    assert all(v.denominator == 1 for v in orb.values)
+    assert orb.values[-1].numerator.bit_length() > 13_000
+    assert check_orbit(orb)
 
 
 # -- lattice coordinates against the loop in the initial window ---------------

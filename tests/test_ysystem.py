@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cluster_painleve import ysystem
+from cluster_painleve.analysis import tropical_iterate
 from cluster_painleve.presets import get_preset
 from cluster_painleve.tsystem import Orbit, TStencil, check_orbit, iterate_t, iterate_tz
 from cluster_painleve.zsystem import GeometricZ, PerturbedZ
@@ -111,7 +112,11 @@ def test_seed_mutation_needs_full_window():
     lambda: ysystem.iterate_y(get_preset("somos4").a, [F(1)] * 4, -1),
     lambda: ysystem.qp1_iterate(F(1), F(2), [F(1), F(1)], -1),
     lambda: ysystem.y_from_seed_dynamics(get_preset("somos4").matrix, [F(1)] * 4, -2),
-], ids=["iterate_y", "qp1_iterate", "y_from_seed_dynamics"])
+    lambda: ysystem.verify_tz_correspondence(
+        SOMOS4, iterate_tz(TStencil(SOMOS4), GeometricZ(F(2), F(3)), [F(1)] * 4, 12), -3),
+    lambda: tropical_iterate(SOMOS4, [0, 0, 0, -1], -2),
+], ids=["iterate_y", "qp1_iterate", "y_from_seed_dynamics", "verify_tz_correspondence",
+        "tropical_iterate"])
 def test_steps_must_be_nonnegative(run):
     with pytest.raises(ValueError, match="^steps must be nonnegative$"):
         run()
