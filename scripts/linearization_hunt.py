@@ -45,7 +45,7 @@ def hunt(n: int, rng: random.Random, smax: int, train: int, verify: int) -> None
     zst = z_stencil_from_tuple(p.a)
     z = solve_z(zst, rand_fracs(rng, zst.order))
     orb = iterate_tz(TStencil(p.a), z, rand_fracs(rng, p.n), 4 * smax + train + verify)
-    t0 = time.time()
+    t0 = time.perf_counter()
     for terms in (3, 5):
         hits = scan(orb, terms, smax, train, verify)
         if not hits:
@@ -53,23 +53,23 @@ def hunt(n: int, rng: random.Random, smax: int, train: int, verify: int) -> None
         s = hits[0]
         rs = relation_search(orb, tuple(s * k for k in range(terms)), train, verify)
         print(f"== N={n}: {terms}-term relation at stride {s} "
-              f"(also at {hits[1:] or 'none'}; {time.time() - t0:.2f}s)")
+              f"(also at {hits[1:] or 'none'}; {time.perf_counter() - t0:.2f}s)")
         print(f"   {rs.relation.format_text()}")
         print(f"   palindromic: {rs.relation.palindromic}, verified on "
               f"{rs.relation.verified_window} further windows")
         return
     print(f"== N={n}: nothing up to stride {smax} with 3 or 5 terms "
-          f"({time.time() - t0:.2f}s)")
+          f"({time.perf_counter() - t0:.2f}s)")
 
 
 def certify_prim4() -> None:
     print("== symbolic certificate for N=4, stride 12")
     a = get_preset("prim4").a
     z = solve_z(z_stencil_from_tuple(a))  # coefficients stay symbolic
-    t0 = time.time()
+    t0 = time.perf_counter()
     orb = iterate_tz(TStencil(a), z, None, 21, mode="symbolic")
     c = laurent_try_div(orb.values[24] + orb.values[0], orb.values[12])
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     assert c is not None, "division must certify the relation"
     print(f"   x[24] + x[0] = C * x[12] with C a Laurent polynomial ({dt:.2f}s)")
     print(f"   C has {c.n_terms()} terms, all coefficients positive: "

@@ -4,6 +4,14 @@ Degree growth of the iterates (per-variable denominator degree), its exact
 max-plus shadow, entropy estimation from exact ratio data, detection of
 constant-coefficient linear relations, and the order-2 reduced invariant of
 the (-1, 2, -1) system.
+
+A stride scan asks `relation_search` about the same orbit values many
+times, so the search reads their residues modulo P = 2^61 - 1 from the
+orbit (`Orbit.residue`), each computed once.  That list is safe to keep:
+an entry holds the value it was computed from and is recomputed when
+`orb.values[n]` is not that object, so edits to `values` never leave a
+stale residue, and a value whose denominator P divides has none, in which
+case the search skips the certificate and takes the exact path.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intlinalg import solve
+from .intlinalg import rank_residues, solve_augmented
 from .laurent import format_rational
 from .tsystem import Orbit
 
@@ -228,6 +236,17 @@ class RelationSearch:
     status: str  # "found" | "inconsistent" | "underdetermined" | "failed-verify"
 
 
+def _certified_inconsistent(orb: Orbit, offs: tuple[int, ...], train: int) -> bool:
+    """Do the training windows (x_{n+o} for o in offs), n < train, have full
+    column rank modulo P?  Rank only drops modulo P, so they then have full
+    rank over Q and no relation with c_0 = 1 fits them.  False when P
+    divides a denominator: the certificate does not apply."""
+    rows = [[orb.residue(n + o) for o in offs] for n in range(train)]
+    if any(None in row for row in rows):
+        return False
+    return rank_residues(rows) == len(offs)
+
+
 def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int) -> RelationSearch:
     if orb.kind != "rational":
         raise ValueError("relation search needs a rational orbit")
@@ -239,11 +258,12 @@ def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int)
     need = offs[-1] + train + verify
     if len(orb.values) < need:
         raise InsufficientData(f"orbit has {len(orb.values)} values; need {need}")
-    vals = [Fraction(v) for v in orb.values[:need]]
+    vals = orb.values
     m = len(offs) - 1
-    rows = [[vals[n + o] for o in offs[1:]] for n in range(train)]
-    rhs = [-vals[n + offs[0]] for n in range(train)]
-    rank, dim, sol = solve(rows, rhs)
+    if train > m and _certified_inconsistent(orb, offs, train):
+        return RelationSearch(offs, m, -1, None, "inconsistent")
+    aug = [[vals[n + o] for o in offs[1:]] + [-vals[n]] for n in range(train)]
+    rank, dim, sol = solve_augmented(aug, m)
     if dim == -1:
         return RelationSearch(offs, rank, -1, None, "inconsistent")
     if dim > 0:

@@ -71,17 +71,19 @@ def rank(m: Sequence[Sequence[int]]) -> int:
 P = 2**61 - 1  # a Mersenne prime: modulus of the rank certificate in ``solve``
 
 
-def _rank_mod_p(rows: Sequence[Sequence]) -> int | None:
-    """Rank modulo P of an integer or rational matrix; None when P divides a
-    denominator."""
-    a = []
-    for row in rows:
-        out = []
-        for x in row:
-            if x.denominator % P == 0:
-                return None
-            out.append(x.numerator * pow(x.denominator, -1, P) % P)
-        a.append(out)
+def residue(x) -> int | None:
+    """x modulo P for an int or Fraction x; None when P divides its denominator."""
+    d = x.denominator
+    if d == 1:
+        return x.numerator % P
+    d %= P
+    if not d:
+        return None
+    return x.numerator * pow(d, -1, P) % P
+
+
+def rank_residues(a: list[list[int]]) -> int:
+    """Rank modulo P of a matrix of residues; eliminates in place."""
     r = 0
     for c in range(len(a[0]) if a else 0):
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
@@ -97,6 +99,15 @@ def _rank_mod_p(rows: Sequence[Sequence]) -> int | None:
     return r
 
 
+def _rank_mod_p(rows: Sequence[Sequence]) -> int | None:
+    """Rank modulo P of an integer or rational matrix; None when P divides a
+    denominator."""
+    a = [[residue(x) for x in row] for row in rows]
+    if any(None in row for row in a):
+        return None
+    return rank_residues(a)
+
+
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[int, int, list[Fraction] | None]:
     """Solve ``rows @ x == rhs`` exactly: (rank, solution_dim, solution).
 
@@ -110,6 +121,12 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[int, int, list[Fract
     # rank m + 1 over Q: the system is inconsistent and rows have rank m
     if len(aug) > m and _rank_mod_p(aug) == m + 1:
         return m, -1, None
+    return solve_augmented(aug, m)
+
+
+def solve_augmented(aug: Sequence[Sequence], m: int) -> tuple[int, int, list[Fraction] | None]:
+    """``solve`` on the augmented rows [rows | rhs] of m unknowns, by exact
+    elimination alone."""
     a, pivots = rref(aug, m)
     r = len(pivots)
     if any(row[m] != 0 for row in a[r:]):

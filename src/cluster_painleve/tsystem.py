@@ -28,7 +28,8 @@ Both parts are carried from step to step and pick up only the changed
 exponents, one product and one exact division each.  Each value is then in
 lowest terms once N_n is divided by its gcd with c^e for every denominator
 element c that shares a factor with it, which one residue of N_n modulo
-the product of those c decides (the argument is in `coprime`).
+the product of those c decides (the argument is in `coprime`); that gcd
+is mostly c^e itself, so one exact division tries it first.
 
 Symbolic iteration runs in the coordinates of the lattice L = im B, the
 saturated image of the exchange matrix, on its palindromic basis: the
@@ -57,12 +58,13 @@ x_4 = x_0^{-1} x_1 x_3 (1 + U_1^{-1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 from typing import Sequence
 
 from .coprime import _from_coprime_ints, coprime_base, int_divmod
+from .intlinalg import residue
 from .laurent import LaurentPoly, format_rational, laurent_try_div, monomial_map, parse_rational
 from .quiver import NotPalindromic, build_from_tuple, palindromic_basis
 from .zsystem import AlgebraicZCase, ConstantZ
@@ -120,19 +122,40 @@ class TStencil:
 
 @dataclass
 class Orbit:
-    """Values x_0, x_1, ... of a stencil run; rational or Laurent-valued."""
+    """Values x_0, x_1, ... of a stencil run; rational or Laurent-valued.
+
+    A rational orbit also keeps the residues of the values read through
+    `residue`, outside equality, repr and `to_json`.
+    """
 
     stencil: TStencil
     kind: str  # "rational" | "symbolic"
     values: list
     z: object | None = None
     variables: tuple[str, ...] | None = None
+    _residues: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def value(self, n: int):
         return self.values[n]
+
+    def residue(self, n: int) -> int | None:
+        """x_n modulo `intlinalg.P`, or None when P divides its denominator.
+
+        Computed once per value: the entry keeps the value it came from and
+        is recomputed when `values[n]` is no longer that object, so a caller
+        who edits, truncates or extends `values` never reads a stale residue.
+        """
+        v, cache = self.values[n], self._residues
+        if n >= len(cache):
+            cache.extend([(None, None)] * (n + 1 - len(cache)))
+        seen, r = cache[n]
+        if seen is not v:
+            r = residue(v)
+            cache[n] = (v, r)
+        return r
 
     def to_json(self) -> dict:
         if self.kind == "rational":
@@ -295,9 +318,16 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
             for i, e in den_exps.items():
                 c = base[i]
                 if gcd(r % c, c) > 1:
-                    g = gcd(n_out, c ** e)
-                    n_out //= g
-                    d_out //= g
+                    # mostly c^e divides n_out whole, and the quotient is
+                    # the cofactor; the full gcd only when it does not
+                    ce = c ** e
+                    q, rem = int_divmod(n_out, ce)
+                    if not rem:
+                        n_out, d_out = q, d_out // ce
+                    else:
+                        g = gcd(n_out, ce)
+                        n_out //= g
+                        d_out //= g
         if sum(deg[i] for i in negative) % 2:
             n_out = -n_out
         vals.append(_from_coprime_ints(n_out * num, d_out))

@@ -359,15 +359,17 @@ class ZSolution:
 
     Entry n is prod_i S_i^{table[n][i]} over the initial symbols S_0..S_{r-1}
     (bound to rational values when init_values is given).  Tables grow on
-    demand; exponents are exact rationals (they stay integral whenever each
-    division by the leading exponent comes out even).
+    demand.  Each exponent is an exact int where the division by the leading
+    exponent comes out even (always, when that exponent is +-1) and a
+    Fraction with denominator > 1 only where it does not, so `monomial`
+    hands out the stored int tuples.
     """
 
     stencil: ZStencil
     symbols: tuple[str, ...]
     init_values: tuple[Fraction, ...] | None
     closed_form: dict | None
-    _tables: list[tuple[Fraction, ...]] = field(default_factory=list)
+    _tables: list[tuple[int | Fraction, ...]] = field(default_factory=list)
 
     @property
     def order(self) -> int:
@@ -383,16 +385,16 @@ class ZSolution:
         lead = e[r]
         while len(self._tables) <= n:
             m = len(self._tables) - r
-            acc = [Fraction(0)] * r
+            acc = [0] * r
             for k in range(r):
                 ek = e[k]
                 if ek:
                     row = self._tables[m + k]
                     for i in range(r):
                         acc[i] -= ek * row[i]
-            self._tables.append(tuple(x / lead for x in acc))
+            self._tables.append(tuple(_exact_quotient(x, lead) for x in acc))
 
-    def exponents(self, n: int) -> tuple[Fraction, ...]:
+    def exponents(self, n: int) -> tuple[int | Fraction, ...]:
         if n < 0:
             raise IndexError("negative indices not tracked")
         self._extend_to(n)
@@ -400,9 +402,9 @@ class ZSolution:
 
     def monomial(self, n: int) -> tuple[int, ...] | None:
         exps = self.exponents(n)
-        if any(e.denominator != 1 for e in exps):
+        if any(type(e) is Fraction for e in exps):
             return None
-        return tuple(int(e) for e in exps)
+        return exps
 
     def value(self, n: int) -> Fraction:
         if self.init_values is None:
@@ -418,20 +420,29 @@ class ZSolution:
             out *= base ** int(exp)
         return out
 
-    def degree(self, n: int) -> Fraction:
+    def degree(self, n: int) -> int | Fraction:
         """Total monomial degree |numerator| + |denominator| at entry n."""
         return sum(abs(e) for e in self.exponents(n))
 
     def check_constraint(self, n: int) -> bool:
         """Exact check of the trimmed constraint anchored at table index n."""
         e = self.stencil.trimmed
-        acc = [Fraction(0)] * self.order
+        acc = [0] * self.order
         for k, ek in enumerate(e):
             if ek:
                 row = self.exponents(n + k)
                 for i in range(self.order):
                     acc[i] += ek * row[i]
         return all(x == 0 for x in acc)
+
+
+def _exact_quotient(x: int | Fraction, lead: int) -> int | Fraction:
+    """x / lead as an int when it is one, else as a Fraction."""
+    if type(x) is int:
+        q, rem = divmod(x, lead)
+        return Fraction(x, lead) if rem else q
+    q = x / lead
+    return q.numerator if q.denominator == 1 else q
 
 
 def _exact_int_root(m: int, k: int) -> int | None:
@@ -502,8 +513,7 @@ def solve_z(st: ZStencil, init: Sequence[Fraction] | None = None) -> ZSolution:
         symbols=symbols,
         init_values=values,
         closed_form=_recognize_closed_form(st),
-        _tables=[tuple(Fraction(1) if i == m else Fraction(0) for i in range(r))
-                 for m in range(r)],
+        _tables=[tuple(int(i == m) for i in range(r)) for m in range(r)],
     )
     cf = sol.closed_form
     if cf is not None and cf["family"] == "periodic_geometric":

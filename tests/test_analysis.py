@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cluster_painleve import analysis
 from cluster_painleve.laurent import laurent_try_div
 from cluster_painleve.presets import get_preset
-from cluster_painleve.tsystem import TStencil, iterate_t, iterate_tz
+from cluster_painleve.tsystem import Orbit, TStencil, iterate_t, iterate_tz
 from cluster_painleve.zsystem import solve_z, z_stencil_from_tuple
 
 F = Fraction
@@ -221,3 +221,125 @@ def test_relation_text_past_the_int_digit_limit(default_int_digits):
     rel = analysis.LinearRelation((0, 2), (Fraction(1), Fraction(-(10 ** 5000 + 1), 3)), 10,
                                   False)
     assert rel.format_text() == "(1)*x[n] + (-1" + "0" * 4999 + "1/3)*x[n+2] = 0"
+
+
+# -- relation search against its Fraction reference --------------------------------
+
+
+def _relation_search_reference(orb, offsets, train, verify):
+    """The search on a Fraction copy of the values, through `intlinalg.solve`."""
+    from cluster_painleve.intlinalg import solve
+    offs = tuple(offsets)
+    need = offs[-1] + train + verify
+    vals = [Fraction(v) for v in orb.values[:need]]
+    rows = [[vals[n + o] for o in offs[1:]] for n in range(train)]
+    rhs = [-vals[n] for n in range(train)]
+    rank, dim, sol = solve(rows, rhs)
+    if dim == -1:
+        return analysis.RelationSearch(offs, rank, -1, None, "inconsistent")
+    if dim > 0:
+        return analysis.RelationSearch(offs, rank, dim, None, "underdetermined")
+    coeffs = (Fraction(1),) + tuple(sol)
+    for n in range(train, train + verify):
+        if sum(c * vals[n + o] for c, o in zip(coeffs, offs)) != 0:
+            return analysis.RelationSearch(offs, rank, 0, None, "failed-verify")
+    rel = analysis.LinearRelation(offs, coeffs, verify, list(coeffs) == list(reversed(coeffs)))
+    return analysis.RelationSearch(offs, rank, 0, rel, "found")
+
+
+def _scan_orbit(n, seed):
+    import random
+    rng = random.Random(seed)
+    a = PRIM4 if n == 4 else get_preset("primN", n).a
+
+    def window(k):
+        return [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k)]
+    z = solve_z(z_stencil_from_tuple(a), window(z_stencil_from_tuple(a).order))
+    return iterate_tz(TStencil(a), z, window(n), 2 * 30 + 6 + 12)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stride_scan_matches_reference(seed):
+    statuses = set()
+    for n in (4, 5, 6, 7):
+        orb = _scan_orbit(n, seed)
+        for terms, smax in ((3, 30), (5, 15)):
+            for s in range(1, smax + 1):
+                offs = tuple(s * k for k in range(terms))
+                got = analysis.relation_search(orb, offs, 6, 12)
+                assert got == _relation_search_reference(orb, offs, 6, 12), (n, offs)
+                statuses.add(got.status)
+    assert {"found", "inconsistent", "underdetermined"} <= statuses
+
+
+def test_failed_verify_matches_reference():
+    # x[n+1] = 2 x[n] fits the training windows of 2^n; the 33 breaks it
+    orb = Orbit(TStencil((0,)), "rational", [F(2 ** k) for k in range(5)] + [F(33), F(66)])
+    rs = analysis.relation_search(orb, (0, 1), 3, 3)
+    assert rs.status == "failed-verify" and rs.train_rank == 1
+    assert rs == _relation_search_reference(orb, (0, 1), 3, 3)
+
+
+def _fresh(orb):
+    return Orbit(orb.stencil, orb.kind, list(orb.values), orb.z, orb.variables)
+
+
+def test_residues_follow_edits_to_the_values():
+    orb = _scan_orbit(4, 0)
+    cases = [((0, 12, 24), 6, 12), ((0, 3, 6), 6, 12), ((0, 1, 2, 3, 4), 6, 12)]
+
+    def check():
+        for offs, train, verify in cases:
+            if offs[-1] + train + verify <= len(orb.values):
+                assert (analysis.relation_search(orb, offs, train, verify)
+                        == analysis.relation_search(_fresh(orb), offs, train, verify))
+    check()
+    found = analysis.relation_search(orb, (0, 12, 24), 6, 12)
+    assert found.status == "found"
+    orb.values[20] = orb.values[20] + 1  # replaced: the relation breaks
+    check()
+    assert analysis.relation_search(orb, (0, 12, 24), 6, 12).status != "found"
+    orb.values[20] = orb.values[20] - 1  # an equal value, a new object
+    check()
+    assert analysis.relation_search(orb, (0, 12, 24), 6, 12) == found
+    del orb.values[50:]  # truncated below the residues already read
+    check()
+    orb.values.extend(_scan_orbit(5, 1).values[:30])  # extended with other values
+    check()
+    del orb.values[10:]
+    orb.values.extend(_scan_orbit(4, 0).values[10:])  # back to the original
+    check()
+    assert analysis.relation_search(orb, (0, 12, 24), 6, 12) == found
+
+
+def test_values_with_p_in_the_denominator_take_the_exact_path():
+    from cluster_painleve.intlinalg import P
+    base = iterate_t(TStencil(PRIM4), [F(1)] * 4, 30)
+    orb = Orbit(base.stencil, "rational", [v / P for v in base.values])
+    assert orb.residue(0) is None
+    rs = analysis.relation_search(orb, (0, 3, 6), 3, 15)
+    assert rs.status == "found" and rs.relation.coefficients == (1, -5, 1)
+    assert rs == _relation_search_reference(orb, (0, 3, 6), 3, 15)
+    somos = iterate_t(TStencil(SOMOS4), [F(1)] * 4, 30)
+    somos.values[1] = Fraction(somos.values[1], P)
+    rs = analysis.relation_search(somos, (0, 1, 2), 4, 10)
+    assert rs.status == "inconsistent"
+    assert rs == _relation_search_reference(somos, (0, 1, 2), 4, 10)
+
+
+def test_plain_int_orbit_is_accepted():
+    vals = [int(v) for v in iterate_t(TStencil(PRIM4), [F(1)] * 4, 40).values]
+    orb = Orbit(TStencil(PRIM4), "rational", vals)
+    for offs in ((0, 3, 6), (0, 1, 2), (0, 2, 4)):
+        assert (analysis.relation_search(orb, offs, 3, 15)
+                == _relation_search_reference(orb, offs, 3, 15))
+    assert analysis.relation_search(orb, (0, 3, 6), 3, 15).relation.coefficients == (1, -5, 1)
+
+
+def test_search_leaves_equality_repr_and_json_alone():
+    orb = _scan_orbit(4, 1)
+    before = _fresh(orb)
+    for s in range(1, 20):
+        analysis.relation_search(orb, (0, s, 2 * s), 6, 12)
+    assert orb == before and repr(orb) == repr(before)
+    assert orb.to_json() == before.to_json()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cluster_painleve.laurent import format_rational
 from cluster_painleve.presets import get_preset
 from cluster_painleve.zsystem import (
     ConstantZ,
@@ -223,3 +224,109 @@ def test_exact_root_inverts_powers(num, den, k):
     if num and k > 1:
         assert _exact_fraction_root(x ** k + F(1, den ** k), k) is None
     assert _exact_fraction_root(-(x ** k) - 1, k) is None
+
+
+# -- integer exponent tables ---------------------------------------------------
+
+
+def _fraction_tables(stencil, count):
+    """Reference: the exponent tables in Fraction arithmetic throughout."""
+    e, r = stencil.trimmed, stencil.order
+    lead = e[r]
+    tables = [tuple(F(int(i == m)) for i in range(r)) for m in range(r)]
+    while len(tables) < count:
+        m = len(tables) - r
+        acc = [F(0)] * r
+        for k in range(r):
+            if e[k]:
+                for i in range(r):
+                    acc[i] -= e[k] * tables[m + k][i]
+        tables.append(tuple(x / lead for x in acc))
+    return tables
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _assert_tables_match(a, init):
+    stencil = z_stencil_from_tuple(a)
+    r = stencil.order
+    count = 3 * r + 40
+    ref_tables = _fraction_tables(stencil, count)
+    sol = solve_z(stencil, init)
+    # the same solution on the reference tables: value and degree read them
+    ref = solve_z(stencil, init)
+    ref._tables = list(ref_tables)
+    for n, want in enumerate(ref_tables):
+        got = sol.exponents(n)
+        assert got == want
+        assert all(type(x) is (int if x.denominator == 1 else F) for x in got)
+        if all(x.denominator == 1 for x in want):
+            mono = sol.monomial(n)
+            assert mono == tuple(int(x) for x in want)
+            assert all(type(x) is int for x in mono)
+        else:
+            assert sol.monomial(n) is None
+        assert sol.degree(n) == ref.degree(n)
+        if all(abs(x.numerator) <= 64 and x.denominator <= 64 for x in want):  # small roots
+            assert _outcome(sol.value, n) == _outcome(ref.value, n)
+    assert sol.closed_form == solve_z(stencil, init).closed_form
+    cf = sol.closed_form
+    if cf is not None and cf["family"] == "periodic_geometric":
+        p = cf["period"]
+        delta = tuple(x - y for x, y in zip(ref_tables[p], ref_tables[0]))
+        assert cf["ratio_power_vector"] == delta
+        assert [format_rational(x) for x in cf["ratio_power_vector"]] == [
+            format_rational(x) for x in delta]
+    assert (_outcome(exponent_degree_sequence, sol, count)
+            == _outcome(exponent_degree_sequence, ref, count))
+
+
+@pytest.mark.parametrize("a", [get_preset(name).a for name in
+                               ("somos4", "somos5", "somos6", "somos7", "prim4",
+                                "nonintegrable6")]
+                         + [get_preset("primN", n).a for n in (5, 6, 7)]
+                         + [(-2, 1, -2)])  # lead 2, divisions that leave a remainder
+def test_integer_tables_match_fraction_tables(a):
+    r = z_stencil_from_tuple(a).order
+    _assert_tables_match(a, [F(4), F(9, 4), F(16), F(1, 25)][:r] + [F(36)] * max(0, r - 4))
+
+
+@given(st.lists(st.integers(-3, 3), min_size=2, max_size=6)
+       .filter(lambda a: any(a)))
+@settings(max_examples=60, deadline=None)
+def test_integer_tables_match_fraction_tables_on_any_stencil(a):
+    r = z_stencil_from_tuple(a).order
+    _assert_tables_match(tuple(a), [F((k + 2) ** 2, 9) for k in range(r)])
+
+
+def test_fractional_exponents_stay_fractions():
+    sol = solve_z(z_stencil_from_tuple((-2, 1, -2)))
+    assert sol.exponents(2) == (-1, F(1, 2)) and sol.monomial(2) is None
+    assert type(sol.exponents(2)[0]) is int
+
+
+def test_zsys_bytes_unchanged(capsys):
+    """The docs/formats.md golden and the periodic closed form keep their bytes."""
+    import json
+    from pathlib import Path
+
+    from cluster_painleve.cli import main
+
+    root = Path(__file__).resolve().parents[1]
+    docs = (root / "docs" / "formats.md").read_text(encoding="utf-8")
+    golden = docs.split("$ cluster-painleve zsys --preset somos4", 1)[1]
+    golden = golden.split("```json\n", 1)[1].split("```", 1)[0]
+    assert main(["zsys", "--preset", "somos4"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == json.loads(golden)
+    assert out == (root / "perfbench" / "goldens" / "zsys_somos4.json").read_text(
+        encoding="utf-8")
+    assert main(["zsys", "--preset", "somos5"]) == 0
+    out = capsys.readouterr().out
+    assert ('    "ratio_power_vector": [\n      "-1",\n      "0",\n      "1"\n    ]\n'
+            in out)
