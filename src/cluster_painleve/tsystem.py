@@ -318,14 +318,14 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
             for i, e in den_exps.items():
                 c = base[i]
                 if gcd(r % c, c) > 1:
-                    # mostly c^e divides n_out whole, and the quotient is
-                    # the cofactor; the full gcd only when it does not
+                    # gcd(n_out, c^e) starts with n_out mod c^e, and is
+                    # mostly c^e itself: then the quotient is the cofactor
                     ce = c ** e
                     q, rem = int_divmod(n_out, ce)
                     if not rem:
                         n_out, d_out = q, d_out // ce
                     else:
-                        g = gcd(n_out, ce)
+                        g = gcd(ce, rem)
                         n_out //= g
                         d_out //= g
         if sum(deg[i] for i in negative) % 2:

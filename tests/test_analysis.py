@@ -285,31 +285,39 @@ def _fresh(orb):
 
 
 def test_residues_follow_edits_to_the_values():
-    orb = _scan_orbit(4, 0)
-    cases = [((0, 12, 24), 6, 12), ((0, 3, 6), 6, 12), ((0, 1, 2, 3, 4), 6, 12)]
+    plain = iterate_t(TStencil(SOMOS4), [F(1), F(2), F(3), F(4)], 40).values  # no relation
+    linear = iterate_t(TStencil(PRIM4), [F(1)] * 4, 40).values  # x[n+6] - 5 x[n+3] + x[n] = 0
 
-    def check():
-        for offs, train, verify in cases:
-            if offs[-1] + train + verify <= len(orb.values):
-                assert (analysis.relation_search(orb, offs, train, verify)
-                        == analysis.relation_search(_fresh(orb), offs, train, verify))
-    check()
-    found = analysis.relation_search(orb, (0, 12, 24), 6, 12)
-    assert found.status == "found"
-    orb.values[20] = orb.values[20] + 1  # replaced: the relation breaks
-    check()
-    assert analysis.relation_search(orb, (0, 12, 24), 6, 12).status != "found"
-    orb.values[20] = orb.values[20] - 1  # an equal value, a new object
-    check()
-    assert analysis.relation_search(orb, (0, 12, 24), 6, 12) == found
-    del orb.values[50:]  # truncated below the residues already read
-    check()
-    orb.values.extend(_scan_orbit(5, 1).values[:30])  # extended with other values
-    check()
-    del orb.values[10:]
-    orb.values.extend(_scan_orbit(4, 0).values[10:])  # back to the original
-    check()
-    assert analysis.relation_search(orb, (0, 12, 24), 6, 12) == found
+    def search(orb):
+        got = analysis.relation_search(orb, (0, 3, 6), 3, 15)
+        assert got == analysis.relation_search(_fresh(orb), (0, 3, 6), 3, 15)
+        return got.status
+
+    def searched_plain():
+        orb = Orbit(TStencil(SOMOS4), "rational", list(plain))
+        assert search(orb) == "inconsistent"  # the residues of `plain` are kept
+        return orb
+
+    orb = searched_plain()
+    for k, v in enumerate(linear):  # replaced one by one
+        orb.values[k] = v
+    assert search(orb) == "found"
+    orb.values[5] = orb.values[5] + 1  # one value replaced again
+    assert search(orb) == "inconsistent"
+    orb.values[5] = orb.values[5] - 1  # an equal value, a new object
+    assert search(orb) == "found"
+
+    orb = searched_plain()
+    del orb.values[2:]  # truncated below the residues already read
+    orb.values.extend(linear[2:])  # and extended
+    assert search(orb) == "inconsistent"  # x_0, x_1 are still somos4's
+    del orb.values[:]
+    orb.values.extend(linear[:30])
+    assert search(orb) == "found"
+    orb.values.extend(plain[30:])  # appended past the residues read
+    assert search(orb) == "found"
+    assert analysis.relation_search(orb, (0, 3, 6), 3, 30) == analysis.relation_search(
+        _fresh(orb), (0, 3, 6), 3, 30)
 
 
 def test_values_with_p_in_the_denominator_take_the_exact_path():
