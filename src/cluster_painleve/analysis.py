@@ -103,13 +103,17 @@ def tropical_iterate(a: Sequence[int], init: Sequence[int], steps: int) -> Degre
     n = len(a) + 1
     if len(init) != n:
         raise ValueError(f"initial data must have {n} entries")
-    plus = [max(aj, 0) for aj in a]
-    minus = [max(-aj, 0) for aj in a]
+    # (offset, coefficient) over the nonzero entries of [a]_+ and [-a]_+
+    ups = [(j + 1, c) for j, c in enumerate(a) if c > 0]
+    dns = [(j + 1, -c) for j, c in enumerate(a) if c < 0]
     xs = [int(v) for v in init]
     for m in range(steps):
-        up = sum(c * xs[m + j + 1] for j, c in enumerate(plus))
-        dn = sum(c * xs[m + j + 1] for j, c in enumerate(minus))
-        xs.append(max(up, dn) - xs[m])
+        up = dn = 0
+        for j, c in ups:
+            up += c * xs[m + j]
+        for j, c in dns:
+            dn += c * xs[m + j]
+        xs.append((up if up > dn else dn) - xs[m])
     return DegreeSequence(tuple(xs), "tropical")
 
 

@@ -7,8 +7,9 @@ over asymptotics.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Mat = list[list[int]]
 Vec = tuple[int, ...]
@@ -248,6 +249,48 @@ def invert_fraction(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | N
     if len(pivots) < n:
         return None
     return [row[n:] for row in red]
+
+
+def _primitive_part(p: Sequence[int]) -> list[int]:
+    """p without its trailing zeros, divided by its (positive) content."""
+    q = list(p)
+    while q and not q[-1]:
+        q.pop()
+    g = math.gcd(*q)
+    return [c // g for c in q] if g > 1 else q
+
+
+def poly_gcd(polys: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Primitive gcd in Z[x] of integer polynomials given by their ascending
+    coefficients: () when every one vanishes, else with a positive leading
+    coefficient.
+
+    Euclid on primitive parts (the primitive PRS): each step scales the
+    dividend by a nonzero integer before subtracting multiples of the
+    divisor, which keeps the gcd over Q, and by Gauss's lemma the primitive
+    part of the gcd over Q is the gcd over Z of primitive polynomials.
+    """
+    g: list[int] = []
+    for p in polys:
+        if len(g) == 1:
+            break
+        a, b = g, _primitive_part(p)
+        while b:
+            lb, db = b[-1], len(b)
+            while len(a) >= db:
+                la = a[-1]
+                h = math.gcd(la, lb)
+                fa, fb = lb // h, la // h
+                if fa != 1:
+                    a = [fa * c for c in a]
+                k = len(a) - db
+                for i, c in enumerate(b):
+                    a[k + i] -= fb * c
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, _primitive_part(a)
+        g = a
+    return tuple(-c for c in g) if g and g[-1] < 0 else tuple(g)
 
 
 def in_lattice(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:

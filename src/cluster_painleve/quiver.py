@@ -10,11 +10,28 @@ integer tuple.
 The rows of such a matrix B span a rank-r sublattice im B of Z^N that is
 invariant under the shift s and the reversal of the index window.  It has a
 Z-basis of the shifts s^0(v), ..., s^{r-1}(v) of one palindromic integer
-vector v whose support has length N-r+1 (`palindromic_basis`).  The shifts
-are in echelon form with pivots in columns 0..r-1, so the last row of the
-Hermite basis of im B is s^{r-1}(v) and gives v.  The monomials
-U_n = x^{s^n v} are the reduced variables of `reduction` and the lattice
-coordinates of symbolic orbits in `tsystem`.
+vector v whose support has length N-r+1 (`palindromic_basis`).  The
+monomials U_n = x^{s^n v} are the reduced variables of `reduction` and the
+lattice coordinates of symbolic orbits in `tsystem`.
+
+Reading a vector as the polynomial of its ascending entries, s is
+multiplication by lambda, and `palindromic_basis` takes v as the primitive
+gcd in Z[lambda] of the row polynomials b_j(lambda) = sum_k B[j][k] lambda^k,
+with r = N - deg v.  Why that basis is exact:
+
+- Each b_j is v c_j with deg c_j < r, and c_j is integral by Gauss's lemma,
+  since v is primitive.  So every row lies in L, the span of s^i(v) for
+  i < r, and rank B <= r.
+- L is saturated, again by Gauss's lemma: content(v c) = content(c), so an
+  integer vector in the rational span of L has an integral c.
+- im B is the saturation of the row span of B, so once rank B = r the two
+  saturated lattices of rank r, im B inside L, are equal.
+- rank B >= r holds when B has rank r modulo the prime P = 2^61 - 1, since
+  rank can only drop modulo a prime; only when that rank falls short does
+  the exact rank over Q decide.
+
+The Hermite route of `intlinalg` (`image_lattice_basis`, `lattice_equal`)
+computes the same lattice independently and stays as its reference.
 """
 
 from __future__ import annotations
@@ -23,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intlinalg import image_lattice_basis, lattice_equal
+from .intlinalg import P, poly_gcd, rank, rank_residues
 
 
 class NotPalindromic(ValueError):
@@ -223,21 +240,23 @@ class PalindromicBasis:
 
 def palindromic_basis(b: ExchangeMatrix) -> PalindromicBasis:
     """Shift-palindromic Z-basis of im B (unique up to overall sign; the
-    leading entry of the generator is normalized positive)."""
-    n = b.n
-    if not any(map(any, b.rows)):
-        return PalindromicBasis(n, 0, (0,) * n)
-    img = image_lattice_basis(b.as_lists())
-    r = len(img)
-    gen = tuple(img[-1][r - 1:]) + (0,) * (r - 1)
-    support = gen[:max(i for i, x in enumerate(gen) if x) + 1]
-    if support != support[::-1]:
-        raise EliminationFailed("generator is not palindromic")
+    leading entry of the generator is normalized positive).
 
-    basis = PalindromicBasis(n, r, gen)
-    if not lattice_equal([list(w) for w in basis.vectors], img):
+    v is the primitive gcd of the row polynomials of B, with r = N - deg v,
+    certified by rank B == r (see the module docstring).
+    """
+    n = b.n
+    v = poly_gcd(b.rows)
+    if not v:
+        return PalindromicBasis(n, 0, (0,) * n)
+    # v[-1] > 0 and v != 0, so a palindromic v also has v[0] > 0
+    if v != v[::-1]:
+        raise EliminationFailed(f"generator {v} is not palindromic")
+    r = n - len(v) + 1
+    if (rank_residues([[x % P for x in row] for row in b.rows]) < r
+            and rank(b.rows) < r):
         raise EliminationFailed("shifted family does not span the row lattice")
-    return basis
+    return PalindromicBasis(n, r, v + (0,) * (r - 1))
 
 
 # -- coefficient mutation -------------------------------------------------------

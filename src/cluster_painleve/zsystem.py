@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .intlinalg import poly_gcd
+
 
 class ZeroTuple(ValueError):
     """All exponents vanish; no constraint to solve."""
@@ -80,23 +82,9 @@ def z_stencil_from_tuple(a: Sequence[int]) -> ZStencil:
 # Small exact helpers on integer polynomials, coefficients ascending.
 
 
-def _poly_content(p: Sequence[int]) -> int:
-    g = 0
-    for c in p:
-        g = math.gcd(g, abs(c))
-    return g or 1
-
-
 def _poly_normalize(p: Sequence[int]) -> tuple[int, ...]:
-    q = list(p)
-    while q and q[-1] == 0:
-        q.pop()
-    if not q:
-        return (0,)
-    g = _poly_content(q)
-    if q[-1] < 0:
-        g = -g
-    return tuple(c // g for c in q)
+    """Primitive with a positive leading coefficient; (0,) for zero."""
+    return poly_gcd((p,)) or (0,)
 
 
 def _poly_divmod_frac(p: Sequence[Fraction], q: Sequence[Fraction]):
@@ -171,23 +159,12 @@ def _candidates(work: tuple[int, ...]):
 
 
 def _squarefree_part(p: tuple[int, ...]) -> tuple[int, ...]:
-    # p / gcd(p, p') over Q, then primitive over Z
-    dp = tuple(k * p[k] for k in range(1, len(p)))
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in dp]
-    while any(c != 0 for c in b):
-        _, r = _poly_divmod_frac(a, b)
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r or [Fraction(0)]
-    # a = gcd; divide
-    quo, rem = _poly_divmod_frac([Fraction(c) for c in p], a)
-    if any(r != 0 for r in rem):
+    # p / gcd(p, p'), then primitive; the quotient is integral since the gcd
+    # is primitive (Gauss's lemma)
+    quo = _poly_try_div_int(p, poly_gcd((p, [k * p[k] for k in range(1, len(p))])))
+    if quo is None:
         raise ArithmeticError("squarefree part: polynomial gcd left a remainder")
-    m = 1
-    for c in quo:
-        m = math.lcm(m, c.denominator)
-    return _poly_normalize([int(c * m) for c in quo])
+    return _poly_normalize(quo)
 
 
 def factor_over_integers(p: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -449,6 +426,8 @@ def _exact_int_root(m: int, k: int) -> int | None:
     """The k-th root of m >= 0 when m is a perfect k-th power, else None."""
     if m < 2:
         return m
+    if k >= m.bit_length():
+        return None  # 1 < m^(1/k) < 2
     if k == 2:
         r = math.isqrt(m)
     else:

@@ -61,6 +61,52 @@ def test_quadratic_growth_with_period8_wobble():
         assert tr.values[n + 16] - 2 * tr.values[n + 8] + tr.values[n] == 8
 
 
+def _tropical_reference(a, init, steps):
+    """The max-plus step summed over every slot of [a]_+ and [-a]_+."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    n = len(a) + 1
+    if len(init) != n:
+        raise ValueError(f"initial data must have {n} entries")
+    plus = [max(aj, 0) for aj in a]
+    minus = [max(-aj, 0) for aj in a]
+    xs = [int(v) for v in init]
+    for m in range(steps):
+        up = sum(c * xs[m + j + 1] for j, c in enumerate(plus))
+        dn = sum(c * xs[m + j + 1] for j, c in enumerate(minus))
+        xs.append(max(up, dn) - xs[m])
+    return tuple(xs)
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_tropical_iterate_matches_reference():
+    import random
+    rng = random.Random(5)
+    tuples = [get_preset(name).a for name in
+              ("somos4", "somos5", "somos6", "somos7", "prim4", "nonintegrable6")]
+    tuples += [get_preset("primN", n).a for n in (3, 5, 8, 12, 20)]
+    for _ in range(40):
+        half = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+        tuples.append(tuple(half + half[-1 - rng.randint(0, 1)::-1]))
+    for a in tuples:
+        n = len(a) + 1
+        inits = [[-(j == slot) for j in range(n)] for slot in range(n)]
+        inits.append([rng.randint(-5, 5) for _ in range(n)])
+        for init in inits:
+            for steps in (0, 1, 37, 150):
+                got = analysis.tropical_iterate(a, init, steps).values
+                assert got == _tropical_reference(a, init, steps), (a, init, steps)
+        for init, steps in ((inits[0], -1), (inits[0][1:], 5), (inits[0] + [0], 0)):
+            assert (_outcome(lambda *x: analysis.tropical_iterate(*x).values, a, init, steps)
+                    == _outcome(_tropical_reference, a, init, steps))
+
+
 def _poly_by_differences_by_slicing(seq):
     """Reference for the detector: try every start, testing each tail slice."""
     for s in range(1, 9):

@@ -1,8 +1,10 @@
 """Palindromic reduction: bases, reduced recurrences, symplectic structure.
 
-The palindromic generator read off the Hermite basis of the image lattice
-is the heart of the package; every preset's generator is pinned here along
-with the reduced recurrences they induce.
+The palindromic generator, the primitive gcd of the row polynomials of B
+certified by a rank modulo 2^61 - 1, is the heart of the package; every
+preset's generator is pinned here along with the reduced recurrences they
+induce, and the Hermite route of `intlinalg` (image lattice, lattice
+equality) is its independent reference.
 """
 
 import itertools
@@ -88,19 +90,71 @@ def test_basis_has_the_independent_properties():
             assert math.gcd(*minors) == 1, a
 
 
-def test_failed_basis_checks_raise(monkeypatch):
-    b = get_preset("somos4").matrix
-    with monkeypatch.context() as m:  # last Hermite row (0, 1, -1, 0)
-        m.setattr(quiver, "image_lattice_basis", lambda rows: [(1, 0, 0, 0), (0, 1, -1, 0)])
-        with pytest.raises(reduction.EliminationFailed, match="palindromic"):
-            reduction.palindromic_basis(b)
-    with monkeypatch.context() as m:
-        m.setattr(quiver, "lattice_equal", lambda a, c: False)
-        with pytest.raises(reduction.EliminationFailed, match="span"):
-            reduction.palindromic_basis(b)
+def _assert_matches_hermite_route(b):
+    """The basis spans the image lattice of the Hermite route, whose last
+    Hermite row is s^(r-1) of the same generator."""
+    bas = reduction.palindromic_basis(b)
+    img = intlinalg.image_lattice_basis(b.as_lists())
+    r = len(img)
+    gen = tuple(img[-1][r - 1:]) + (0,) * (r - 1) if r else (0,) * b.n
+    assert (bas.generator, bas.rank) == (gen, r)
+    assert intlinalg.lattice_equal([list(v) for v in bas.vectors], img)
+
+
+def test_basis_matches_the_hermite_route():
+    # the presets, prim5-prim40, and every palindromic tuple of length 1-8
+    # with entries in [-2, 2], the zero tuples (rank 0) among them
+    for name in PINNED_BASES:
+        _assert_matches_hermite_route(get_preset(name).matrix)
+    for n in range(5, 41):
+        _assert_matches_hermite_route(get_preset("primN", n).matrix)
+    for length in range(1, 9):
+        for half in itertools.product(range(-2, 3), repeat=(length + 1) // 2):
+            _assert_matches_hermite_route(build_from_tuple(half + half[: length // 2][::-1]))
+
+
+@st.composite
+def _palindromic_tuples(draw):
+    length = draw(st.integers(1, 15))
+    half = draw(st.lists(st.integers(-3, 3), min_size=(length + 1) // 2,
+                         max_size=(length + 1) // 2))
+    return tuple(half) + tuple(half[: length // 2][::-1])
+
+
+@given(_palindromic_tuples())
+@settings(max_examples=300, deadline=None)
+def test_basis_matches_the_hermite_route_on_random_tuples(a):
+    _assert_matches_hermite_route(build_from_tuple(a))
+
+
+def test_failed_basis_checks_raise():
+    # rows L + 2L^2, -1 + 4L^2 and -2 - 4L share the factor 1 + 2L
+    b = ExchangeMatrix.from_rows([[0, 1, 2], [-1, 0, 4], [-2, -4, 0]])
+    with pytest.raises(reduction.EliminationFailed, match="palindromic"):
+        reduction.palindromic_basis(b)
+    # rows L, -1 and 0 are coprime, so r would be 3, but B has rank 2
+    b = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    with pytest.raises(reduction.EliminationFailed, match="span"):
+        reduction.palindromic_basis(b)
     wrong = reduction.PalindromicBasis(4, 2, (1, 0, 0, 0))
     with pytest.raises(reduction.EliminationFailed, match="push down"):
-        reduction.reduced_structure_matrix(b, wrong)
+        reduction.reduced_structure_matrix(get_preset("somos4").matrix, wrong)
+
+
+def test_short_modular_rank_falls_through_to_the_exact_rank(monkeypatch):
+    exact = []
+    monkeypatch.setattr(quiver, "rank", lambda rows: exact.append(rows) or intlinalg.rank(rows))
+    # entries divisible by P vanish modulo P: rank 0 there, 2 over Q
+    for a in ((intlinalg.P,) * 2, (intlinalg.P, 0, intlinalg.P)):
+        _assert_matches_hermite_route(build_from_tuple(a))
+    assert len(exact) == 2
+    for name in PINNED_BASES:
+        b = get_preset(name).matrix
+        want = reduction.palindromic_basis(b)
+        with monkeypatch.context() as m:
+            m.setattr(quiver, "rank_residues", lambda rows: 0)
+            assert reduction.palindromic_basis(b) == want
+    assert len(exact) == 2 + len(PINNED_BASES)
 
 
 def _gram_structure_matrix(b, basis):

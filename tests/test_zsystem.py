@@ -1,5 +1,6 @@
 """Coefficient constraints: stencils, spectra, closed forms, solutions."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cluster_painleve.laurent import format_rational
 from cluster_painleve.presets import get_preset
 from cluster_painleve.zsystem import (
+    AlgebraicZCase,
     ConstantZ,
     GeometricZ,
     PerturbedZ,
@@ -20,7 +22,7 @@ from cluster_painleve.zsystem import (
     spectral_radius,
     z_stencil_from_tuple,
 )
-from cluster_painleve.zsystem import _exact_fraction_root, _poly_normalize
+from cluster_painleve.zsystem import _exact_fraction_root, _exact_int_root, _poly_normalize
 
 F = Fraction
 
@@ -224,6 +226,21 @@ def test_exact_root_inverts_powers(num, den, k):
     if num and k > 1:
         assert _exact_fraction_root(x ** k + F(1, den ** k), k) is None
     assert _exact_fraction_root(-(x ** k) - 1, k) is None
+
+
+def test_exact_root_of_high_degree_returns_at_once():
+    # for m >= 2 and k >= m.bit_length() the root lies in (1, 2); Newton from
+    # r = 2 would first build r ** (k - 1), a k-bit integer
+    start = time.perf_counter()
+    assert _exact_int_root(5, 2 ** 23) is None
+    assert _exact_int_root(2 ** 64 - 1, 64) is None
+    assert _exact_int_root(2 ** 64, 64) == 2
+    # exponent denominators 3^19 and 3^29 at entries 20 and 30
+    sol = solve_z(z_stencil_from_tuple((-3, 1, -3)), [4, 9])
+    for n in (20, 30):
+        with pytest.raises(AlgebraicZCase):
+            sol.value(n)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- integer exponent tables ---------------------------------------------------
