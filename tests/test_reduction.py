@@ -144,7 +144,7 @@ def test_failed_basis_checks_raise():
 def test_short_modular_rank_falls_through_to_the_exact_rank(monkeypatch):
     exact = []
     monkeypatch.setattr(quiver, "rank", lambda rows: exact.append(rows) or intlinalg.rank(rows))
-    # entries divisible by P vanish modulo P: rank 0 there, 2 over Q
+    # every entry is a multiple of P: rank 0 modulo P, 2 and 4 over Q
     for a in ((intlinalg.P,) * 2, (intlinalg.P, 0, intlinalg.P)):
         _assert_matches_hermite_route(build_from_tuple(a))
     assert len(exact) == 2
