@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intlinalg import rank_residues, solve_augmented
+from .intlinalg import rank_residues, solve
 from .laurent import format_rational
 from .tsystem import Orbit
 
@@ -266,8 +266,8 @@ def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int)
     m = len(offs) - 1
     if train > m and _certified_inconsistent(orb, offs, train):
         return RelationSearch(offs, m, -1, None, "inconsistent")
-    aug = [[vals[n + o] for o in offs[1:]] + [-vals[n]] for n in range(train)]
-    rank, dim, sol = solve_augmented(aug, m)
+    rows = [[vals[n + o] for o in offs[1:]] for n in range(train)]
+    rank, dim, sol = solve(rows, [-vals[n] for n in range(train)])
     if dim == -1:
         return RelationSearch(offs, rank, -1, None, "inconsistent")
     if dim > 0:

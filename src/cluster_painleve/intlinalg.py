@@ -69,7 +69,7 @@ def rank(m: Sequence[Sequence[int]]) -> int:
     return len(rref(m)[1])
 
 
-P = 2**61 - 1  # a Mersenne prime: modulus of the rank certificate in ``solve``
+P = 2**61 - 1  # a Mersenne prime: modulus of the rank certificates (``rank_residues``)
 
 
 def residue(x) -> int | None:
@@ -100,15 +100,6 @@ def rank_residues(a: list[list[int]]) -> int:
     return r
 
 
-def _rank_mod_p(rows: Sequence[Sequence]) -> int | None:
-    """Rank modulo P of an integer or rational matrix; None when P divides a
-    denominator."""
-    a = [[residue(x) for x in row] for row in rows]
-    if any(None in row for row in a):
-        return None
-    return rank_residues(a)
-
-
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[int, int, list[Fraction] | None]:
     """Solve ``rows @ x == rhs`` exactly: (rank, solution_dim, solution).
 
@@ -117,18 +108,7 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[int, int, list[Fract
     unique (solution_dim == 0).  Entries are ints or Fractions.
     """
     m = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    # rank only drops modulo P, so [rows | rhs] of rank m + 1 modulo P has
-    # rank m + 1 over Q: the system is inconsistent and rows have rank m
-    if len(aug) > m and _rank_mod_p(aug) == m + 1:
-        return m, -1, None
-    return solve_augmented(aug, m)
-
-
-def solve_augmented(aug: Sequence[Sequence], m: int) -> tuple[int, int, list[Fraction] | None]:
-    """``solve`` on the augmented rows [rows | rhs] of m unknowns, by exact
-    elimination alone."""
-    a, pivots = rref(aug, m)
+    a, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], m)
     r = len(pivots)
     if any(row[m] != 0 for row in a[r:]):
         return r, -1, None
@@ -291,6 +271,25 @@ def poly_gcd(polys: Iterable[Sequence[int]]) -> tuple[int, ...]:
             a, b = b, _primitive_part(a)
         g = a
     return tuple(-c for c in g) if g and g[-1] < 0 else tuple(g)
+
+
+def poly_div(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...] | None:
+    """The quotient p / q in Z[x] of integer polynomials given by their
+    ascending coefficients, q's last one nonzero; None unless q divides p.
+    Long division over Z: the quotient over Q is unique, so a coefficient of
+    it outside Z, or a nonzero remainder, proves that q does not divide p.
+    """
+    r, dq = list(p), len(q) - 1
+    if dq >= len(r):
+        return None
+    out = [0] * (len(r) - dq)
+    for i in reversed(range(len(out))):
+        out[i], rem = divmod(r[i + dq], q[-1])
+        if rem:
+            return None
+        for j, b in enumerate(q):
+            r[i + j] -= out[i] * b
+    return None if any(r[:dq]) else tuple(out)
 
 
 def in_lattice(basis: Sequence[Sequence[int]], v: Sequence[int]) -> bool:

@@ -115,10 +115,9 @@ def _derive(b: ExchangeMatrix, z_flag: bool) -> USystemSpec:
         raise EliminationFailed("leading generator entry must be positive")
 
     xvars = tuple(f"x{i}" for i in range(n))
-    mplus = LaurentPoly.monomial(
-        xvars, tuple([0] + [max(aj, 0) for aj in a]), 1)
-    mminus = LaurentPoly.monomial(
-        xvars, tuple([0] + [max(-aj, 0) for aj in a]), 1)
+    st = TStencil(a)
+    mplus = LaurentPoly.monomial(xvars, (0,) + st.plus_exponents, 1)
+    mminus = LaurentPoly.monomial(xvars, (0,) + st.minus_exponents, 1)
     e = (mplus + mminus) ** e_top
     shift_exps = tuple([w[0] - e_top] + [w[j] for j in range(1, n)])
     e = e.shift(shift_exps)

@@ -66,7 +66,7 @@ from typing import Sequence
 from .coprime import _from_coprime_ints, coprime_base, int_divmod
 from .intlinalg import residue
 from .laurent import LaurentPoly, format_rational, laurent_try_div, monomial_map, parse_rational
-from .quiver import NotPalindromic, build_from_tuple, palindromic_basis
+from .quiver import NotPalindromic, _pos, build_from_tuple, palindromic_basis
 from .zsystem import AlgebraicZCase, ConstantZ
 
 
@@ -80,10 +80,6 @@ class ZeroEncountered(ArithmeticError):
 
 class TermBudgetExceeded(ArithmeticError):
     """A symbolic iterate has more terms than the ``max_terms`` budget."""
-
-
-def _pos(v: int) -> int:
-    return v if v > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -137,9 +133,6 @@ class Orbit:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def value(self, n: int):
-        return self.values[n]
 
     def residue(self, n: int) -> int | None:
         """x_n modulo `intlinalg.P`, or None when P divides its denominator.

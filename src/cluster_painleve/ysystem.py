@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coprime import Pieces, add_exps
-from .quiver import ExchangeMatrix, mutate_matrix
+from .quiver import ExchangeMatrix, _pos, mutate_matrix
 from .reduction import _u_steps
 from .tsystem import Orbit, check_orbit
 
@@ -33,10 +33,6 @@ class NonPositiveParameter(ValueError):
 
 class InsufficientWindow(ValueError):
     pass
-
-
-def _pos(v: int) -> int:
-    return v if v > 0 else 0
 
 
 def _check_positive(values: Sequence[Fraction], what: str) -> list[Fraction]:

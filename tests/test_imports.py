@@ -3,14 +3,18 @@
 `numpy` and `sympy` may be installed next to it, but they are not declared,
 so an import of either (or of anything else) in `src/` fails here.  So does
 an imported name that nothing in `src/` reads, since no linter runs on it,
-and a module other than `coprime` that names a private slot of Fraction.
+a module-level function or class of `src/` that nothing names, and a module
+other than `coprime` that names a private slot of Fraction.
 """
 
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cluster_painleve"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cluster_painleve"
 ALLOWED = sys.stdlib_module_names | {"mpmath"}
 
 
@@ -70,6 +74,62 @@ def test_the_scan_sees_unused_imports():
         "__init__": "from .a import k\n",
     }.items()}
     assert sorted(_unused_imports(trees)) == ["a: f", "a: m", "b: k"]
+
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _names(tree):
+    """Each identifier a tree names: as a name, an attribute, an imported
+    name, or a part of a string that spells a dotted name (for getattr,
+    monkeypatch and the tracer's target table)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            yield from node.value.split(".")
+
+
+def _unreferenced_defs(src_trees, other_trees):
+    """``module: name`` for each module-level function or class of the
+    `src_trees` that no tree names outside its own definition.  A function
+    registered by an ``@_criterion(...)`` decorator counts as used."""
+    counts = Counter(name for tree in [*src_trees.values(), *other_trees]
+                     for name in _names(tree))
+    for stem, tree in src_trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_criterion"
+                   for d in node.decorator_list):
+                continue
+            if counts[node.name] == sum(name == node.name for name in _names(node)):
+                yield f"{stem}: {node.name}"
+
+
+def test_src_defines_nothing_unreferenced():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    others = [ast.parse(path.read_text(), str(path)) for folder in ("tests", "perfbench", "scripts")
+              for path in (ROOT / folder).glob("*.py")]
+    assert len(trees) > 10 and len(others) > 10
+    assert list(_unreferenced_defs(trees, others)) == []
+
+
+def test_the_scan_sees_unreferenced_defs():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "def dead(n):\n    return dead(n - 1)\n"
+             "@_criterion(1, 'title', 1.0)\ndef _c01():\n    pass\n"
+             "class Traced:\n    def step(self):\n        pass\n"
+             "def imported():\n    'imported'\n",
+        "b": "from .a import imported\nclass Unused(ValueError):\n    pass\n",
+    }.items()}
+    other = ast.parse("TARGETS = [('a', 'Traced.step')]\n# dead\nx = 'dead code'\n")
+    assert sorted(_unreferenced_defs(trees, [other])) == ["a: dead", "b: Unused"]
 
 
 FRACTION_SLOTS = {"_numerator", "_denominator"}

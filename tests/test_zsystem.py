@@ -2,10 +2,13 @@
 
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cluster_painleve import zsystem
+from cluster_painleve.intlinalg import poly_div
 from cluster_painleve.laurent import format_rational
 from cluster_painleve.presets import get_preset
 from cluster_painleve.zsystem import (
@@ -347,3 +350,79 @@ def test_zsys_bytes_unchanged(capsys):
     out = capsys.readouterr().out
     assert ('    "ratio_power_vector": [\n      "-1",\n      "0",\n      "1"\n    ]\n'
             in out)
+
+
+# -- integer polynomial division -------------------------------------------------
+
+
+def _divmod_over_q(p, q):
+    """Long division over Q: (quotient, remainder) of Fraction lists."""
+    p = list(p)
+    out = [Fraction(0)] * (len(p) - len(q) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = p[i + len(q) - 1] / q[-1]
+        out[i] = c
+        if c:
+            for j, b in enumerate(q):
+                p[i + j] -= c * b
+    return out, p[: len(q) - 1]
+
+
+def _div_over_q(p, q):
+    """Reference for `intlinalg.poly_div`: divide over Q, then ask for an
+    integral quotient and a zero remainder."""
+    if len(q) > len(p):
+        return None
+    quo, rem = _divmod_over_q([Fraction(c) for c in p], [Fraction(c) for c in q])
+    if any(r != 0 for r in rem) or any(c.denominator != 1 for c in quo):
+        return None
+    return tuple(int(c) for c in quo)
+
+
+coeffs = st.integers(-6, 6)
+divisors = st.builds(lambda body, lead: tuple(body) + (lead,),
+                     st.lists(coeffs, max_size=3), coeffs.filter(bool))
+
+
+@st.composite
+def divisions(draw):
+    """(p, q, s): p = s q exactly when s is not None."""
+    q, s = draw(divisors), tuple(draw(st.lists(coeffs, min_size=1, max_size=5)))
+    kind = draw(st.sampled_from(["exact", "perturbed", "content", "any"]))
+    if kind == "exact":
+        return _poly_mul(s, q), q, s
+    if kind == "perturbed":
+        p = list(_poly_mul(s, q))
+        p[draw(st.integers(0, len(p) - 1))] += draw(coeffs.filter(bool))
+        return tuple(p), q, None
+    if kind == "content":  # q times c > 1 and not monic: the quotient is s / c over Q
+        c = draw(st.integers(2, 5))
+        return _poly_mul(s, q), tuple(c * x for x in q), None
+    return tuple(draw(st.lists(coeffs, max_size=7))), q, None
+
+
+@given(divisions())
+@example(((0, 0, 0), (1, 2), (0, 0)))  # zero dividend
+@example(((0,), (3,), (0,)))
+@example(((1, 2), (1, 2, 3), None))  # divisor longer than dividend
+@example(((), (1,), None))
+@settings(max_examples=400, deadline=None)
+def test_poly_div_matches_division_over_q(case):
+    p, q, s = case
+    got = poly_div(p, q)
+    assert got == _div_over_q(p, q)
+    if s is not None:
+        assert got == s
+
+
+def _palindromes(max_len, entries):
+    for n in range(1, max_len + 1):
+        for half in product(entries, repeat=(n + 1) // 2):
+            yield half + half[: n // 2][::-1]
+
+
+def test_char_poly_unchanged_under_division_over_q(monkeypatch):
+    stencils = [z_stencil_from_tuple(a) for a in _palindromes(6, range(-2, 3)) if any(a)]
+    got = [_outcome(char_poly, stencil) for stencil in stencils]
+    monkeypatch.setattr(zsystem, "poly_div", _div_over_q)
+    assert [_outcome(char_poly, stencil) for stencil in stencils] == got
