@@ -55,6 +55,16 @@ def _pos(b: int) -> int:
     return b if b > 0 else 0
 
 
+def power_product(values: Sequence, exps: Sequence[int], one=1):
+    """prod_j values[j] ** exps[j] over the nonzero exponents only, from the
+    first factor on; `one` when there are none."""
+    acc = None
+    for v, e in zip(values, exps):
+        if e:
+            acc = v ** e if acc is None else acc * v ** e
+    return one if acc is None else acc
+
+
 @dataclass(frozen=True)
 class ExchangeMatrix:
     rows: tuple[tuple[int, ...], ...]

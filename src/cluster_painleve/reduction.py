@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Mapping, Sequence
 
 from .coprime import Pieces, add_exps
 from .intlinalg import invert_fraction, mat_mul, transpose
 from .laurent import LaurentPoly
 from .quiver import (EliminationFailed, ExchangeMatrix, PalindromicBasis, _sgn,
-                     palindromic_basis)
+                     palindromic_basis, power_product)
 from .tsystem import TStencil, iterate_t, iterate_tz
 
 
@@ -48,14 +48,7 @@ def project(basis: PalindromicBasis, window: Sequence[Fraction]) -> tuple[Fracti
     xs = [Fraction(x) for x in window]
     if any(x == 0 for x in xs):
         raise ZeroComponent("window contains a zero component")
-    out = []
-    for vec in basis.vectors:
-        u = Fraction(1)
-        for x, e in zip(xs, vec):
-            if e:
-                u *= x ** e
-        out.append(u)
-    return tuple(out)
+    return tuple(power_product(xs, vec, Fraction(1)) for vec in basis.vectors)
 
 
 # -- reduced recurrences ---------------------------------------------------------
@@ -105,33 +98,27 @@ def _derive(b: ExchangeMatrix, z_flag: bool) -> USystemSpec:
     v = basis.generator
     a = b.first_row_tuple()
 
-    w = [0] * (n + 1)
-    for j in range(n):
-        w[j] += v[j]
-    for j in range(r, n + 1):
-        w[j] += v[j - r]
+    w = [x + y for x, y in zip(v + (0,), (0,) * r + v)]  # v + s^r v
     e_top = w[n]
     if e_top <= 0:
         raise EliminationFailed("leading generator entry must be positive")
 
-    xvars = tuple(f"x{i}" for i in range(n))
+    # x_N = (x^+ + x^-) / x_0 in U_{n+r} U_n = x^w: term k of F is
+    # comb(e_top, k) x^(w + k plus + (e_top - k) minus), w[0] lowered by e_top
     st = TStencil(a)
-    mplus = LaurentPoly.monomial(xvars, (0,) + st.plus_exponents, 1)
-    mminus = LaurentPoly.monomial(xvars, (0,) + st.minus_exponents, 1)
-    e = (mplus + mminus) ** e_top
-    shift_exps = tuple([w[0] - e_top] + [w[j] for j in range(1, n)])
-    e = e.shift(shift_exps)
-
+    plus, minus = (0,) + st.plus_exponents, (0,) + st.minus_exponents
+    w[0] -= e_top
     uvars = tuple(f"U{j}" for j in range(1, r))
     terms: dict[tuple[int, ...], int] = {}
-    for exps, coef in e.terms.items():
+    for k in range(e_top, -1, -1):
+        exps = tuple(x + k * p + (e_top - k) * m for x, p, m in zip(w, plus, minus))
         sol = basis.coordinates(exps)
         if sol is None:
             raise EliminationFailed(f"monomial {exps} is not a product of reduced variables")
         if sol[0] != 0:
             raise EliminationFailed("reduced recurrence would depend on U_n itself")
         key = tuple(sol[1:])
-        terms[key] = terms.get(key, 0) + coef
+        terms[key] = terms.get(key, 0) + comb(e_top, k)
     f = LaurentPoly(uvars, terms)
     den_exps = tuple(max(0, -f.min_exponent(i)) for i in range(len(uvars)))
     f_num = f.shift(den_exps)

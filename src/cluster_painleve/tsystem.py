@@ -66,7 +66,7 @@ from typing import Sequence
 from .coprime import _from_coprime_ints, coprime_base, int_divmod
 from .intlinalg import residue
 from .laurent import LaurentPoly, format_rational, laurent_try_div, monomial_map, parse_rational
-from .quiver import NotPalindromic, _pos, build_from_tuple, palindromic_basis
+from .quiver import NotPalindromic, _pos, build_from_tuple, palindromic_basis, power_product
 from .zsystem import AlgebraicZCase, ConstantZ
 
 
@@ -140,8 +140,11 @@ class Orbit:
         Computed once per value: the entry keeps the value it came from and
         is recomputed when `values[n]` is no longer that object, so a caller
         who edits, truncates or extends `values` never reads a stale residue.
+        A negative n counts from the end, as it does in `values`.
         """
         v, cache = self.values[n], self._residues
+        if n < 0:
+            n += len(self.values)
         if n >= len(cache):
             cache.extend([(None, None)] * (n + 1 - len(cache)))
         seen, r = cache[n]
@@ -172,14 +175,6 @@ def orbit_from_json(data: dict) -> Orbit:
     return Orbit(st, kind, vals, None, variables)
 
 
-def _product_monomial(values: Sequence, exps: Sequence[int], one):
-    acc = one
-    for v, e in zip(values, exps):
-        for _ in range(e):
-            acc = acc * v
-    return acc
-
-
 def check_orbit(orb: Orbit, start: int = 0) -> bool:
     """Exact recurrence check at every index where the window is defined."""
     st = orb.stencil
@@ -195,8 +190,8 @@ def check_orbit(orb: Orbit, start: int = 0) -> bool:
             return _z_monomial_poly(z, n, orb.variables)
     for n in range(start, len(vals) - n_):
         w = vals[n + 1 : n + n_]
-        rhs = zval(n) * (_product_monomial(w, st.plus_exponents, one)
-                         + _product_monomial(w, st.minus_exponents, one))
+        rhs = zval(n) * (power_product(w, st.plus_exponents, one)
+                         + power_product(w, st.minus_exponents, one))
         if vals[n + n_] * vals[n] != rhs:
             return False
     return True
@@ -350,8 +345,8 @@ def iterate_tz(st: TStencil, z, init: Sequence[Fraction] | None, steps: int,
         for n in range(_integer_steps(st, z, vals, steps), steps):
             w = vals[n + 1 : n + n_]
             num = z.value(n) * (
-                _product_monomial(w, st.plus_exponents, one)
-                + _product_monomial(w, st.minus_exponents, one))
+                power_product(w, st.plus_exponents, one)
+                + power_product(w, st.minus_exponents, one))
             nxt = num / vals[n]
             if nxt == 0:
                 raise ZeroEncountered(f"orbit value x_{n + n_} vanished")
@@ -377,8 +372,8 @@ def _symbolic(st: TStencil, z, steps: int, max_terms: int) -> Orbit:
         w, gw = window[1:], g[1:]
         # the two monomials of the exchange differ by x^d, d in im B
         c = basis.coordinates([sum(a * x[i] for a, x in zip(st.a, gw)) for i in range(n_)])
-        num = (_product_monomial(w, st.plus_exponents, one).shift(c + (0,) * len(zsyms))
-               + _product_monomial(w, st.minus_exponents, one))
+        num = (power_product(w, st.plus_exponents, one).shift(c + (0,) * len(zsyms))
+               + power_product(w, st.minus_exponents, one))
         nxt = laurent_try_div(num, window[0])
         if nxt is None:
             raise NonLaurentIterate(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coprime import Pieces, add_exps
-from .quiver import ExchangeMatrix, _pos, mutate_matrix
+from .quiver import ExchangeMatrix, _pos, mutate_matrix, power_product
 from .reduction import _u_steps
 from .tsystem import Orbit, check_orbit
 
@@ -44,15 +44,10 @@ def _check_positive(values: Sequence[Fraction], what: str) -> list[Fraction]:
 
 def y_step(a: Sequence[int], window: Sequence[Fraction]) -> Fraction:
     """RHS of the Y-system for one window y_{n+1}..y_{n+N-1}."""
-    num = Fraction(1)
-    den = Fraction(1)
-    for y, aj in zip(window, a):
-        p = _pos(aj)
-        m = _pos(-aj)
-        if m:
-            num *= (1 + y) ** m
-        if p:
-            den *= (1 + 1 / y) ** p
+    one = Fraction(1)
+    num = power_product([1 + y for y in window], [_pos(-aj) for aj in a], one)
+    den = power_product([1 + one / y if aj > 0 else one for y, aj in zip(window, a)],
+                        [_pos(aj) for aj in a], one)
     return num / den
 
 
@@ -106,14 +101,9 @@ def ybar_from_orbit(a: Sequence[int], xorb: Orbit) -> list[Fraction]:
     vals = xorb.values
     if len(vals) < n_:
         raise InsufficientWindow(f"orbit shorter than one window of {n_}")
-    out = []
-    for n in range(len(vals) - n_ + 1):
-        y = Fraction(1)
-        for j, aj in enumerate(a, start=1):
-            if aj:
-                y *= Fraction(vals[n + j]) ** (-aj)
-        out.append(y)
-    return out
+    vals, exps = [Fraction(x) for x in vals], [-aj for aj in a]
+    return [power_product(vals[n + 1:n + n_], exps, Fraction(1))
+            for n in range(len(vals) - n_ + 1)]
 
 
 def y_residual_ok(a: Sequence[int], ys: Sequence[Fraction], n: int) -> bool:
@@ -144,10 +134,8 @@ def verify_tz_correspondence(a: Sequence[int], xorb: Orbit, steps: int) -> list[
     out = []
     for n in range(steps):
         y_ok = y_residual_ok(a, ybar, n)
-        z_prod = Fraction(1)
-        for j, aj in enumerate(a, start=1):
-            if aj:
-                z_prod *= xorb.z.value(n + j) ** (-aj)
+        z_prod = power_product([xorb.z.value(n + j) if aj else 1
+                                for j, aj in enumerate(a, start=1)], [-aj for aj in a])
         out.append({"n": n, "y_ok": y_ok, "z_ok": z_prod == 1})
     return out
 

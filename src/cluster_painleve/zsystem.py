@@ -472,20 +472,11 @@ def solve_z(st: ZStencil, init: Sequence[Fraction] | None = None) -> ZSolution:
     )
     cf = sol.closed_form
     if cf is not None and cf["family"] == "periodic_geometric":
+        # the stencil polynomial is (1 - L)(1 - L^p), so d_m = e_{m+p} - e_m
+        # has (1 - L) d = 0: every d_m is d_0, the exponents of q^period
         p = cf["period"]
-        delta = None
-        ok = True
-        for m in range(2 * r + p):
-            d = tuple(x - y for x, y in zip(sol.exponents(m + p), sol.exponents(m)))
-            if delta is None:
-                delta = d
-            elif d != delta:
-                ok = False
-                break
-        if ok:
-            cf["ratio_power_vector"] = delta  # exponents of q^period over the symbols
-        else:
-            sol.closed_form = None
+        cf["ratio_power_vector"] = tuple(
+            x - y for x, y in zip(sol.exponents(p), sol.exponents(0)))
     return sol
 
 

@@ -5,6 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import json
+from pathlib import Path
+
+from cluster_painleve.laurent import LaurentPoly
 from cluster_painleve.presets import get_preset
 
 from cluster_painleve.quiver import (
@@ -14,6 +18,7 @@ from cluster_painleve.quiver import (
     mutate_matrix,
     mutate_seed,
     period1_witness,
+    power_product,
     rho_conjugate,
 )
 
@@ -121,3 +126,89 @@ def test_seed_mutation_is_an_involution(name):
     y = tuple(Fraction(k + 2, 2 * k + 3) for k in range(b.n))
     for k in range(b.n):
         assert mutate_seed(*mutate_seed(b, y, k), k) == (b, y)
+
+
+# -- JSON form -------------------------------------------------------------------
+
+
+def _matrix_golden():
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text(
+        encoding="utf-8")
+    section = docs.split("## Exchange matrix JSON", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def test_matrix_json_golden_is_the_somos4_preset():
+    golden = _matrix_golden()
+    m = ExchangeMatrix.from_json(json.loads(golden))
+    assert m == get_preset("somos4").matrix == S4
+    assert json.dumps(m.to_json()) + "\n" == golden
+    assert ExchangeMatrix.from_json(m.to_json()) == m
+    assert ExchangeMatrix.from_json({"rows": m.as_lists()}) == m  # n is optional
+
+
+def test_matrix_json_rejects_bad_input():
+    with pytest.raises(ValueError, match="^matrix size disagrees with n field$"):
+        ExchangeMatrix.from_json({"n": 5, "rows": S4.as_lists()})
+    rows = S4.as_lists()
+    rows[0][1] = 2
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        ExchangeMatrix.from_json({"n": 4, "rows": rows})
+    rows = S4.as_lists()
+    rows[2][2] = 1
+    with pytest.raises(ValueError, match="diagonal"):
+        ExchangeMatrix.from_json({"n": 4, "rows": rows})
+
+
+# -- window power products ---------------------------------------------------------
+
+
+def _repeated_product(values, exps, one):
+    """Reference: multiply `one` by each value |e| times, dividing for e < 0."""
+    acc = one
+    for v, e in zip(values, exps):
+        for _ in range(abs(e)):
+            acc = acc * v if e > 0 else acc / v
+    return acc
+
+
+nonzero_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@given(st.lists(st.tuples(nonzero_fractions, st.integers(-3, 3)), max_size=6))
+def test_power_product_matches_repeated_products_on_fractions(pairs):
+    values = [v for v, _ in pairs]
+    exps = [e for _, e in pairs]
+    got = power_product(values, exps, Fraction(1))
+    assert got == _repeated_product(values, exps, Fraction(1))
+    assert type(got) is Fraction
+
+
+XY = ("x", "y")
+laurent_polys = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3),
+    min_size=1, max_size=3).map(lambda t: LaurentPoly(XY, t))
+
+
+@given(st.lists(st.tuples(laurent_polys, st.integers(0, 3)), max_size=4))
+def test_power_product_matches_repeated_products_on_laurent_polys(pairs):
+    values = [v for v, _ in pairs]
+    exps = [e for _, e in pairs]
+    one = LaurentPoly.const(XY, 1)
+    assert power_product(values, exps, one) == _repeated_product(values, exps, one)
+
+
+def test_power_product_without_factors_is_one():
+    one = LaurentPoly.const(XY, 1)
+    assert power_product([], [], one) is one
+    assert power_product([LaurentPoly.gen(XY, "x")] * 3, [0, 0, 0], one) is one
+    assert power_product([], []) == 1
+
+
+def test_power_product_reads_only_the_nonzero_exponents():
+    # None stands for a value that must not be touched: neither a factor
+    # with exponent 0 nor `one` is ever multiplied in
+    values = [None, Fraction(2), None, Fraction(3)]
+    assert power_product(values, [0, 2, 0, -1], None) == Fraction(4, 3)
+    x = LaurentPoly.gen(XY, "x")
+    assert power_product([x, None], [1, 0], None) is x

@@ -244,6 +244,73 @@ def _terms(spec):
     return spec.f_num.terms, spec.f_den.terms
 
 
+def _derive_by_x_expansion(b, z_flag):
+    """Reference: expand (x^+ + x^-)^e_top x^w as a Laurent polynomial in
+    x_0..x_{N-1} and write each of its terms in the reduced variables."""
+    basis = reduction.palindromic_basis(b)
+    n, r = basis.n, basis.rank
+    if r == 0:
+        raise reduction.ZeroRank("zero matrix has no reduced recurrence")
+    v = basis.generator
+    a = b.first_row_tuple()
+    w = [0] * (n + 1)
+    for j in range(n):
+        w[j] += v[j]
+    for j in range(r, n + 1):
+        w[j] += v[j - r]
+    e_top = w[n]
+    if e_top <= 0:
+        raise reduction.EliminationFailed("leading generator entry must be positive")
+    xvars = tuple(f"x{i}" for i in range(n))
+    st_ = TStencil(a)
+    mplus = LaurentPoly.monomial(xvars, (0,) + st_.plus_exponents, 1)
+    mminus = LaurentPoly.monomial(xvars, (0,) + st_.minus_exponents, 1)
+    e = ((mplus + mminus) ** e_top).shift(tuple([w[0] - e_top] + w[1:n]))
+    uvars = tuple(f"U{j}" for j in range(1, r))
+    terms = {}
+    for exps, coef in e.terms.items():
+        sol = basis.coordinates(exps)
+        if sol is None:
+            raise reduction.EliminationFailed(
+                f"monomial {exps} is not a product of reduced variables")
+        if sol[0] != 0:
+            raise reduction.EliminationFailed("reduced recurrence would depend on U_n itself")
+        key = tuple(sol[1:])
+        terms[key] = terms.get(key, 0) + coef
+    f = LaurentPoly(uvars, terms)
+    den_exps = tuple(max(0, -f.min_exponent(i)) for i in range(len(uvars)))
+    return reduction.USystemSpec(a, r, v, uvars, f, f.shift(den_exps),
+                                 LaurentPoly.monomial(uvars, den_exps, 1), z_flag, e_top)
+
+
+def _spec_outcome(f, *args):
+    try:
+        spec = f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return spec, spec.format_text()
+
+
+def test_derive_matches_the_x_expansion():
+    # the matrices of every palindromic tuple of length 1-6 with entries in
+    # [-2, 2], zero tuples included, and a skew matrix with a palindromic
+    # first row whose generator (2, 1, 2, 0) leads with 2, which fails at
+    # the same monomial both ways; through both derive functions
+    matrices = [build_from_tuple(half + half[: length // 2][::-1])
+                for length in range(1, 7)
+                for half in itertools.product(range(-2, 3), repeat=(length + 1) // 2)]
+    matrices.append(ExchangeMatrix.from_rows(
+        [[0, 4, 2, 4], [-4, 0, -3, 2], [-2, 3, 0, 4], [-4, -2, -4, 0]]))
+    seen = set()
+    for b in matrices:
+        for derive, z_flag in ((reduction.derive_usystem, False),
+                               (reduction.derive_uzsystem, True)):
+            got = _spec_outcome(derive, b)
+            assert got == _spec_outcome(_derive_by_x_expansion, b, z_flag), b
+            seen.add(got[0] if isinstance(got[0], type) else "spec")
+    assert seen == {"spec", reduction.ZeroRank, reduction.EliminationFailed}
+
+
 def test_somos4_reduced_recurrence():
     spec = reduction.derive_usystem(get_preset("somos4").matrix)
     assert spec.order == 2 and not spec.z_flag

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cluster_painleve import coprime, tsystem
+from cluster_painleve.intlinalg import residue
 from cluster_painleve.laurent import LaurentPoly, laurent_try_div
 from cluster_painleve.presets import get_preset
 from cluster_painleve.tsystem import (
@@ -131,6 +132,41 @@ def test_check_orbit_detects_corruption():
     orb = iterate_t(TStencil(SOMOS4), [F(1)] * 4, 6)
     bad = Orbit(orb.stencil, orb.kind, orb.values[:-1] + [F(999)], None, None)
     assert not check_orbit(bad)
+
+
+@pytest.mark.parametrize("a", [SOMOS4, SOMOS5, PRIM4])
+def test_check_orbit_on_symbolic_orbits(a):
+    # N steps: prim4's x_8 is not Laurent under a geometric Z
+    for z in (ConstantZ(), GeometricZ(), _solved(a)):
+        orb = iterate_tz(TStencil(a), z, None, len(a) + 1, mode="symbolic")
+        assert check_orbit(orb)
+        one = LaurentPoly.const(orb.variables, 1)
+        bad = Orbit(orb.stencil, orb.kind, orb.values[:-1] + [orb.values[-1] + one],
+                    z, orb.variables)
+        assert not check_orbit(bad)
+        # a corrupted first value sits only in the window at index 0
+        early = Orbit(orb.stencil, orb.kind, [orb.values[0] + one] + orb.values[1:],
+                      z, orb.variables)
+        assert not check_orbit(early)
+        assert check_orbit(early, start=1)
+
+
+def test_residue_with_a_negative_index():
+    orb = iterate_t(TStencil(SOMOS4), [F(2, 3), F(5, 7), F(1), F(3)], 6)
+    last = len(orb) - 1
+    assert orb.residue(-1) == orb.residue(last) == residue(orb.values[last])
+    warm = iterate_t(TStencil(SOMOS4), [F(2, 3), F(5, 7), F(1), F(3)], 6)
+    want = [residue(v) for v in warm.values]
+    for k in range(4):  # the cache holds indices 0..3, not the last one
+        warm.residue(k)
+    assert warm.residue(-1) == want[-1] and warm.residue(-len(warm)) == want[0]
+    # the slots of indices 0..3 still hold their own values and residues
+    assert warm._residues[:4] == list(zip(warm.values[:4], want[:4]))
+    assert warm._residues[-1] == (warm.values[-1], want[-1])
+    assert [warm.residue(k) for k in range(len(warm))] == want
+    for n in (len(warm), -len(warm) - 1):
+        with pytest.raises(IndexError):
+            warm.residue(n)
 
 
 def test_rational_json_roundtrip():
@@ -361,6 +397,14 @@ def test_long_integral_orbit_divides_recursively(recursive_divisors):
 # -- lattice coordinates against the loop in the initial window ---------------
 
 
+def _repeated_product(values, exps, one):
+    acc = one
+    for v, e in zip(values, exps):
+        for _ in range(e):
+            acc = acc * v
+    return acc
+
+
 def x_symbolic_orbit(a, z, steps, max_terms=10 ** 6):
     """Reference: x_{n+N} = Z_n (prod x^[a]+ + prod x^[-a]+) / x_n, each
     division certified in the Laurent ring of x_0..x_{N-1} and Z's symbols."""
@@ -372,8 +416,8 @@ def x_symbolic_orbit(a, z, steps, max_terms=10 ** 6):
     for n in range(steps):
         w = vals[n + 1 : n + n_]
         num = tsystem._z_monomial_poly(z, n, variables) * (
-            tsystem._product_monomial(w, st_.plus_exponents, one)
-            + tsystem._product_monomial(w, st_.minus_exponents, one))
+            _repeated_product(w, st_.plus_exponents, one)
+            + _repeated_product(w, st_.minus_exponents, one))
         nxt = laurent_try_div(num, vals[n])
         if nxt is None:
             raise NonLaurentIterate(

@@ -28,6 +28,15 @@ def test_somos4_y_step_by_hand():
     assert ys[5] == F(302, 25)
 
 
+def test_y_step_stays_exact_on_int_windows():
+    # 1 + 1/y is a Fraction for an int y too, so no float enters the check
+    for a, window in ((SOMOS4, [2, 3, 4]), ((-1, 1, 1, -1), [3, 7, 5, 2]), (PRIM4, [1, 6, 1])):
+        got = ysystem.y_step(a, window)
+        assert type(got) is F and got == ysystem.y_step(a, [F(y) for y in window])
+    assert ysystem.y_step(SOMOS4, [2, 3, 4]) == F(135, 16)
+    assert ysystem.y_residual_ok(SOMOS4, [1, 2, 3, 4, F(135, 16)], 0)
+
+
 def test_prim4_y_two_factor_numerator():
     # y6*y2 = (1+y3)(1+y5) = 2*11
     ys = ysystem.iterate_y(PRIM4, [F(1)] * 4, 3)

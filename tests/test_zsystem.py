@@ -352,6 +352,31 @@ def test_zsys_bytes_unchanged(capsys):
             in out)
 
 
+def _ratio_power_vector_by_scan(sol):
+    """Reference: e_{m+p} - e_m over 2r + p indices m, or None if it moves."""
+    r, p = sol.order, sol.closed_form["period"]
+    delta = None
+    for m in range(2 * r + p):
+        d = tuple(x - y for x, y in zip(sol.exponents(m + p), sol.exponents(m)))
+        if delta is None:
+            delta = d
+        elif d != delta:
+            return None
+    return delta
+
+
+@pytest.mark.parametrize("r", range(3, 11))
+def test_ratio_power_vector_matches_the_scan(r):
+    a = (-1, 1) + (0,) * (r - 3) + (1, -1)
+    for init in (None, [F(k + 2, 2 * k + 3) for k in range(r)]):
+        sol = solve_z(z_stencil_from_tuple(a), init)
+        cf = sol.closed_form
+        assert cf["family"] == "periodic_geometric" and cf["period"] == r - 1
+        want = _ratio_power_vector_by_scan(sol)
+        assert want is not None and cf["ratio_power_vector"] == want
+        assert all(type(x) is int for x in cf["ratio_power_vector"])
+
+
 # -- integer polynomial division -------------------------------------------------
 
 
