@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,7 +55,7 @@ class DegreeSequence:
     values: tuple[int, ...]
     definition: str
 
-    @property
+    @cached_property  # kept in the instance's __dict__, outside the fields
     def d(self) -> tuple[int, ...]:
         return tuple(max(0, v) for v in self.values)
 
@@ -138,26 +139,46 @@ def _aitken(r: list[Fraction]) -> Fraction:
     return r2 - (r2 - r1) ** 2 / denom
 
 
+# weights of the (k+1)-th forward difference: (-1)^(k+1-j) C(k+1, j) at offset j
+_DIFFERENCE_WEIGHTS = tuple(tuple((-1) ** (k + 1 - j) * math.comb(k + 1, j)
+                                  for j in range(k + 2)) for k in range(5))
+
+
 def _poly_by_differences(seq: list[int]) -> tuple[int, int, int] | None:
     """Exact polynomial detection: (degree, stride, start) such that the
     (degree+1)-th forward difference at the stride vanishes identically from
     `start` on.  Covers growth that is polynomial up to a periodic wobble
     (the wobble is killed by differencing at its period).  The smallest such
     `start` is one past the last nonzero difference; it counts when it is at
-    most a third of the sequence and leaves at least 5 zeros."""
+    most a third of the sequence and leaves at least 5 zeros.
+
+    So a pair (order, stride) counts exactly when every difference from
+    `limit = min(m - 5, len(seq) // 3)` on is zero, m being the length of
+    the difference list, and one nonzero at or past `limit` puts `start`
+    past it and settles a miss.  The last 5 differences all lie at or past
+    `limit`; each is computed straight from `seq` with the weights of
+    `_DIFFERENCE_WEIGHTS`, and a pair goes on to the next at the first
+    nonzero one.  Only a pair whose tail is zero builds its difference list,
+    which confirms the rest of the tail and gives `start`.  A miss thus
+    costs a few products per pair instead of a pass over the sequence.
+    """
+    n = len(seq)
     for s in range(1, 9):
-        cur = list(seq)
-        for k in range(5):
-            if len(cur) <= s:
+        for k, w in enumerate(_DIFFERENCE_WEIGHTS):
+            m = n - (k + 1) * s
+            if m < 5:
                 break
-            nxt = [cur[i + s] - cur[i] for i in range(len(cur) - s)]
-            if len(nxt) >= 5:
-                st = len(nxt)
-                while st and not nxt[st - 1]:
-                    st -= 1
-                if st <= min(len(nxt) - 5, len(seq) // 3):
-                    return k, s, st
-            cur = nxt
+            if any(sum(c * seq[i + j * s] for j, c in enumerate(w))
+                   for i in range(m - 5, m)):
+                continue
+            d = seq
+            for _ in range(k + 1):
+                d = [b - a for a, b in zip(d, d[s:])]
+            start = m
+            while start and not d[start - 1]:
+                start -= 1
+            if start <= min(m - 5, n // 3):
+                return k, s, start
     return None
 
 

@@ -10,6 +10,7 @@ which carry explicit precision fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -481,7 +482,11 @@ def _add_io(sp) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: argparse sizes a help
+    formatter on every add_argument, and parse_args leaves the parser as it
+    found it, so every `main` call shares one.  Callers must not change it."""
     ap = argparse.ArgumentParser(
         prog="cluster-painleve",
         description="exact iteration and reduction of mutation-periodic "

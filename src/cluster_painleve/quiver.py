@@ -30,6 +30,21 @@ with r = N - deg v.  Why that basis is exact:
   rank can only drop modulo a prime; only when that rank falls short does
   the exact rank over Q decide.
 
+For a shift-periodic B the generator also has v[0] = 1.  Mutation at node 0
+is mu_0(B) = E B E^T with E unimodular: the identity except in column 0,
+where E[0][0] = -1 and E[i][0] = [B[i][0]]_+ = [-a_i]_+.
+
+- Shift-periodicity says mu_0(B) is the cyclic relabelling P B P^T, so
+  T = P^{-1} E maps the rational row space of B onto itself.  Being
+  unimodular, T then maps the saturated lattice L onto itself too.
+- On polynomials, lambda T(x) = x - x[0] g with
+  g(lambda) = lambda^N - sum_i [-a_i]_+ lambda^i + 1.
+- T(v) lies in L, so T(v) = q v with deg q < r, and v (1 - lambda q) = v[0] g.
+  v[0] = v[-1] is not zero, so v divides g over Q, and over Z by Gauss's
+  lemma, since v is primitive.
+- g is monic, so the leading entry of v is +-1.  It is positive after the
+  sign normalisation, so it is 1, and so is v[0] by palindromy.
+
 The Hermite route of `intlinalg` (`image_lattice_basis`, `lattice_equal`)
 computes the same lattice independently and stays as its reference.
 """

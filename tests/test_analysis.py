@@ -124,6 +124,33 @@ def _poly_by_differences_by_slicing(seq):
     return None
 
 
+def _poly_by_differences_by_levels(seq):
+    """Reference for the detector that builds every difference level of every
+    stride in full; linear in the length, so it also checks long inputs."""
+    for s in range(1, 9):
+        cur = list(seq)
+        for k in range(5):
+            if len(cur) <= s:
+                break
+            nxt = [cur[i + s] - cur[i] for i in range(len(cur) - s)]
+            if len(nxt) >= 5:
+                st_ = len(nxt)
+                while st_ and not nxt[st_ - 1]:
+                    st_ -= 1
+                if st_ <= min(len(nxt) - 5, len(seq) // 3):
+                    return k, s, st_
+            cur = nxt
+    return None
+
+
+def _assert_detector_matches_references(seq, slicing=True):
+    got = analysis._poly_by_differences(seq)
+    assert got == _poly_by_differences_by_levels(seq), seq
+    if slicing:
+        assert got == _poly_by_differences_by_slicing(seq), seq
+    return got
+
+
 @st.composite
 def _wobbly_polynomials(draw):
     """A polynomial plus a periodic wobble, broken by noise before a cut
@@ -140,29 +167,78 @@ def _wobbly_polynomials(draw):
             for n in range(length)]
 
 
-@given(st.one_of(_wobbly_polynomials(),
+@st.composite
+def _zero_tail_traps(draw):
+    """A wobbly polynomial whose order-(k+1) differences at stride s vanish
+    except at one index p, at or past the detector's limit but before the
+    last five differences: the tail is zero and only the full list shows the
+    miss.  p = limit - 1 makes the pair a hit from the limit on instead."""
+    k, s = draw(st.integers(0, 4)), draw(st.integers(1, 8))
+    length = draw(st.integers(12 + (k + 1) * s, 300))
+    m = length - (k + 1) * s  # entries of the difference list
+    limit = min(m - 5, length // 3)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=k + 1, max_size=k + 1))
+    wobble = draw(st.lists(st.integers(-3, 3), min_size=s, max_size=s))
+    seq = [sum(c * n ** e for e, c in enumerate(coeffs)) + wobble[n % s]
+           for n in range(length)]
+    seq[draw(st.integers(limit - 1, m - 6))] += draw(st.sampled_from((-2, -1, 1, 2)))
+    return seq
+
+
+@given(st.one_of(_wobbly_polynomials(), _zero_tail_traps(),
                  st.lists(st.integers(-2, 2), min_size=12, max_size=300)))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_zero_tail_scan_matches_slicing(seq):
-    assert analysis._poly_by_differences(seq) == _poly_by_differences_by_slicing(seq)
+    _assert_detector_matches_references(seq)
 
 
-def test_zero_tail_scan_on_tropical_degrees():
-    # every slot of every fixture and of prim3-prim12, up to 400 terms
+def _tropical_degree_runs(lengths):
+    # every slot of every fixture and of prim3-prim12
     names = ["somos4", "somos5", "somos6", "somos7", "prim4", "nonintegrable6"]
     names += [f"prim{n}" for n in range(3, 13) if n != 4]
-    hits = 0
     for name in names:
         a = get_preset(name).a
         n = len(a) + 1
         for slot in range(n):
             init = [-(j == slot) for j in range(n)]
-            for length in (12, 37, 150, 400):
-                seq = list(analysis.tropical_iterate(a, init, length - n).d)
-                hit = analysis._poly_by_differences(seq)
-                assert hit == _poly_by_differences_by_slicing(seq), (name, slot, length)
-                hits += hit is not None
+            for length in lengths:
+                yield list(analysis.tropical_iterate(a, init, length - n).d)
+
+
+def test_zero_tail_scan_on_tropical_degrees():
+    hits = sum(_assert_detector_matches_references(seq) is not None
+               for seq in _tropical_degree_runs((12, 37, 150, 400)))
     assert hits > 0
+
+
+def test_zero_tail_scan_on_long_tropical_degrees():
+    # the slicing reference is quadratic, so only the level loop checks these
+    hits = sum(_assert_detector_matches_references(seq, slicing=False) is not None
+               for seq in _tropical_degree_runs((400, 1000, 4000)))
+    assert hits > 0
+
+
+def test_zero_tail_scan_on_short_sequences():
+    # lengths 12-40, where the long strides leave fewer than 5 differences
+    # or a negative limit
+    import random
+    rng = random.Random(3)
+    for length in range(12, 41):
+        for degree in range(6):
+            for period in range(1, 10):
+                wobble = [rng.randint(-2, 2) for _ in range(period)]
+                seq = [n ** degree + wobble[n % period] for n in range(length)]
+                _assert_detector_matches_references(seq)
+                seq[rng.randrange(length)] += 1
+                _assert_detector_matches_references(seq)
+        _assert_detector_matches_references([rng.randint(-1, 1) for _ in range(length)])
+
+
+def test_floored_degrees_are_computed_once():
+    tr = analysis.tropical_iterate(SOMOS4, [-1, 0, 0, 0], 20)
+    assert tr.d is tr.d and tr.d == tuple(max(0, v) for v in tr.values)
+    fresh = analysis.DegreeSequence(tr.values, tr.definition)
+    assert tr == fresh and hash(tr) == hash(fresh) and repr(tr) == repr(fresh)
 
 
 class TestEntropy:

@@ -405,3 +405,48 @@ def test_help_does_not_mention_jobs(capsys, command):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--out" in out and "--jobs" not in out
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _in_process(capsys, argv):
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_shared_parser_matches_fresh_processes(capsys, monkeypatch):
+    # one process, one parser: a usage error, a config error and an explicit
+    # --steps leave nothing behind, so the last run gets the default back
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to this width
+    env = dict(_child_env(), COLUMNS="80")
+    runs = [
+        ["run", "t", "--mode", "bogus"],
+        ["run", "t", "--preset", "nope", "--steps", "2"],
+        ["run", "t", "--preset", "somos4", "--init", "ones", "--steps", "3"],
+        ["run", "t", "--preset", "somos4", "--init", "ones"],
+    ]
+    got = [_in_process(capsys, argv) for argv in runs]
+    assert [rc for rc, _, _ in got] == [2, 2, 0, 0]
+    assert len(json.loads(got[3][1])["values"]) == 4 + 8
+    for argv, (rc, out, err) in zip(runs, got):
+        proc = subprocess.run([sys.executable, "-m", "cluster_painleve.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (rc, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+@pytest.mark.parametrize("command", [[], ["run"], ["reduce"], ["zsys"], ["entropy"],
+                                     ["linrel"], ["verify"]], ids=lambda c: "".join(c) or "top")
+def test_shared_parser_help_matches_a_fresh_parser(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    _in_process(capsys, ["run", "t", "--preset", "somos4", "--steps", "2"])
+    rc, out, err = _in_process(capsys, [*command, "--help"])
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser.__wrapped__().parse_args([*command, "--help"])
+    assert (rc, out, err) == (exc.value.code, *capsys.readouterr())
+    assert rc == 0 and out.startswith("usage: cluster-painleve")

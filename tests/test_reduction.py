@@ -183,6 +183,27 @@ def test_structure_matrix_matches_the_gram_inverse():
     assert swept == 304
 
 
+def test_generator_leads_with_one_and_divides_g():
+    # the lemma of the quiver docstring, on every palindromic tuple of length
+    # 1-7 with entries in [-3, 3] and a_1 != 0: v divides
+    # g = L^N - sum_i [-a_i]_+ L^i + 1 in Z[L], so v[0] = 1
+    swept = 0
+    for length in range(1, 8):
+        for half in itertools.product(range(-3, 4), repeat=(length + 1) // 2):
+            if half[0] == 0:
+                continue
+            a = half + half[: length // 2][::-1]
+            v = reduction.palindromic_basis(build_from_tuple(a)).generator
+            g = [1] + [-max(-x, 0) for x in a] + [1]
+            support = list(v)
+            while not support[-1]:
+                support.pop()
+            assert v[0] == 1, a
+            assert intlinalg.poly_div(g, support) is not None, a
+            swept += 1
+    assert swept == 2 * (6 + 42 + 294) + 2058
+
+
 def _coordinate_targets(basis, rng, rounds):
     """Lattice members, members moved off the lattice, and random vectors."""
     n, vecs = basis.n, basis.vectors
