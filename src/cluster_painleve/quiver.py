@@ -10,40 +10,35 @@ integer tuple.
 The rows of such a matrix B span a rank-r sublattice im B of Z^N that is
 invariant under the shift s and the reversal of the index window.  It has a
 Z-basis of the shifts s^0(v), ..., s^{r-1}(v) of one palindromic integer
-vector v whose support has length N-r+1 (`palindromic_basis`).  The
-monomials U_n = x^{s^n v} are the reduced variables of `reduction` and the
-lattice coordinates of symbolic orbits in `tsystem`.
+vector v with v[0] = 1 whose support has length N-r+1 (`palindromic_basis`).
+The monomials U_n = x^{s^n v} are the reduced variables of `reduction` and
+the lattice coordinates of symbolic orbits in `tsystem`.
 
 Reading a vector as the polynomial of its ascending entries, s is
 multiplication by lambda, and `palindromic_basis` takes v as the primitive
-gcd in Z[lambda] of the row polynomials b_j(lambda) = sum_k B[j][k] lambda^k,
-with r = N - deg v.  Why that basis is exact:
+gcd in Z[lambda] of the row polynomials b_j(lambda) = sum_k B[j][k] lambda^k.
+Shift-periodicity is its precondition, and it gives r = N - deg v:
 
+- Mutation at node 0 is mu_0(B) = E B E^T with E unimodular: the identity
+  except in column 0, where E[0][0] = -1 and E[i][0] = [B[i][0]]_+ =
+  [-a_i]_+.  Shift-periodicity says mu_0(B) is the cyclic relabelling
+  P B P^T, so T = P^{-1} E maps the rational row space R of B onto itself.
+- On polynomials, lambda T(x) = x - x[0] g with
+  g(lambda) = lambda^N - sum_i [-a_i]_+ lambda^i + 1.  Identify Q^N with
+  Q[lambda]/(g); as g(0) = 1, lambda is a unit there and T is
+  multiplication by lambda^{-1}.  lambda is a polynomial in its inverse in
+  this finite-dimensional algebra, so R is an ideal (h)/(g) with h | g,
+  and dim R = N - deg h.
+- A polynomial of degree < N lies in (h)/(g) exactly when h divides it.
+  So h divides every row, hence v; for B != 0, h lies in R, so v divides
+  h.  Thus rank B = N - deg v = r, and v | g, over Z by Gauss's lemma.
 - Each b_j is v c_j with deg c_j < r, and c_j is integral by Gauss's lemma,
   since v is primitive.  So every row lies in L, the span of s^i(v) for
-  i < r, and rank B <= r.
-- L is saturated, again by Gauss's lemma: content(v c) = content(c), so an
-  integer vector in the rational span of L has an integral c.
-- im B is the saturation of the row span of B, so once rank B = r the two
-  saturated lattices of rank r, im B inside L, are equal.
-- rank B >= r holds when B has rank r modulo the prime P = 2^61 - 1, since
-  rank can only drop modulo a prime; only when that rank falls short does
-  the exact rank over Q decide.
-
-For a shift-periodic B the generator also has v[0] = 1.  Mutation at node 0
-is mu_0(B) = E B E^T with E unimodular: the identity except in column 0,
-where E[0][0] = -1 and E[i][0] = [B[i][0]]_+ = [-a_i]_+.
-
-- Shift-periodicity says mu_0(B) is the cyclic relabelling P B P^T, so
-  T = P^{-1} E maps the rational row space of B onto itself.  Being
-  unimodular, T then maps the saturated lattice L onto itself too.
-- On polynomials, lambda T(x) = x - x[0] g with
-  g(lambda) = lambda^N - sum_i [-a_i]_+ lambda^i + 1.
-- T(v) lies in L, so T(v) = q v with deg q < r, and v (1 - lambda q) = v[0] g.
-  v[0] = v[-1] is not zero, so v divides g over Q, and over Z by Gauss's
-  lemma, since v is primitive.
-- g is monic, so the leading entry of v is +-1.  It is positive after the
-  sign normalisation, so it is 1, and so is v[0] by palindromy.
+  i < r.  L is saturated, as content(v c) = content(c), and so is im B,
+  the saturation of the row span of B; both have rank r, so they are equal.
+- g is monic, so the leading entry of v is +-1, and 1 after the sign
+  normalisation; so is v[0] once v is palindromic.  Nothing above proves
+  that v is not anti-palindromic, so that stays checked.
 
 The Hermite route of `intlinalg` (`image_lattice_basis`, `lattice_equal`)
 computes the same lattice independently and stays as its reference.
@@ -55,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .intlinalg import P, poly_gcd, rank, rank_residues
+from .intlinalg import poly_gcd
 
 
 class NotPalindromic(ValueError):
@@ -63,7 +58,8 @@ class NotPalindromic(ValueError):
 
 
 class EliminationFailed(ArithmeticError):
-    """Internal consistency failure while reducing (should never happen)."""
+    """Matrix that is not shift-periodic, or an internal consistency failure
+    while reducing (should never happen)."""
 
 
 def _pos(b: int) -> int:
@@ -230,6 +226,11 @@ class PalindromicBasis:
     rank: int
     generator: tuple[int, ...]
 
+    def __post_init__(self):
+        # the pivot 1 keeps `coordinates` integral (module docstring)
+        if self.rank and self.generator[0] != 1:
+            raise ValueError(f"generator {self.generator} must lead with 1")
+
     @property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         out = []
@@ -240,10 +241,10 @@ class PalindromicBasis:
     def coordinates(self, exps: Sequence[int]) -> tuple[int, ...] | None:
         """Integers c with sum_i c_i s^i(v) == exps, or None if there are none.
 
-        Row s^i(v) has the pivot v[0] in column i and zeros before it, so the
-        first r columns give c by forward substitution and the remaining ones
-        must then vanish.  v is zero past index n - r, so column j meets only
-        the rows i >= j - (n - r).
+        Row s^i(v) has the pivot v[0] = 1 in column i and zeros before it, so
+        the first r columns give c by forward substitution and the remaining
+        ones must then vanish.  v is zero past index n - r, so column j meets
+        only the rows i >= j - (n - r).
         """
         if len(exps) != self.n:
             raise ValueError(f"exponent vector must have {self.n} entries")
@@ -252,35 +253,31 @@ class PalindromicBasis:
         c: list[int] = []
         for j, e in enumerate(exps):
             res = e - sum(c[i] * v[j - i] for i in range(max(0, j - w), len(c)))
-            if j >= r:
-                if res:
-                    return None
-                continue
-            q, rem = divmod(res, v[0])
-            if rem:
+            if j < r:
+                c.append(res)
+            elif res:
                 return None
-            c.append(q)
         return tuple(c)
 
 
 def palindromic_basis(b: ExchangeMatrix) -> PalindromicBasis:
-    """Shift-palindromic Z-basis of im B (unique up to overall sign; the
-    leading entry of the generator is normalized positive).
+    """Shift-palindromic Z-basis of im B of a shift-periodic B (unique up to
+    overall sign; the generator leads with 1).
 
-    v is the primitive gcd of the row polynomials of B, with r = N - deg v,
-    certified by rank B == r (see the module docstring).
+    v is the primitive gcd of the row polynomials of B, and r = N - deg v
+    (see the module docstring).  Raises EliminationFailed, naming the failed
+    relation, when B is not shift-periodic.
     """
+    witness = period1_witness(b)
+    if witness is not None:
+        raise EliminationFailed(f"matrix is not shift-periodic: {witness}")
     n = b.n
     v = poly_gcd(b.rows)
     if not v:
         return PalindromicBasis(n, 0, (0,) * n)
-    # v[-1] > 0 and v != 0, so a palindromic v also has v[0] > 0
     if v != v[::-1]:
         raise EliminationFailed(f"generator {v} is not palindromic")
     r = n - len(v) + 1
-    if (rank_residues([[x % P for x in row] for row in b.rows]) < r
-            and rank(b.rows) < r):
-        raise EliminationFailed("shifted family does not span the row lattice")
     return PalindromicBasis(n, r, v + (0,) * (r - 1))
 
 

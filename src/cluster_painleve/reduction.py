@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Mapping, Sequence
 
 from .coprime import Pieces, add_exps
@@ -60,9 +60,9 @@ class USystemSpec:
 
     F is stored as an exact Laurent polynomial over variables U1..U{r-1}
     (variable Uj stands for U_{n+j}), plus a canonical numerator/denominator
-    split with a coefficient-1 monomial denominator.  z_power is the leading
-    generator entry; it is 1 for every shipped system, and the coefficient
-    sequence enters only when z_flag is set.
+    split with a coefficient-1 monomial denominator.  z_power is 1 for every
+    derived system, whose generator leads with 1; a hand-built spec may carry
+    another.  The coefficient sequence enters only when z_flag is set.
     """
 
     a: tuple[int, ...]
@@ -92,38 +92,33 @@ class USystemSpec:
 
 def _derive(b: ExchangeMatrix, z_flag: bool) -> USystemSpec:
     basis = palindromic_basis(b)
-    n, r = basis.n, basis.rank
+    r = basis.rank
     if r == 0:
         raise ZeroRank("zero matrix has no reduced recurrence")
     v = basis.generator
     a = b.first_row_tuple()
 
-    w = [x + y for x, y in zip(v + (0,), (0,) * r + v)]  # v + s^r v
-    e_top = w[n]
-    if e_top <= 0:
-        raise EliminationFailed("leading generator entry must be positive")
-
-    # x_N = (x^+ + x^-) / x_0 in U_{n+r} U_n = x^w: term k of F is
-    # comb(e_top, k) x^(w + k plus + (e_top - k) minus), w[0] lowered by e_top
+    # x_N = (x^+ + x^-) / x_0 in U_{n+r} U_n = x^w, whose top entry is
+    # v[0] = 1: F is x^(w + plus) + x^(w + minus), w[0] lowered by 1
+    w = [x + y for x, y in zip(v, (0,) * r + v)]  # v + s^r v without w[N]
+    w[0] -= 1
     st = TStencil(a)
-    plus, minus = (0,) + st.plus_exponents, (0,) + st.minus_exponents
-    w[0] -= e_top
     uvars = tuple(f"U{j}" for j in range(1, r))
     terms: dict[tuple[int, ...], int] = {}
-    for k in range(e_top, -1, -1):
-        exps = tuple(x + k * p + (e_top - k) * m for x, p, m in zip(w, plus, minus))
+    for part in (st.plus_exponents, st.minus_exponents):
+        exps = tuple(x + p for x, p in zip(w, (0,) + part))
         sol = basis.coordinates(exps)
         if sol is None:
             raise EliminationFailed(f"monomial {exps} is not a product of reduced variables")
         if sol[0] != 0:
             raise EliminationFailed("reduced recurrence would depend on U_n itself")
         key = tuple(sol[1:])
-        terms[key] = terms.get(key, 0) + comb(e_top, k)
+        terms[key] = terms.get(key, 0) + 1
     f = LaurentPoly(uvars, terms)
     den_exps = tuple(max(0, -f.min_exponent(i)) for i in range(len(uvars)))
     f_num = f.shift(den_exps)
     f_den = LaurentPoly.monomial(uvars, den_exps, 1)
-    return USystemSpec(a, r, v, uvars, f, f_num, f_den, z_flag, e_top)
+    return USystemSpec(a, r, v, uvars, f, f_num, f_den, z_flag, 1)
 
 
 def derive_usystem(b: ExchangeMatrix) -> USystemSpec:
@@ -256,8 +251,8 @@ def reduced_structure_matrix(b: ExchangeMatrix, basis: PalindromicBasis) -> list
     C is skew, C V = -K^T: row i of C is the coordinates of minus column i
     of K.  Both solves are exact (`PalindromicBasis.coordinates` checks that
     the trailing columns vanish), so when both succeed V^T C V = B and C is
-    skew.  C is integral when the leading generator entry is 1, since the
-    basis is then unimodular; a basis that spans B's rows only over Q raises.
+    skew.  The coordinates are integers, so C is integral; a basis that does
+    not span B's rows raises.
     """
     def solve(rows):
         out = [basis.coordinates(row) for row in rows]

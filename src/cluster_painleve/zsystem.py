@@ -368,7 +368,7 @@ class ZSolution:
                 root = _exact_fraction_root(base, exp.denominator)
                 if root is None:
                     raise AlgebraicZCase(
-                        f"entry {n} needs a {exp.denominator}th root of {base}")
+                        f"entry {n} needs a root of degree {exp.denominator} of {base}")
                 base, exp = root, Fraction(exp.numerator)
             out *= base ** int(exp)
         return out

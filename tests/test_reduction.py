@@ -1,10 +1,10 @@
 """Palindromic reduction: bases, reduced recurrences, symplectic structure.
 
-The palindromic generator, the primitive gcd of the row polynomials of B
-certified by a rank modulo 2^61 - 1, is the heart of the package; every
-preset's generator is pinned here along with the reduced recurrences they
-induce, and the Hermite route of `intlinalg` (image lattice, lattice
-equality) is its independent reference.
+The palindromic generator, the primitive gcd of the row polynomials of a
+shift-periodic B, whose shifts span im B with rank N - deg v, is the heart
+of the package; every preset's generator is pinned here along with the
+reduced recurrences they induce, and the Hermite route of `intlinalg`
+(image lattice, lattice equality) is its independent reference.
 """
 
 import itertools
@@ -103,9 +103,12 @@ def _assert_matches_hermite_route(b):
 
 def test_basis_matches_the_hermite_route():
     # the presets, prim5-prim40, and every palindromic tuple of length 1-8
-    # with entries in [-2, 2], the zero tuples (rank 0) among them
+    # with entries in [-2, 2], the zero tuples (rank 0) among them; and two
+    # tuples whose entries are all multiples of 2^61 - 1
     for name in PINNED_BASES:
         _assert_matches_hermite_route(get_preset(name).matrix)
+    for a in ((intlinalg.P,) * 2, (intlinalg.P, 0, intlinalg.P)):
+        _assert_matches_hermite_route(build_from_tuple(a))
     for n in range(5, 41):
         _assert_matches_hermite_route(get_preset("primN", n).matrix)
     for length in range(1, 9):
@@ -127,34 +130,37 @@ def test_basis_matches_the_hermite_route_on_random_tuples(a):
     _assert_matches_hermite_route(build_from_tuple(a))
 
 
-def test_failed_basis_checks_raise():
-    # rows L + 2L^2, -1 + 4L^2 and -2 - 4L share the factor 1 + 2L
-    b = ExchangeMatrix.from_rows([[0, 1, 2], [-1, 0, 4], [-2, -4, 0]])
-    with pytest.raises(reduction.EliminationFailed, match="palindromic"):
-        reduction.palindromic_basis(b)
-    # rows L, -1 and 0 are coprime, so r would be 3, but B has rank 2
-    b = ExchangeMatrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    with pytest.raises(reduction.EliminationFailed, match="span"):
-        reduction.palindromic_basis(b)
+def test_failed_basis_checks_raise(monkeypatch):
+    # rows L + 2L^2, -1 + 4L^2 and -2 - 4L share the factor 1 + 2L; rows L,
+    # -1 and 0 are coprime, but B has rank 2: neither matrix is shift-periodic
+    for rows in ([[0, 1, 2], [-1, 0, 4], [-2, -4, 0]],
+                 [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]):
+        with pytest.raises(reduction.EliminationFailed, match="^matrix is not "
+                           "shift-periodic: last-column relation fails at row 0"):
+            reduction.palindromic_basis(ExchangeMatrix.from_rows(rows))
+    b = get_preset("somos4").matrix
     wrong = reduction.PalindromicBasis(4, 2, (1, 0, 0, 0))
     with pytest.raises(reduction.EliminationFailed, match="push down"):
-        reduction.reduced_structure_matrix(get_preset("somos4").matrix, wrong)
+        reduction.reduced_structure_matrix(b, wrong)
+    monkeypatch.setattr(quiver, "poly_gcd", lambda rows: (-1, 0, 1))
+    with pytest.raises(reduction.EliminationFailed, match="not palindromic"):
+        reduction.palindromic_basis(b)
 
 
-def test_short_modular_rank_falls_through_to_the_exact_rank(monkeypatch):
-    exact = []
-    monkeypatch.setattr(quiver, "rank", lambda rows: exact.append(rows) or intlinalg.rank(rows))
-    # every entry is a multiple of P: rank 0 modulo P, 2 and 4 over Q
-    for a in ((intlinalg.P,) * 2, (intlinalg.P, 0, intlinalg.P)):
-        _assert_matches_hermite_route(build_from_tuple(a))
-    assert len(exact) == 2
-    for name in PINNED_BASES:
-        b = get_preset(name).matrix
-        want = reduction.palindromic_basis(b)
-        with monkeypatch.context() as m:
-            m.setattr(quiver, "rank_residues", lambda rows: 0)
-            assert reduction.palindromic_basis(b) == want
-    assert len(exact) == 2 + len(PINNED_BASES)
+def test_basis_generator_must_lead_with_one():
+    with pytest.raises(ValueError, match="must lead with 1"):
+        reduction.PalindromicBasis(4, 2, (2, 1, 2, 0))
+    with pytest.raises(ValueError, match="must lead with 1"):
+        reduction.PalindromicBasis(3, 1, (-1, 0, 1))
+    assert reduction.PalindromicBasis(4, 2, (1, 0, 0, 0)).vectors == ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert reduction.PalindromicBasis(3, 0, (0, 0, 0)).vectors == ()
+    matrices = [get_preset(name).matrix for name in PINNED_BASES]
+    matrices += [get_preset("primN", n).matrix for n in range(5, 41)]
+    for b in matrices:
+        for derive in (reduction.derive_usystem, reduction.derive_uzsystem):
+            spec = derive(b)
+            assert spec.z_power == 1
+            assert spec.basis() == reduction.palindromic_basis(b)
 
 
 def _gram_structure_matrix(b, basis):
@@ -186,20 +192,23 @@ def test_structure_matrix_matches_the_gram_inverse():
 def test_generator_leads_with_one_and_divides_g():
     # the lemma of the quiver docstring, on every palindromic tuple of length
     # 1-7 with entries in [-3, 3] and a_1 != 0: v divides
-    # g = L^N - sum_i [-a_i]_+ L^i + 1 in Z[L], so v[0] = 1
+    # g = L^N - sum_i [-a_i]_+ L^i + 1 in Z[L], so v[0] = 1, and B has
+    # rank N - deg v over Q
     swept = 0
     for length in range(1, 8):
         for half in itertools.product(range(-3, 4), repeat=(length + 1) // 2):
             if half[0] == 0:
                 continue
             a = half + half[: length // 2][::-1]
-            v = reduction.palindromic_basis(build_from_tuple(a)).generator
+            b = build_from_tuple(a)
+            v = reduction.palindromic_basis(b).generator
             g = [1] + [-max(-x, 0) for x in a] + [1]
             support = list(v)
             while not support[-1]:
                 support.pop()
             assert v[0] == 1, a
             assert intlinalg.poly_div(g, support) is not None, a
+            assert intlinalg.rank(b.rows) == b.n - (len(support) - 1), a
             swept += 1
     assert swept == 2 * (6 + 42 + 294) + 2058
 
@@ -237,11 +246,10 @@ def test_coordinates_match_solve_int_on_shift_bases():
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=5), st.integers(1, 4),
        st.integers(0, 2**32))
 @settings(max_examples=200, deadline=None)
-def test_coordinates_match_solve_int_on_any_pivot(half, rank, seed):
-    # palindromic generators of length 1-9 whose pivot may exceed 1, so that
-    # a lattice target can have non-integral rational coordinates
-    if half[0] == 0:
-        half[0] = 2
+def test_coordinates_match_solve_int_on_random_generators(half, rank, seed):
+    # palindromic generators of length 1-9 that lead with 1, whatever their
+    # inner entries; halved targets are often off the lattice
+    half[0] = 1
     support = tuple(half) + tuple(half[:-1][::-1])
     bas = reduction.PalindromicBasis(len(support) + rank - 1, rank,
                                      support + (0,) * (rank - 1))
@@ -314,14 +322,10 @@ def _spec_outcome(f, *args):
 
 def test_derive_matches_the_x_expansion():
     # the matrices of every palindromic tuple of length 1-6 with entries in
-    # [-2, 2], zero tuples included, and a skew matrix with a palindromic
-    # first row whose generator (2, 1, 2, 0) leads with 2, which fails at
-    # the same monomial both ways; through both derive functions
+    # [-2, 2], zero tuples included, through both derive functions
     matrices = [build_from_tuple(half + half[: length // 2][::-1])
                 for length in range(1, 7)
                 for half in itertools.product(range(-2, 3), repeat=(length + 1) // 2)]
-    matrices.append(ExchangeMatrix.from_rows(
-        [[0, 4, 2, 4], [-4, 0, -3, 2], [-2, 3, 0, 4], [-4, -2, -4, 0]]))
     seen = set()
     for b in matrices:
         for derive, z_flag in ((reduction.derive_usystem, False),
@@ -329,7 +333,14 @@ def test_derive_matches_the_x_expansion():
             got = _spec_outcome(derive, b)
             assert got == _spec_outcome(_derive_by_x_expansion, b, z_flag), b
             seen.add(got[0] if isinstance(got[0], type) else "spec")
-    assert seen == {"spec", reduction.ZeroRank, reduction.EliminationFailed}
+    assert seen == {"spec", reduction.ZeroRank}
+    # a skew matrix with a palindromic first row whose row polynomials have
+    # the gcd (2, 1, 2) is not shift-periodic, and is refused before any term
+    b = ExchangeMatrix.from_rows([[0, 4, 2, 4], [-4, 0, -3, 2], [-2, 3, 0, 4], [-4, -2, -4, 0]])
+    assert intlinalg.poly_gcd(b.rows) == (2, 1, 2)
+    for derive in (reduction.derive_usystem, reduction.derive_uzsystem):
+        with pytest.raises(reduction.EliminationFailed, match="^matrix is not shift-periodic"):
+            derive(b)
 
 
 def test_somos4_reduced_recurrence():

@@ -231,6 +231,16 @@ def test_exact_root_inverts_powers(num, den, k):
     assert _exact_fraction_root(-(x ** k) - 1, k) is None
 
 
+@pytest.mark.parametrize("a, init, message", [
+    ((-2, 1, -2), [F(1), F(3)], "entry 2 needs a root of degree 2 of 3"),
+    ((3, 1, 3), [F(2), F(3)], "entry 2 needs a root of degree 3 of 3"),
+])
+def test_algebraic_case_names_the_root_degree(a, init, message):
+    sol = solve_z(z_stencil_from_tuple(a), init)
+    with pytest.raises(AlgebraicZCase, match=f"^{message}$"):
+        sol.value(2)
+
+
 def test_exact_root_of_high_degree_returns_at_once():
     # for m >= 2 and k >= m.bit_length() the root lies in (1, 2); Newton from
     # r = 2 would first build r ** (k - 1), a k-bit integer
