@@ -63,33 +63,19 @@ class DegreeSequence:
         return len(self.values)
 
 
-def degree_sequence(xorb: Orbit, variable) -> DegreeSequence:
+def degree_sequence(xorb: Orbit, variable: int) -> DegreeSequence:
     """Denominator-degree growth along a symbolic orbit.
 
-    variable: 1-based position in the initial window, or "total" to sum the
-    nonnegative per-variable degrees.
+    variable: 1-based position in the initial window.
     """
     if xorb.kind != "symbolic":
         raise ValueError("degree extraction needs a symbolic orbit")
     n = xorb.stencil.n
-    xnames = [f"x{i}" for i in range(n)]
-    vals: list[int] = []
-    if variable == "total":
-        for p in xorb.values:
-            tot = 0
-            for name in xnames:
-                idx = p.vars.index(name)
-                tot += max(0, -p.min_exponent(idx))
-            vals.append(tot)
-        return DegreeSequence(tuple(vals), "denominator:total")
-    i = int(variable)
-    if not 1 <= i <= n:
+    if not 1 <= variable <= n:
         raise ValueError(f"variable index must be in 1..{n}")
-    name = xnames[i - 1]
-    for p in xorb.values:
-        idx = p.vars.index(name)
-        vals.append(-p.min_exponent(idx))
-    return DegreeSequence(tuple(vals), f"denominator:x{i}")
+    name = f"x{variable - 1}"
+    vals = [-p.min_exponent(p.vars.index(name)) for p in xorb.values]
+    return DegreeSequence(tuple(vals), f"denominator:x{variable}")
 
 
 def tropical_iterate(a: Sequence[int], init: Sequence[int], steps: int) -> DegreeSequence:

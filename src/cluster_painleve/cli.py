@@ -243,7 +243,7 @@ def _cmd_run(args) -> int:
         raise ConfigInvalid("run qp1 needs --beta and --q")
     beta = _parse_values(args.beta, "--beta")[0]
     q = _parse_values(args.q, "--q")[0]
-    init = _parse_init("1,1" if args.init in (None, "ones") else args.init, 2, args.seed)
+    init = _parse_init(args.init, 2, args.seed)
     try:
         ys = ysystem.qp1_iterate(beta, q, init, args.steps)
     except ValueError as exc:

@@ -33,16 +33,17 @@ terms in each variable never cancel.
   2`` bits hold every coefficient of the product, so the digits read back
   are its coefficients.
 - Division is long division of the rows, each leading row divided with
-  ``divmod``.  By the homomorphism, a remainder proves that there is no
-  quotient, as does a divisor whose box is wider than the dividend's in
-  some variable.  A quotient whose digits lie in the degree room and
-  satisfy ``bits(max|q|) + bits(max|r|) + bits(min(|q|, |r|)) + 1 < slot
-  bits`` is certified, since ``q * r`` and ``p`` are then two polynomials
-  of the box with the same image.  Any other quotient goes to the heap
-  division.
+  ``divmod``; a divisor whose box is wider than the dividend's in some
+  variable is refused before either division kernel runs.  By the
+  homomorphism, a remainder proves that there is no quotient.  A quotient
+  whose digits lie in the degree room and satisfy ``bits(max|q|) +
+  bits(max|r|) + bits(min(|q|, |r|)) + 1 < slot bits`` is certified, since
+  ``q * r`` and ``p`` are then two polynomials of the box with the same
+  image.  Any other quotient goes to the heap division.
 - The grid runs only where two properties of the operands say it pays: at
   least ``_SCAN_PAIRS`` term pairs per term and variable (which amortises
-  the extent scan), and at most ``_MUL_BITS`` (``_DIV_BITS``) cell bits per
+  the extent scan, and keeps monomial factors and rings with no variables
+  off the grid), and at most ``_MUL_BITS`` (``_DIV_BITS``) cell bits per
   term pair.  The somos4 and somos5 orbits, in the two lattice coordinates
   of ``tsystem``, give small boxes; the larger boxes of somos6, somos7 and
   prim4 and of the coefficient symbols stay with the dict and heap loops.
@@ -50,7 +51,6 @@ terms in each variable never cancel.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections.abc import ItemsView, Mapping
@@ -211,9 +211,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._packed
 
-    def is_monomial(self) -> bool:
-        return len(self._packed) == 1
-
     def is_one(self) -> bool:
         return self._packed == {_layout(len(self.vars))[0]: 1}
 
@@ -225,11 +222,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         s = _layout(len(self.vars))[2][var_index]
         return min((k >> s) & _FIELD for k in self._packed) - _BIAS
-
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        """Lex-largest term as ``(exponents, coefficient)``."""
-        k = max(self._packed)
-        return _unpack(k, _layout(len(self.vars))[2]), self._packed[k]
 
     def coefficients_positive(self) -> bool:
         return all(c > 0 for c in self._packed.values())
@@ -262,21 +254,8 @@ class LaurentPoly:
         a, b = (self, other) if len(self._packed) <= len(other._packed) else (other, self)
         if not a._packed:
             return LaurentPoly.zero(self.vars)
-        if len(a._packed) == 1:
-            # monomial fast path
-            offset, mask, _ = _layout(len(self.vars))
-            (ka, ca), = a._packed.items()
-            d = ka - offset
-            out = {d + kb: ca * cb for kb, cb in b._packed.items()}
-            _check_fields(out, mask)
-            return _make(self.vars, out)
         grid = _mul_grid(a, b)
         return _mul_dense(a, b, grid) if grid is not None else _mul_sparse(a, b)
-
-    def scale(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return LaurentPoly.zero(self.vars)
-        return _make(self.vars, {k: c * v for k, v in self._packed.items()})
 
     def shift(self, exps: Sequence[int]) -> "LaurentPoly":
         """Multiply by the monomial ``x^exps``."""
@@ -295,12 +274,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            if not self.is_monomial():
-                raise ValueError("negative powers only defined for monomials")
-            (e, c), = self.terms.items()
-            if c not in (1, -1):
-                raise ValueError("negative powers require a unit coefficient")
-            return LaurentPoly(self.vars, {tuple(n * x for x in e): 1 if c == 1 or n % 2 == 0 else -1})
+            raise ValueError(f"negative power {n}")
         if n == 0:
             return LaurentPoly.const(self.vars, 1)
         result: LaurentPoly | None = None
@@ -374,9 +348,7 @@ class LaurentPoly:
         return {"vars": list(self.vars), "terms": terms}
 
     @classmethod
-    def from_json(cls, data: dict | str) -> "LaurentPoly":
-        if isinstance(data, str):
-            data = json.loads(data)
+    def from_json(cls, data: dict) -> "LaurentPoly":
         return cls(data["vars"], {tuple(t["exp"]): parse_int(t["coef"])
                                   for t in data["terms"]})
 
@@ -479,9 +451,11 @@ def monomial_map(p: LaurentPoly, variables: Sequence[str], images: Sequence[Sequ
 def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """Exact division in the Laurent ring: return ``r`` with ``q * r == p``.
 
-    Returns None when no such Laurent polynomial exists.  Large operands
-    whose support spans a small lattice go to the dense row division
-    (``_div_dense``); whatever it cannot decide goes to the heap division.
+    Returns None when no such Laurent polynomial exists.  An exact quotient
+    has degree ``deg p - deg q`` in every variable, so a divisor wider than
+    the dividend in some variable has none.  Large operands whose support
+    spans a small lattice go to the dense row division (``_div_dense``), the
+    rest to the heap division.
     """
     if q.is_zero():
         raise ZeroDivisorError("division by the zero Laurent polynomial")
@@ -489,18 +463,17 @@ def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
         raise ValueError("variable mismatch in division")
     if p.is_zero():
         return LaurentPoly.zero(p.vars)
-    # every route reads both exponent boxes: scan each operand once
     shifts = _layout(len(p.vars))[2]
-    p_box, q_box = _field_extent(p._packed, shifts), _field_extent(q._packed, shifts)
-    grid = _div_grid(p, q, p_box)
-    if grid is not None:
-        r = _div_dense(p, q, grid, q_box)
-        if r is not _UNDECIDED:
-            return r
-    return _div_heap(p, q, p_box, q_box)
+    (lo_p, hi_p), (lo_q, hi_q) = _field_extent(p._packed, shifts), _field_extent(q._packed, shifts)
+    room = [(hp - lp) - (hq - lq) for lp, hp, lq, hq in zip(lo_p, hi_p, lo_q, hi_q)]
+    if any(r < 0 for r in room):
+        return None
+    grid = _div_grid(p, q, (lo_p, hi_p), lo_q)
+    return _div_dense(p, q, grid, room) if grid is not None else _div_heap(p, q, lo_p, lo_q, room)
 
 
-def _div_heap(p: LaurentPoly, q: LaurentPoly, p_box, q_box) -> LaurentPoly | None:
+def _div_heap(p: LaurentPoly, q: LaurentPoly, lo_p: list[int], lo_q: list[int],
+              room: list[int]) -> LaurentPoly | None:
     """Division of nonzero operands by lex leading terms.
 
     Monomial factors are units here, so both operands are first shifted to
@@ -512,21 +485,16 @@ def _div_heap(p: LaurentPoly, q: LaurentPoly, p_box, q_box) -> LaurentPoly | Non
     The shifted keys carry plain (unbiased) exponents.  The remainder is a
     dict with a max-heap of its keys; a cancelled term stays behind with
     coefficient 0 and is skipped when popped.  An exact quotient has degree
-    ``deg p - deg q`` in every variable, so a quotient term outside that box
-    proves there is none; the box also keeps every remainder key inside the
-    degree range of ``p``, far from the field limits.  ``p_box`` and
-    ``q_box`` are the operands' ``_field_extent``.
+    ``room = deg p - deg q`` in every variable, so a quotient term outside
+    that box proves there is none; the box also keeps every remainder key
+    inside the degree range of ``p``, far from the field limits.  ``lo_p``
+    and ``lo_q`` are the operands' least biased fields (``_field_extent``)
+    and every entry of ``room`` is nonnegative.
     """
     offset, mask, shifts = _layout(len(p.vars))
-    (plo, phi), (qlo, qhi) = p_box, q_box
-    box = 0
-    for s, pl, ph, ql, qh in zip(shifts, plo, phi, qlo, qhi):
-        room = (ph - pl) - (qh - ql)
-        if room < 0:
-            return None
-        box += room << s
-    kmp = sum(v << s for v, s in zip(plo, shifts))
-    kmq = sum(v << s for v, s in zip(qlo, shifts))
+    box = sum(r << s for r, s in zip(room, shifts))
+    kmp = sum(v << s for v, s in zip(lo_p, shifts))
+    kmq = sum(v << s for v, s in zip(lo_q, shifts))
 
     rem = {k - kmp: c for k, c in p._packed.items()}
     qterms = sorted(((k - kmq, c) for k, c in q._packed.items()), reverse=True)
@@ -563,11 +531,11 @@ def _div_heap(p: LaurentPoly, q: LaurentPoly, p_box, q_box) -> LaurentPoly | Non
 
 # -- dense kernels on the exponent box -----------------------------------------
 
-# Dispatch: the dense kernels run only when the term pairs pay for the
-# extent scan (at least _SCAN_PAIRS per term and variable) and the grid is
-# small against the work it replaces (cells times slot bits at most _MUL_BITS
-# per term pair for a product, _DIV_BITS per pair of dividend and divisor
-# terms for a division).
+# Dispatch (_gate): the dense kernels run only when the term pairs pay for
+# the extent scan (at least _SCAN_PAIRS per term and variable) and the grid
+# is small against the work it replaces (cells times slot bits at most
+# _MUL_BITS per term pair for a product, _DIV_BITS per pair of dividend and
+# divisor terms for a division).
 _SCAN_PAIRS = 16
 _MUL_BITS = 8
 _DIV_BITS = 2
@@ -575,8 +543,6 @@ _DIV_BITS = 2
 _ORDER = "little"
 # memoryview formats that read little-endian slots of 1, 2, 4 or 8 bytes
 _CAST = {calcsize(f): f for f in "bhiq"} if sys.byteorder == _ORDER else {}
-# the answer of _div_dense when the heap division has to decide
-_UNDECIDED = object()
 
 
 def _bits(p: LaurentPoly) -> int:
@@ -667,19 +633,28 @@ def _decode(rows: list[int], low: list[int], dims: list[int], w: int,
     return out
 
 
+def _gate(a: LaurentPoly, b: LaurentPoly) -> int | None:
+    """The slot bytes of a grid for ``a`` and ``b``, or None when their term
+    pairs do not pay for its extent scan.  A ring with no variables has no
+    grid, whatever ``_SCAN_PAIRS`` is."""
+    na, nb = len(a._packed), len(b._packed)
+    if not a.vars or na * nb < _SCAN_PAIRS * len(a.vars) * (na + nb):
+        return None
+    # a product coefficient is a sum of at most min(na, nb) products
+    return _slot_bytes(_bits(a) + _bits(b) + min(na, nb).bit_length() + 2)
+
+
 def _mul_grid(a: LaurentPoly, b: LaurentPoly):
     """The grid of the dense product of ``a`` and ``b``, or None when the
     term-pair loop is the better choice."""
-    na, nb = len(a._packed), len(b._packed)
-    if na * nb < _SCAN_PAIRS * len(a.vars) * (na + nb):
+    w = _gate(a, b)
+    if w is None:
         return None
     shifts = _layout(len(a.vars))[2]
     lo_a, hi_a = _field_extent(a._packed, shifts)
     lo_b, hi_b = _field_extent(b._packed, shifts)
     dims = [ha - la + hb - lb + 1 for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
-    # a product coefficient is a sum of at most min(na, nb) products
-    w = _slot_bytes(_bits(a) + _bits(b) + min(na, nb).bit_length() + 2)
-    if prod(dims) * 8 * w > _MUL_BITS * na * nb:
+    if prod(dims) * 8 * w > _MUL_BITS * len(a._packed) * len(b._packed):
         return None
     return lo_a, lo_b, dims, w
 
@@ -702,34 +677,29 @@ def _mul_dense(a: LaurentPoly, b: LaurentPoly, grid) -> LaurentPoly:
     return _make(a.vars, out)
 
 
-def _div_grid(p: LaurentPoly, q: LaurentPoly, p_box):
+def _div_grid(p: LaurentPoly, q: LaurentPoly, p_box, lo_q: list[int]):
     """The grid of ``p`` (whose ``_field_extent`` is ``p_box``) for a dense
-    division by ``q``, or None when the heap division is the better choice."""
-    np_, nq = len(p._packed), len(q._packed)
-    if np_ * nq < _SCAN_PAIRS * len(p.vars) * (np_ + nq):
+    division by ``q`` (whose least fields are ``lo_q``), or None when the
+    heap division is the better choice."""
+    # sized for a quotient no larger than p; a larger one goes to the heap
+    w = _gate(p, q)
+    if w is None:
         return None
     lo, hi = p_box
     dims = [h - low + 1 for low, h in zip(lo, hi)]
-    # sized for a quotient no larger than p; a larger one goes to the heap
-    w = _slot_bytes(_bits(p) + _bits(q) + min(np_, nq).bit_length() + 2)
-    if prod(dims) * 8 * w > _DIV_BITS * np_ * nq:
+    if prod(dims) * 8 * w > _DIV_BITS * len(p._packed) * len(q._packed):
         return None
-    return lo, dims, w
+    return lo, lo_q, dims, w
 
 
-def _div_dense(p: LaurentPoly, q: LaurentPoly, grid, q_box):
-    """Long division of grid rows, each leading row divided with ``divmod``;
-    ``q_box`` is the ``_field_extent`` of ``q``.
+def _div_dense(p: LaurentPoly, q: LaurentPoly, grid, room: list[int]) -> LaurentPoly | None:
+    """Long division of grid rows, each leading row divided with ``divmod``,
+    in the nonnegative degree ``room`` of the quotient.
 
-    Returns the quotient, None when there is none, or ``_UNDECIDED`` when
-    the grid cannot certify it.
+    Returns the quotient, or None when there is none; a quotient that the
+    grid cannot certify is the heap division's to decide.
     """
-    lo, dims, w = grid
-    lo_q, hi_q = q_box
-    # the box of a product is the sum of its factors' boxes
-    room = [d - 1 - (h - low) for d, low, h in zip(dims, lo_q, hi_q)]
-    if min(room) < 0:
-        return None
+    lo, lo_q, dims, w = grid
     prows = _rows(p, lo, dims, w)
     qrows = _rows(q, lo_q, dims, w)
     k, lead = len(qrows) - 1, qrows[-1]
@@ -750,7 +720,7 @@ def _div_dense(p: LaurentPoly, q: LaurentPoly, grid, q_box):
     # q * out == p holds once no slot of that product can overflow
     if out is None or (_bits(q) + max(map(abs, out.values())).bit_length()
                        + min(len(out), len(q._packed)).bit_length() + 1 >= 8 * w):
-        return _UNDECIDED
+        return _div_heap(p, q, lo, lo_q, room)
     _check_fields(out, _layout(len(p.vars))[1])
     return _make(p.vars, out)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .coprime import Pieces, add_exps
 from .intlinalg import invert_fraction, mat_mul, transpose
@@ -56,13 +56,13 @@ def project(basis: PalindromicBasis, window: Sequence[Fraction]) -> tuple[Fracti
 
 @dataclass(frozen=True)
 class USystemSpec:
-    """Order-r recurrence U_{n+r} U_n = Z_n^{z_power} * F(U_{n+1},...,U_{n+r-1}).
+    """Order-r recurrence U_{n+r} U_n = Z_n * F(U_{n+1},...,U_{n+r-1}).
 
     F is stored as an exact Laurent polynomial over variables U1..U{r-1}
     (variable Uj stands for U_{n+j}), plus a canonical numerator/denominator
-    split with a coefficient-1 monomial denominator.  z_power is 1 for every
-    derived system, whose generator leads with 1; a hand-built spec may carry
-    another.  The coefficient sequence enters only when z_flag is set.
+    split with a coefficient-1 monomial denominator.  The coefficient
+    sequence enters only when z_flag is set, to the power z_power: 1, the
+    leading entry of every generator.
     """
 
     a: tuple[int, ...]
@@ -73,7 +73,7 @@ class USystemSpec:
     f_num: LaurentPoly
     f_den: LaurentPoly
     z_flag: bool
-    z_power: int
+    z_power: ClassVar[int] = 1
 
     def basis(self) -> PalindromicBasis:
         return PalindromicBasis(len(self.a) + 1, self.order, self.generator)
@@ -84,9 +84,7 @@ class USystemSpec:
         if self.f_num.n_terms() > 1 and (self.z_flag or not self.f_den.is_one()):
             num = f"({num})"
         rhs = num if self.f_den.is_one() else f"{num} / ({self.f_den})"
-        z = ""
-        if self.z_flag:
-            z = "Z[n] * " if self.z_power == 1 else f"Z[n]^{self.z_power} * "
+        z = "Z[n] * " if self.z_flag else ""
         return f"{lhs} = {z}{rhs}"
 
 
@@ -110,15 +108,14 @@ def _derive(b: ExchangeMatrix, z_flag: bool) -> USystemSpec:
         sol = basis.coordinates(exps)
         if sol is None:
             raise EliminationFailed(f"monomial {exps} is not a product of reduced variables")
-        if sol[0] != 0:
-            raise EliminationFailed("reduced recurrence would depend on U_n itself")
+        # sol[0] = c_0 = exps[0] = w[0] = 0: F does not depend on U_n
         key = tuple(sol[1:])
         terms[key] = terms.get(key, 0) + 1
     f = LaurentPoly(uvars, terms)
     den_exps = tuple(max(0, -f.min_exponent(i)) for i in range(len(uvars)))
     f_num = f.shift(den_exps)
     f_den = LaurentPoly.monomial(uvars, den_exps, 1)
-    return USystemSpec(a, r, v, uvars, f, f_num, f_den, z_flag, 1)
+    return USystemSpec(a, r, v, uvars, f, f_num, f_den, z_flag)
 
 
 def derive_usystem(b: ExchangeMatrix) -> USystemSpec:

@@ -181,28 +181,23 @@ def check_orbit(orb: Orbit, start: int = 0) -> bool:
     n_ = st.n
     z = orb.z if orb.z is not None else ConstantZ(1)
     vals = orb.values
-    if orb.kind == "rational":
-        one, zval = Fraction(1), z.value
-    else:
-        one = LaurentPoly.const(orb.variables, 1)
-
-        def zval(n):
-            return _z_monomial_poly(z, n, orb.variables)
+    rational = orb.kind == "rational"
+    one = Fraction(1) if rational else LaurentPoly.const(orb.variables, 1)
     for n in range(start, len(vals) - n_):
         w = vals[n + 1 : n + n_]
-        rhs = zval(n) * (power_product(w, st.plus_exponents, one)
-                         + power_product(w, st.minus_exponents, one))
+        rhs = power_product(w, st.plus_exponents, one) + power_product(w, st.minus_exponents, one)
+        rhs = z.value(n) * rhs if rational else rhs.shift(_z_exponents(z, n, len(one.vars)))
         if vals[n + n_] * vals[n] != rhs:
             return False
     return True
 
 
-def _z_monomial_poly(z, n: int, variables: tuple[str, ...]) -> LaurentPoly:
-    # Z's symbols are the last variables
+def _z_exponents(z, n: int, width: int) -> tuple[int, ...]:
+    """Z_n's exponents over ``width`` variables, of which Z's symbols are the last."""
     exps = z.monomial(n)
     if exps is None:
         raise AlgebraicZCase("symbolic iteration needs integer coefficient exponents")
-    return LaurentPoly.monomial(variables, (0,) * (len(variables) - len(exps)) + exps)
+    return (0,) * (width - len(exps)) + exps
 
 
 def _rescale(m: int, old: dict[int, int], new: dict[int, int], base: list[int]) -> int:
@@ -368,7 +363,7 @@ def _symbolic(st: TStencil, z, steps: int, max_terms: int) -> Orbit:
     g = [tuple(int(i == k) for i in range(n_)) for k in range(n_)]
     vals = [monomial_map(one, variables, images, gk) for gk in g]
     for n in range(steps):
-        zmono = _z_monomial_poly(z, n, one.vars)
+        zexps = _z_exponents(z, n, len(one.vars))
         w, gw = window[1:], g[1:]
         # the two monomials of the exchange differ by x^d, d in im B
         c = basis.coordinates([sum(a * x[i] for a, x in zip(st.a, gw)) for i in range(n_)])
@@ -381,7 +376,7 @@ def _symbolic(st: TStencil, z, steps: int, max_terms: int) -> Orbit:
         if nxt.n_terms() > max_terms:
             raise TermBudgetExceeded(
                 f"x_{n + n_} exceeds the {max_terms}-term budget")
-        nxt = zmono * nxt
+        nxt = nxt.shift(zexps)
         gnext = tuple(sum(e * x[i] for e, x in zip(st.minus_exponents, gw)) - g[0][i]
                       for i in range(n_))
         vals.append(monomial_map(nxt, variables, images, gnext))

@@ -28,14 +28,6 @@ def test_symbolic_degree_sequence_prefix():
     assert ds.definition == "denominator:x1"
 
 
-def test_total_degree_is_larger_than_single_variable():
-    orb = iterate_t(TStencil(SOMOS4), None, 10, mode="symbolic")
-    one = analysis.degree_sequence(orb, 1)
-    tot = analysis.degree_sequence(orb, "total")
-    assert tot.definition == "denominator:total"
-    assert all(t >= o for t, o in zip(tot.d, one.d))
-
-
 @pytest.mark.parametrize("var", [1, 2, 3, 4])
 def test_tropical_shadow_equals_symbolic_degrees(var):
     orb = iterate_t(TStencil(SOMOS4), None, 10, mode="symbolic")

@@ -309,7 +309,7 @@ def _derive_by_x_expansion(b, z_flag):
     f = LaurentPoly(uvars, terms)
     den_exps = tuple(max(0, -f.min_exponent(i)) for i in range(len(uvars)))
     return reduction.USystemSpec(a, r, v, uvars, f, f.shift(den_exps),
-                                 LaurentPoly.monomial(uvars, den_exps, 1), z_flag, e_top)
+                                 LaurentPoly.monomial(uvars, den_exps, 1), z_flag)
 
 
 def _spec_outcome(f, *args):

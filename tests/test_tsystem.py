@@ -415,7 +415,8 @@ def x_symbolic_orbit(a, z, steps, max_terms=10 ** 6):
     one = LaurentPoly.const(variables, 1)
     for n in range(steps):
         w = vals[n + 1 : n + n_]
-        num = tsystem._z_monomial_poly(z, n, variables) * (
+        zmono = LaurentPoly.monomial(variables, tsystem._z_exponents(z, n, len(variables)))
+        num = zmono * (
             _repeated_product(w, st_.plus_exponents, one)
             + _repeated_product(w, st_.minus_exponents, one))
         nxt = laurent_try_div(num, vals[n])
@@ -457,7 +458,7 @@ LATTICE_CASES = [(get_preset(name).a, steps) for name, steps in (
     ("somos4", 10), ("somos5", 10), ("somos6", 9), ("somos7", 10),
     ("prim4", 12), ("nonintegrable6", 3))]
 LATTICE_CASES += [(get_preset(f"prim{n}").a, n + 4) for n in range(3, 10)]
-LATTICE_CASES += [((0, 0), 8), ((2, -3, 2), 5), ((0, 1, 0), 8)]
+LATTICE_CASES += [((0, 0), 8), ((2, -3, 2), 5), ((0, 1, 0), 8), ((0,), 8), ((0, 0, 0), 8)]
 
 
 @pytest.mark.parametrize("a, steps", LATTICE_CASES)
