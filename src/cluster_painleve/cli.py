@@ -147,15 +147,19 @@ def _json_text(payload: dict) -> str:
     return re.sub(r'"\\u0000(\d+)"', lambda m: ints[int(m.group(1))], text)
 
 
-def _emit(args, stem: str, payload: dict, csv_rows: list[tuple] | None = None,
-          csv_header: tuple[str, ...] | None = None) -> None:
-    """Serialize one artifact deterministically; --out picks file vs directory."""
+def _emit(args, stem: str, payload: dict, column: tuple[str, str] | None = None) -> None:
+    """Serialize one artifact deterministically; --out picks file vs directory.
+
+    The CSV form lists the payload list `column` = (key, header): a line
+    "n,<header>", then "i,<entry>" per entry, ints through format_rational.
+    """
     fmt = getattr(args, "format", "json") or "json"
     if fmt == "csv":
-        if csv_rows is None:
+        if column is None:
             raise ConfigInvalid("this command has no CSV form; use --format json")
-        lines = [",".join(csv_header)] if csv_header else []
-        lines += [",".join(str(c) for c in row) for row in csv_rows]
+        key, header = column
+        lines = [f"n,{header}"] + [f"{i},{format_rational(v) if type(v) is int else v}"
+                                   for i, v in enumerate(payload[key])]
         text, ext = "\n".join(lines) + "\n", ".csv"
     else:
         text, ext = _json_text(payload), ".json"
@@ -223,20 +227,14 @@ def _cmd_run(args) -> int:
             orb = iterate_tz(st, z, init, args.steps, mode=args.mode)
         payload = orb.to_json()
         payload["system"] = p.name
-        rows = None
-        header = None
-        if orb.kind == "rational":
-            rows = [(i, format_rational(v)) for i, v in enumerate(orb.values)]
-            header = ("n", "value")
-        _emit(args, "orbit", payload, rows, header)
+        _emit(args, "orbit", payload, ("values", "value") if orb.kind == "rational" else None)
         return 0
     if args.what == "y":
         init = _parse_init(args.init, n, args.seed)
         ys = ysystem.iterate_y(p.a, init, args.steps)
         payload = {"system": p.name, "tuple": list(p.a),
                    "values": [format_rational(v) for v in ys]}
-        _emit(args, "yorbit", payload,
-              [(i, format_rational(v)) for i, v in enumerate(ys)], ("n", "value"))
+        _emit(args, "yorbit", payload, ("values", "value"))
         return 0
     # qp1: the second-order coefficient recurrence
     if not (args.beta and args.q):
@@ -250,8 +248,7 @@ def _cmd_run(args) -> int:
         raise ConfigInvalid(str(exc)) from exc
     payload = {"beta": format_rational(beta), "q": format_rational(q),
                "values": [format_rational(v) for v in ys]}
-    _emit(args, "qp1", payload,
-          [(i, format_rational(v)) for i, v in enumerate(ys)], ("n", "value"))
+    _emit(args, "qp1", payload, ("values", "value"))
     return 0
 
 
@@ -314,12 +311,7 @@ def _cmd_zsys(args) -> int:
                 else format_rational(v) if isinstance(v, Fraction) else v)
             for k, v in sol.closed_form.items()
         }
-    rows = None
-    header = None
-    if "values" in payload:
-        rows = [(i, v) for i, v in enumerate(payload["values"])]
-        header = ("n", "value")
-    _emit(args, "zsys", payload, rows, header)
+    _emit(args, "zsys", payload, ("values", "value") if args.init else None)
     return 0
 
 
@@ -355,8 +347,7 @@ def _cmd_entropy(args) -> int:
         "precision": "entropy from exact integer degrees; band is the last "
                       "Aitken increment (0.0 when the fit is exact)",
     }
-    _emit(args, "entropy", payload,
-          [(i, format_rational(d)) for i, d in enumerate(ds.d)], ("n", "d_n"))
+    _emit(args, "entropy", payload, ("degrees", "d_n"))
     return 0
 
 

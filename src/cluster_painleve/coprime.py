@@ -32,7 +32,8 @@ exponents for the numerator, negative for the denominator).
   of a piece inherits every coprimality of that piece.  Coprimality known
   by proof enters the same memo with no gcd: the numerator and denominator
   of a value in lowest terms, a + b against every piece of a/b, and what
-  the engine proves of its new pieces (`reduction._u_steps` at order 2).
+  the engine proves of its new pieces (`reduction.iterate_usystem` at
+  order 2).
 - A pair with gcd g > 1 is split: both pieces become g and their
   cofactors, in every live dict.  This is the refinement step of factor
   refinement (E. Bach, J. Driscoll and J. Shallit, "Factor refinement",
@@ -240,10 +241,22 @@ class Pieces:
         """The value sign * prod(piece**e), with `exps` put in lowest terms.
 
         `live` must hold every dict that may still be read, `exps` among
-        them: a split rewrites them all.
+        them: a split rewrites them all.  The pieces that none of them
+        holds are forgotten, once the store has doubled since that was
+        last done, so that the cost is amortised.
         """
         self._lowest_terms(exps, live)
         n, d = self._ints(exps)
+        if len(self.value) >= self._prune_at:
+            known = self.coprime
+            dead = self.value.keys() - set().union(*live)
+            for p in dead:
+                del self.value[p]
+            for p in dead:
+                for q in known.pop(p):
+                    if q not in dead:
+                        known[q].discard(p)
+            self._prune_at = 2 * len(self.value) + 16
         return _from_coprime_ints(sign * n, d)
 
     def _lowest_terms(self, exps: Exps, live: Sequence[Exps]) -> None:
@@ -300,18 +313,3 @@ class Pieces:
                 if e:
                     add_exps(exps, parts, e)
             self._drop(x)
-
-    def prune(self, live: Iterable[Exps]) -> None:
-        """Forget the pieces that no dict of `live` holds, once the store
-        has doubled since it last did, so that the cost is amortised."""
-        if len(self.value) < self._prune_at:
-            return
-        known = self.coprime
-        dead = self.value.keys() - set().union(*live)
-        for p in dead:
-            del self.value[p]
-        for p in dead:
-            for q in known.pop(p):
-                if q not in dead:
-                    known[q].discard(p)
-        self._prune_at = 2 * len(self.value) + 16

@@ -384,7 +384,7 @@ def _mul_sparse(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     offset, mask, _ = _layout(len(a.vars))
     out: dict[int, int] = {}
     get = out.get
-    bitems = list(b._packed.items())
+    bitems = b._packed.items()
     for ka, ca in a._packed.items():
         d = ka - offset
         for kb, cb in bitems:

@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Sequence
 
 from .coprime import Pieces, add_exps
 from .intlinalg import invert_fraction, mat_mul, transpose
 from .laurent import LaurentPoly
 from .quiver import (EliminationFailed, ExchangeMatrix, PalindromicBasis, _sgn,
                      palindromic_basis, power_product)
-from .tsystem import TStencil, iterate_t, iterate_tz
+from .tsystem import TStencil, iterate_tz
+from .zsystem import ConstantZ
 
 
 class ZeroComponent(ValueError):
@@ -128,8 +129,8 @@ def derive_uzsystem(b: ExchangeMatrix) -> USystemSpec:
     return _derive(b, z_flag=True)
 
 
-def _u_steps(terms: Mapping[tuple[int, ...], int], r: int, us: list[Fraction],
-             steps: int, zfactors=None) -> list[Fraction]:
+def iterate_usystem(spec: USystemSpec, init: Sequence[Fraction], steps: int,
+                    z=None) -> list[Fraction]:
     """Append `steps` values of U_{n+r} U_n = Z_n F(U_{n+1}, ..., U_{n+r-1}).
 
     F = sum_t c_t prod_j U_j^e_tj is given by its terms {e_t: c_t}.  With
@@ -137,67 +138,13 @@ def _u_steps(terms: Mapping[tuple[int, ...], int], r: int, us: list[Fraction],
     exponent of U_j in F, F = Ph * prod_j a_j^lo_j b_j^-hi_j where
     Ph = sum_t c_t prod_j a_j^(e_tj - lo_j) b_j^(hi_j - e_tj) is the
     homogenised numerator.  Each value is an exponent dict over one
-    `coprime.Pieces` store, and Ph is one new piece a step.
-    `zfactors(n)`, when given, returns Z_n as (base, exponent) pairs of
-    Fractions and exponents >= 0; a base reused from the step before keeps
-    its pieces.  A zero in the window raises what `LaurentPoly.evaluate`
-    and Fraction division raised there.
+    `coprime.Pieces` store, and Ph is one new piece a step.  Z_n (to the
+    power `spec.z_power`, which is 1) enters as the pieces of its bound
+    bases, zip(z.bound, z.monomial(n)), and as the one value z.value(n)
+    where `bound` or `monomial(n)` is None; a base reused from the step
+    before keeps its pieces.  A zero in the window raises what
+    `LaurentPoly.evaluate` and Fraction division raised there.
     """
-    terms = dict(terms)
-    items = list(terms.items())
-    lo = [min(e[j] for e, _ in items) for j in range(r - 1)]
-    hi = [max(e[j] for e, _ in items) for j in range(r - 1)]
-    powers = [(c, [(j + 1, k - l, h - k) for j, (k, l, h) in enumerate(zip(e, lo, hi))])
-              for e, c in items]
-    if r == 2:
-        # Ph = c_lo b^D mod a and c_hi a^D mod b, so Ph is coprime to a and b
-        # when c_lo and c_hi are; that is decided per step
-        c_lo, c_hi = terms[(lo[0],)], terms[(hi[0],)]
-    store = Pieces()
-    reps = [store.of(u) for u in us]  # U_k as piece exponents
-    zreps: dict[Fraction, dict[int, int]] = {}
-    for n in range(steps):
-        w = us[n:n + r]
-        a = [u.numerator for u in w]
-        b = [u.denominator for u in w]
-        if 0 in a and any(a[j] == 0 and lo[j - 1] < 0 for j in range(1, r)):
-            raise ZeroDivisionError("negative exponent at zero value")
-        zf = zfactors(n) if zfactors else ()
-        zreps = {z: zreps[z] if z in zreps else store.of(z) for z, _ in zf}
-        ph = 0
-        for c, pw in powers:
-            t = c
-            for j, ka, kb in pw:
-                t *= a[j] ** ka * b[j] ** kb
-            ph += t
-        sign = _sgn(ph)
-        for z, e in zf:
-            sign *= _sgn(z) ** e
-        for j in range(1, r):
-            sign *= _sgn(a[j]) ** abs(lo[j - 1])
-        if a[0] == 0:
-            # Fraction's division by 0/1 cancels gcd(numerator, 0) first, so
-            # its message carries only the sign of Z_n * F
-            raise ZeroDivisionError(f"Fraction({sign}, 0)")
-        window = reps[n + 1:]
-        live = window + list(zreps.values())
-        rep = {}
-        if sign:
-            seed = window[0] if r == 2 and gcd(c_lo, a[1]) == 1 == gcd(c_hi, b[1]) else ()
-            rep = store.new(abs(ph), seed)
-            for z, e in zf:
-                add_exps(rep, zreps[z], e)
-            for j in range(1, r):
-                add_exps(rep, reps[n + j], lo[j - 1], hi[j - 1])
-            add_exps(rep, reps[n], -1)
-        us.append(store.build(sign * _sgn(a[0]), rep, live + [rep]))
-        reps.append(rep)
-        store.prune(live + [rep])
-    return us
-
-
-def iterate_usystem(spec: USystemSpec, init: Sequence[Fraction], steps: int,
-                    z=None) -> list[Fraction]:
     r = spec.order
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -210,11 +157,59 @@ def iterate_usystem(spec: USystemSpec, init: Sequence[Fraction], steps: int,
         raise ValueError("recurrence carries a coefficient sequence; pass z")
     if not spec.z_flag and z is not None:
         raise ValueError("recurrence carries no coefficient sequence; z would be ignored")
-    zfactors = None
-    if spec.z_flag:
-        def zfactors(n):
-            return [(z.value(n), spec.z_power)]
-    return _u_steps(spec.f_laurent.terms, r, us, steps, zfactors)
+    terms = spec.f_laurent.terms
+    items = list(terms.items())
+    lo = [min(e[j] for e, _ in items) for j in range(r - 1)]
+    hi = [max(e[j] for e, _ in items) for j in range(r - 1)]
+    powers = [(c, [(j + 1, k - l, h - k) for j, (k, l, h) in enumerate(zip(e, lo, hi))])
+              for e, c in items]
+    if r == 2:
+        # Ph = c_lo b^D mod a and c_hi a^D mod b, so Ph is coprime to a and b
+        # when c_lo and c_hi are; that is decided per step
+        c_lo, c_hi = terms[(lo[0],)], terms[(hi[0],)]
+    store = Pieces()
+    reps = [store.of(u) for u in us]  # U_k as piece exponents
+    zf: list[tuple[Fraction, int]] = []  # Z_n as (base, exponent) pairs
+    zreps: dict[Fraction, dict[int, int]] = {}
+    for n in range(steps):
+        w = us[n:n + r]
+        a = [u.numerator for u in w]
+        b = [u.denominator for u in w]
+        if 0 in a and any(a[j] == 0 and lo[j - 1] < 0 for j in range(1, r)):
+            raise ZeroDivisionError("negative exponent at zero value")
+        if z is not None:
+            exps = None if z.bound is None else z.monomial(n)
+            zf = [(z.value(n), 1)] if exps is None else list(zip(z.bound, exps))
+        zreps = {zb: zreps[zb] if zb in zreps else store.of(zb) for zb, _ in zf}
+        ph = 0
+        for c, pw in powers:
+            t = c
+            for j, ka, kb in pw:
+                t *= a[j] ** ka * b[j] ** kb
+            ph += t
+        sign = _sgn(ph)
+        for zb, e in zf:
+            # a solved exponent may be negative: the parity gives the sign
+            sign *= _sgn(zb) ** (e % 2)
+        for j in range(1, r):
+            sign *= _sgn(a[j]) ** abs(lo[j - 1])
+        if a[0] == 0:
+            # Fraction's division by 0/1 cancels gcd(numerator, 0) first, so
+            # its message carries only the sign of Z_n * F
+            raise ZeroDivisionError(f"Fraction({sign}, 0)")
+        window = reps[n + 1:]
+        rep = {}
+        if sign:
+            seed = window[0] if r == 2 and gcd(c_lo, a[1]) == 1 == gcd(c_hi, b[1]) else ()
+            rep = store.new(abs(ph), seed)
+            for zb, e in zf:
+                add_exps(rep, zreps[zb], e)
+            for j in range(1, r):
+                add_exps(rep, reps[n + j], lo[j - 1], hi[j - 1])
+            add_exps(rep, reps[n], -1)
+        us.append(store.build(sign * _sgn(a[0]), rep, [*window, *zreps.values(), rep]))
+        reps.append(rep)
+    return us
 
 
 def verify_conjugacy(b: ExchangeMatrix, init: Sequence[Fraction], steps: int,
@@ -223,11 +218,7 @@ def verify_conjugacy(b: ExchangeMatrix, init: Sequence[Fraction], steps: int,
     spec = derive_uzsystem(b) if z is not None else derive_usystem(b)
     basis = spec.basis()
     n, r = basis.n, basis.rank
-    st = TStencil(spec.a)
-    if z is None:
-        xorb = iterate_t(st, init, steps + r)
-    else:
-        xorb = iterate_tz(st, z, init, steps + r)
+    xorb = iterate_tz(TStencil(spec.a), ConstantZ(1) if z is None else z, init, steps + r)
     # the window at m projects to U_m, ..., U_{m+r-1}
     projected = [u for m in range(0, steps + r, r)
                  for u in project(basis, xorb.values[m:m + n])][:steps + r]

@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coprime import Pieces, add_exps
-from .quiver import ExchangeMatrix, _pos, mutate_matrix, power_product
-from .reduction import _u_steps
+from .quiver import ExchangeMatrix, _pos, build_from_tuple, mutate_matrix, power_product
+from .reduction import derive_uzsystem, iterate_usystem
 from .tsystem import Orbit, check_orbit
+from .zsystem import GeometricZ
 
 
 class NonPositiveInitial(ValueError):
@@ -84,11 +85,9 @@ def iterate_y(a: Sequence[int], init: Sequence[Fraction], steps: int) -> list[Fr
             add_exps(rep, sums[n + j], m - p)
             add_exps(rep, reps[n + j], p, m)
         add_exps(rep, reps[n], -1)
-        live = reps[n + 1:] + sums[n + 1:]
-        y = store.build(1, rep, live + [rep])
+        y = store.build(1, rep, [*reps[n + 1:], *sums[n + 1:], rep])
         ys.append(y)
         push(y, rep)
-        store.prune(live + [rep, sums[-1]])
     return ys
 
 
@@ -149,10 +148,9 @@ def qp1_iterate(beta: Fraction, q: Fraction, init: Sequence[Fraction],
     if beta <= 0 or q <= 0:
         raise NonPositiveParameter("beta and q must be strictly positive")
     ys = _check_positive(init, "initial window")
-    if len(ys) != 2:
-        raise ValueError("initial window must have 2 entries")
     # the Somos-4 U-map U1^-1 + U1^-2 with Z_n = beta * q^n
-    return _u_steps({(-1,): 1, (-2,): 1}, 2, ys, steps, lambda n: [(beta, 1), (q, n)])
+    return iterate_usystem(derive_uzsystem(build_from_tuple((-1, 2, -1))), ys, steps,
+                           GeometricZ(beta, q))
 
 
 def z_from_qp1(ys: Sequence[Fraction]) -> list[Fraction]:
@@ -200,5 +198,4 @@ def y_from_seed_dynamics(b: ExchangeMatrix, y_init: Sequence[Fraction],
                 add_exps(reps[j], reps[k], _pos(bkj), _pos(-bkj))
         reps[k] = {p: -e for p, e in reps[k].items()}
         b = mutate_matrix(b, k)
-        store.prune(reps)
     return out

@@ -311,7 +311,7 @@ class ZSolution:
     """Monomial solution of a constraint stencil.
 
     Entry n is prod_i S_i^{table[n][i]} over the initial symbols S_0..S_{r-1}
-    (bound to rational values when init_values is given).  Tables grow on
+    (bound to the rational values `bound` when it is not None).  Tables grow on
     demand.  Each exponent is an exact int where the division by the leading
     exponent comes out even (always, when that exponent is +-1) and a
     Fraction with denominator > 1 only where it does not, so `monomial`
@@ -320,17 +320,13 @@ class ZSolution:
 
     stencil: ZStencil
     symbols: tuple[str, ...]
-    init_values: tuple[Fraction, ...] | None
+    bound: tuple[Fraction, ...] | None
     closed_form: dict | None
     _tables: list[tuple[int | Fraction, ...]] = field(default_factory=list)
 
     @property
     def order(self) -> int:
         return self.stencil.order
-
-    @property
-    def bound(self) -> tuple[Fraction, ...] | None:
-        return self.init_values
 
     def _extend_to(self, n: int) -> None:
         e = self.stencil.trimmed
@@ -360,10 +356,10 @@ class ZSolution:
         return exps
 
     def value(self, n: int) -> Fraction:
-        if self.init_values is None:
+        if self.bound is None:
             raise ValueError("no initial values bound")
         out = Fraction(1)
-        for base, exp in zip(self.init_values, self.exponents(n)):
+        for base, exp in zip(self.bound, self.exponents(n)):
             if exp.denominator != 1:
                 root = _exact_fraction_root(base, exp.denominator)
                 if root is None:
@@ -466,7 +462,7 @@ def solve_z(st: ZStencil, init: Sequence[Fraction] | None = None) -> ZSolution:
     sol = ZSolution(
         stencil=st,
         symbols=symbols,
-        init_values=values,
+        bound=values,
         closed_form=_recognize_closed_form(st),
         _tables=[tuple(int(i == m) for i in range(r)) for m in range(r)],
     )

@@ -59,6 +59,38 @@ def test_csv_format(capsys):
     assert out[0] == "n,value" and out[-1] == "7,23"
 
 
+@pytest.mark.parametrize("argv, text", [
+    ("run t --preset somos4 --init 1,2,3,1/2 --steps 4",
+     "n,value\n0,1\n1,2\n2,3\n3,1/2\n4,10\n5,121/8\n6,1721/48\n7,112763/96\n"),
+    ("run tz --preset prim4 --z-init 2,-3 --init ones --steps 3",
+     "n,value\n0,1\n1,1\n2,1\n3,1\n4,4\n5,-15\n6,-7\n"),
+    ("run tz --preset somos4 --beta 2/3 --q 5/7 --init 1,-2,3,1/2 --steps 2",
+     "n,value\n0,1\n1,-2\n2,3\n3,1/2\n4,16/3\n5,-325/84\n"),
+    ("run y --preset somos4 --init 1,2,3,1/2 --steps 2",
+     "n,value\n0,1\n1,2\n2,3\n3,1/2\n4,81/32\n5,113/144\n"),
+    ("run qp1 --beta 2 --q 3/2 --init 1,1 --steps 3",
+     "n,value\n0,1\n1,1\n2,4\n3,15/16\n4,62/25\n"),
+    ("zsys --preset prim4 --init 2,3 --steps 2", "n,value\n0,2\n1,3\n2,1/2\n3,1/3\n"),
+    ("entropy --preset somos4 --steps 8",
+     "n,d_n\n0,0\n1,0\n2,0\n3,0\n4,1\n5,1\n6,2\n7,3\n8,3\n9,5\n10,6\n11,7\n"),
+    ("entropy --preset somos4 --steps 8 --mode symbolic",
+     "n,d_n\n0,0\n1,0\n2,0\n3,0\n4,1\n5,1\n6,2\n7,3\n8,3\n9,5\n10,6\n11,7\n"),
+])
+def test_csv_bytes(capsys, argv, text):
+    assert main(argv.split() + ["--format", "csv"]) == 0
+    assert capsys.readouterr() == (text, "")
+
+
+@pytest.mark.parametrize("argv", [
+    "run t --preset somos4 --mode symbolic", "run tz --preset somos4 --mode symbolic",
+    "zsys --preset somos4",
+])
+def test_csv_needs_a_value_list(capsys, argv):
+    assert main(argv.split() + ["--format", "csv"]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: this command has no CSV form; use --format json\n")
+
+
 def test_reduce_prints_formula_then_payload(capsys):
     rc = main(["reduce", "--preset", "somos6"])
     out = capsys.readouterr().out

@@ -327,6 +327,38 @@ def test_division_by_a_zero_value_raises_the_same(zvalue, message):
     assert got == outcome(lambda: fraction_usystem(spec, [F(1), F(-2)], 3, z))
 
 
+def test_usystem_reads_monomials_before_values(monkeypatch):
+    # Z_n enters as the pieces of its bound bases wherever it has a monomial
+    # form, negative exponents included; value(n) only where it has none
+    a = get_preset("somos5").a
+    spec = spec_of(a, True)
+    init = [F(-6, 5), F(10, 3)]
+    geo = GeometricZ(F(-10, 21), F(6, 35))
+    solved = solve_z(z_stencil_from_tuple(a), [F(-2, 3), F(5, 4), F(-7)])
+    assert any(e < 0 and e % 2 for n in range(20) for e in solved.monomial(n))
+    perturbed = PerturbedZ(geo, {3: F(-7, 9)})
+    want = {id(z): outcome(lambda: fraction_usystem(spec, init, 20, z))
+            for z in (geo, solved, perturbed)}
+
+    def value(self, n):
+        raise AssertionError("value read where a monomial form exists")
+
+    with monkeypatch.context() as m:
+        m.setattr(GeometricZ, "value", value)
+        m.setattr(type(solved), "value", value)
+        for z in (geo, solved):
+            assert outcome(lambda: reduction.iterate_usystem(spec, init, 20, z)) == want[id(z)]
+    seen, real = [], PerturbedZ.value
+    monkeypatch.setattr(PerturbedZ, "value", lambda self, n: seen.append(n) or real(self, n))
+    got = outcome(lambda: reduction.iterate_usystem(spec, init, 20, perturbed))
+    assert got == want[id(perturbed)] and seen == [3]
+    unbound = solve_z(z_stencil_from_tuple(a))
+    assert_same(lambda: reduction.iterate_usystem(spec, init, 3, unbound),
+                lambda: fraction_usystem(spec, init, 3, unbound))
+    assert outcome(lambda: reduction.iterate_usystem(spec, init, 3, unbound)) == (
+        ValueError, "no initial values bound")
+
+
 def hand_spec(order, terms, z_flag=True):
     """A U-system with any F: iterate_usystem reads order, F and z_flag."""
     uvars = tuple(f"U{j}" for j in range(1, order))
@@ -376,6 +408,14 @@ def test_qp1_matches_fraction_loop(beta, q, init, steps):
 def test_qp1_shared_and_composite_bases(beta, q, init):
     assert_same(lambda: ysystem.qp1_iterate(beta, q, init, 30),
                 lambda: fraction_qp1(beta, q, init, 30))
+
+
+def test_qp1_is_the_derived_somos4_usystem():
+    spec = reduction.derive_uzsystem(build_from_tuple((-1, 2, -1)))
+    assert spec.z_flag and spec.f_laurent.terms == {(-1,): 1, (-2,): 1}
+    beta, q, init = F(6, 35), F(10, 21), [F(15, 14), F(7, 6)]
+    assert_same(lambda: ysystem.qp1_iterate(beta, q, init, 30),
+                lambda: reduction.iterate_usystem(spec, init, 30, GeometricZ(beta, q)))
 
 
 # -- Y-systems ---------------------------------------------------------------------------
@@ -495,9 +535,11 @@ def test_qp1_long_orbit_with_parameters_sharing_primes():
 @settings(max_examples=200, deadline=None)
 def test_pieces_build_lowest_terms_and_keep_live_values(ints, data):
     # dicts over composite pieces that share factors; a split must leave the
-    # value of every live dict as it was
+    # value of every live dict as it was, and the first build forgets the
+    # pieces that no live dict holds
     store = coprime.Pieces()
     ids = [next(iter(store.new(v))) for v in ints]
+    dead = next(iter(store.new(7)))
     exps = st.dictionaries(st.sampled_from(ids), st.integers(-3, 3).filter(bool), max_size=6)
     live = data.draw(st.lists(exps, min_size=1, max_size=3))
 
@@ -510,5 +552,6 @@ def test_pieces_build_lowest_terms_and_keep_live_values(ints, data):
     want = sign * before[0]
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
     assert [value(d) for d in live] == before
-    store.prune(live)
+    assert dead not in store.value and dead not in store.coprime
     assert set(store.value) == set().union(*live)
+    assert all(p in store.value for ps in store.coprime.values() for p in ps)

@@ -3,8 +3,9 @@
 `numpy` and `sympy` may be installed next to it, but they are not declared,
 so an import of either (or of anything else) in `src/` fails here.  So does
 an imported name that nothing in `src/` reads, since no linter runs on it,
-a module-level function or class of `src/` that nothing names, and a module
-other than `coprime` that names a private slot of Fraction.
+a module-level function or class of `src/` that nothing names, a module
+other than `coprime` that names a private slot of Fraction, and a module that
+takes another one's underscore name outside a short allow-list.
 """
 
 import ast
@@ -157,3 +158,43 @@ def test_the_scan_sees_fraction_slots():
     tree = ast.parse("x = f._numerator\nsetattr(f, '_denominator', 1)\n"
                      "_numerator = 2\ny = f.numerator, '_numerators'\n")
     assert sorted(_slot_names(tree)) == [1, 2, 3]
+
+
+# the underscore names that one module of `src/` may take from another
+PRIVATE_IMPORTS = {"quiver._pos", "quiver._sgn", "coprime._from_coprime_ints"}
+
+
+def _private_imports(trees):
+    """``module: source._name`` for each underscore name a module takes from
+    another module of the package: by ``from .source import _name``, or as
+    ``source._name`` after ``from . import source``."""
+    for stem, tree in trees.items():
+        mods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        mods[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        yield f"{stem}: {node.module}.{alias.name}"
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in mods and node.attr.startswith("_")):
+                yield f"{stem}: {mods[node.value.id]}.{node.attr}"
+
+
+def test_src_takes_private_names_only_from_the_allow_list():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    found = list(_private_imports(trees))
+    assert len(trees) > 10 and found
+    assert [f for f in found if f.partition(": ")[2] not in PRIVATE_IMPORTS] == []
+
+
+def test_the_scan_sees_private_imports():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "from __future__ import annotations\nfrom .b import _f, g\n"
+             "from . import c as cc, d\nx = cc._h(d.k, d.__name__)\n",
+        "b": "def f():\n    from .c import _m\n    return _m, self._n\n",
+    }.items()}
+    assert sorted(_private_imports(trees)) == [
+        "a: b._f", "a: c._h", "a: d.__name__", "b: c._m"]
