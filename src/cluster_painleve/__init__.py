@@ -42,7 +42,6 @@ from .analysis import (
     RelationSearch,
     degree_sequence,
     entropy_estimate,
-    find_linear_relation,
     relation_search,
     somos4_first_integral,
     tropical_iterate,
@@ -64,7 +63,7 @@ __all__ = [
     "generating_function_check", "iterate_usystem", "palindromic_basis", "project",
     "reduced_structure_matrix", "verify_conjugacy", "verify_form_invariance",
     "DegreeSequence", "EntropyEstimate", "LinearRelation", "RelationSearch",
-    "degree_sequence", "entropy_estimate", "find_linear_relation", "relation_search",
+    "degree_sequence", "entropy_estimate", "relation_search",
     "somos4_first_integral", "tropical_iterate",
     "Preset", "get_preset", "list_presets",
     "__version__",

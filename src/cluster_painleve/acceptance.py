@@ -222,7 +222,7 @@ def _c13():
     a = get_preset("prim4").a
     z = solve_z(z_stencil_from_tuple(a), _rand_fracs(rng, 2, 1, 5))
     orb = iterate_tz(TStencil(a), z, _rand_fracs(rng, 4, 1, 5), 58)
-    rel = analysis.find_linear_relation(orb, (0, 12, 24), 4, 30)
+    rel = analysis.relation_search(orb, (0, 12, 24), 4, 30).relation
     if rel is None:
         return False, "no relation found"
     if rel.coefficients[0] != 1 or rel.coefficients[2] != 1 or not rel.palindromic:
@@ -250,7 +250,7 @@ def _c14():
     p = get_preset("primN", 5)
     z = solve_z(z_stencil_from_tuple(p.a), _rand_fracs(rng, 3, 1, 4))
     orb = iterate_tz(TStencil(p.a), z, _rand_fracs(rng, 5, 1, 4), 74)
-    rel = analysis.find_linear_relation(orb, (0, 12, 24, 36, 48), 6, 20)
+    rel = analysis.relation_search(orb, (0, 12, 24, 36, 48), 6, 20).relation
     if rel is None:
         return False, "CONJECTURE: no relation found on this orbit"
     c = rel.coefficients

@@ -238,7 +238,7 @@ class LinearRelation:
 
 @dataclass(frozen=True)
 class RelationSearch:
-    """Full diagnostics of one relation search (see find_linear_relation)."""
+    """Full diagnostics of one relation search (see relation_search)."""
 
     offsets: tuple[int, ...]
     train_rank: int
@@ -259,6 +259,8 @@ def _certified_inconsistent(orb: Orbit, offs: tuple[int, ...], train: int) -> bo
 
 
 def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int) -> RelationSearch:
+    """Exact relation sum_k c_k x_{n+o_k} = 0 with c_0 = 1, solved on `train`
+    windows and kept only if it holds exactly on `verify` further ones."""
     if orb.kind != "rational":
         raise ValueError("relation search needs a rational orbit")
     offs = tuple(int(o) for o in offsets)
@@ -286,17 +288,6 @@ def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int)
     pal = list(coeffs) == list(reversed(coeffs))
     rel = LinearRelation(offs, coeffs, verify, pal)
     return RelationSearch(offs, rank, 0, rel, "found")
-
-
-def find_linear_relation(orb: Orbit, offsets: Sequence[int], train: int, verify: int) -> LinearRelation | None:
-    """Exact constant-coefficient relation sum_k c_k x_{n+o_k} = 0, c_0 = 1.
-
-    Solved on `train` windows, accepted only if it holds exactly on `verify`
-    further windows.  Degenerate training systems (underdetermined or
-    inconsistent) yield None; relation_search exposes rank and solution-space
-    dimension for those cases.
-    """
-    return relation_search(orb, offsets, train, verify).relation
 
 
 # -- reduced invariant of the (-1, 2, -1) system ----------------------------------

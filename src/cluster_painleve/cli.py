@@ -93,14 +93,6 @@ def _parse_init(spec: str | None, count: int, default_seed: int,
     return vals
 
 
-def _parse_offsets(spec: str) -> tuple[int, ...]:
-    try:
-        offs = tuple(parse_int(v) for v in spec.split(","))
-    except ValueError as exc:
-        raise ConfigInvalid(f"bad --offsets {spec!r}") from exc
-    return offs
-
-
 def _resolve_z(args, a: tuple[int, ...], seed: int):
     """Coefficient dynamics for tz runs: explicit window or geometric."""
     z_init = getattr(args, "z_init", None)
@@ -147,16 +139,20 @@ def _json_text(payload: dict) -> str:
     return re.sub(r'"\\u0000(\d+)"', lambda m: ints[int(m.group(1))], text)
 
 
+def _check_csv(args, has_values: bool) -> None:
+    """Refuse --format csv, before any work, where there is no value list."""
+    if args.format == "csv" and not has_values:
+        raise ConfigInvalid("this command has no CSV form; use --format json")
+
+
 def _emit(args, stem: str, payload: dict, column: tuple[str, str] | None = None) -> None:
     """Serialize one artifact deterministically; --out picks file vs directory.
 
     The CSV form lists the payload list `column` = (key, header): a line
     "n,<header>", then "i,<entry>" per entry, ints through format_rational.
+    A command without that list refuses CSV up front (`_check_csv`).
     """
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "csv":
-        if column is None:
-            raise ConfigInvalid("this command has no CSV form; use --format json")
+    if args.format == "csv":
         key, header = column
         lines = [f"n,{header}"] + [f"{i},{format_rational(v) if type(v) is int else v}"
                                    for i, v in enumerate(payload[key])]
@@ -208,6 +204,7 @@ def _check_run_flags(args) -> None:
 
 def _cmd_run(args) -> int:
     _check_run_flags(args)
+    _check_csv(args, args.mode != "symbolic")
     if args.what != "qp1":
         p = _resolve_system(args)
         st = TStencil(p.a)
@@ -227,7 +224,7 @@ def _cmd_run(args) -> int:
             orb = iterate_tz(st, z, init, args.steps, mode=args.mode)
         payload = orb.to_json()
         payload["system"] = p.name
-        _emit(args, "orbit", payload, ("values", "value") if orb.kind == "rational" else None)
+        _emit(args, "orbit", payload, ("values", "value"))
         return 0
     if args.what == "y":
         init = _parse_init(args.init, n, args.seed)
@@ -253,6 +250,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    _check_csv(args, False)
     p = _resolve_system(args)
     spec = (reduction.derive_uzsystem if args.with_z
             else reduction.derive_usystem)(p.matrix)
@@ -280,6 +278,7 @@ ZSYS_STEPS = 8  # values listed past the initial window when `zsys` has --init
 def _cmd_zsys(args) -> int:
     if args.steps is not None and not args.init:
         raise ConfigInvalid("--steps does not apply to zsys without --init")
+    _check_csv(args, bool(args.init))
     p = _resolve_system(args)
     st = z_stencil_from_tuple(p.a)
     cp = char_poly(st)
@@ -311,7 +310,7 @@ def _cmd_zsys(args) -> int:
                 else format_rational(v) if isinstance(v, Fraction) else v)
             for k, v in sol.closed_form.items()
         }
-    _emit(args, "zsys", payload, ("values", "value") if args.init else None)
+    _emit(args, "zsys", payload, ("values", "value"))
     return 0
 
 
@@ -380,6 +379,8 @@ def _cmd_linrel(args) -> int:
         for flag, value in given.items():
             if value is not None:
                 raise ConfigInvalid(f"{flag} does not apply to linrel --orbit")
+    _check_csv(args, False)
+    if args.orbit:
         orb = _read_orbit(args.orbit)
         name = args.orbit
     else:
@@ -393,7 +394,10 @@ def _cmd_linrel(args) -> int:
         else:
             orb = iterate_t(st, init, steps)
         name = p.name
-    offs = _parse_offsets(args.offsets)
+    try:
+        offs = tuple(parse_int(v) for v in args.offsets.split(","))
+    except ValueError as exc:
+        raise ConfigInvalid(f"bad --offsets {args.offsets!r}") from exc
     try:
         rs = analysis.relation_search(orb, offs, args.train, args.verify)
     except (analysis.InsufficientData, ValueError) as exc:
@@ -425,6 +429,7 @@ def _cmd_linrel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_csv(args, False)
     numbers = None
     keyword = None
     if args.filter:

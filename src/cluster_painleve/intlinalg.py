@@ -15,16 +15,8 @@ Mat = list[list[int]]
 Vec = tuple[int, ...]
 
 
-def copy_mat(m: Sequence[Sequence[int]]) -> Mat:
-    return [list(row) for row in m]
-
-
 def transpose(m: Sequence[Sequence[int]]) -> Mat:
     return [list(col) for col in zip(*m)] if m else []
-
-
-def mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Mat:
@@ -168,7 +160,7 @@ def hermite_form(m: Sequence[Sequence[int]]) -> Mat:
     Zero rows are dropped.  The result is the canonical triangular basis of
     the integer row span of ``m``.
     """
-    a = copy_mat(m)
+    a = [list(row) for row in m]
     return a[:_hermite(a)]
 
 
@@ -185,7 +177,7 @@ def kernel_basis(m: Sequence[Sequence[int]]) -> list[Vec]:
     n = len(m[0])
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     ker_rows = t[_hermite(transpose(m), t):]
-    if any(any(mat_vec(m, row)) for row in ker_rows):
+    if any(sum(x * y for x, y in zip(mrow, row)) for row in ker_rows for mrow in m):
         raise ArithmeticError("kernel transform failed")
     return [tuple(row) for row in hermite_form(ker_rows)]
 

@@ -188,10 +188,6 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables: Sequence[str]) -> "LaurentPoly":
-        return cls(variables)
-
-    @classmethod
     def const(cls, variables: Sequence[str], c: int) -> "LaurentPoly":
         z = (0,) * len(variables)
         return cls(variables, {z: c} if c else {})
@@ -253,7 +249,7 @@ class LaurentPoly:
         self._check_compat(other)
         a, b = (self, other) if len(self._packed) <= len(other._packed) else (other, self)
         if not a._packed:
-            return LaurentPoly.zero(self.vars)
+            return _make(self.vars, {})
         grid = _mul_grid(a, b)
         return _mul_dense(a, b, grid) if grid is not None else _mul_sparse(a, b)
 
@@ -462,7 +458,7 @@ def laurent_try_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     if p.vars != q.vars:
         raise ValueError("variable mismatch in division")
     if p.is_zero():
-        return LaurentPoly.zero(p.vars)
+        return _make(p.vars, {})
     shifts = _layout(len(p.vars))[2]
     (lo_p, hi_p), (lo_q, hi_q) = _field_extent(p._packed, shifts), _field_extent(q._packed, shifts)
     room = [(hp - lp) - (hq - lq) for lp, hp, lq, hq in zip(lo_p, hi_p, lo_q, hi_q)]

@@ -106,15 +106,6 @@ class TStencil:
     def minus_exponents(self) -> tuple[int, ...]:
         return tuple(_pos(-v) for v in self.a)
 
-    def format_text(self) -> str:
-        def side(exps: tuple[int, ...]) -> str:
-            parts = [f"x[n+{j}]" + (f"^{e}" if e > 1 else "")
-                     for j, e in enumerate(exps, start=1) if e]
-            return "*".join(parts) if parts else "1"
-
-        return (f"x[n+{self.n}]*x[n] = "
-                f"{side(self.minus_exponents)} + {side(self.plus_exponents)}")
-
 
 @dataclass
 class Orbit:

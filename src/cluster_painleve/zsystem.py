@@ -373,17 +373,6 @@ class ZSolution:
         """Total monomial degree |numerator| + |denominator| at entry n."""
         return sum(abs(e) for e in self.exponents(n))
 
-    def check_constraint(self, n: int) -> bool:
-        """Exact check of the trimmed constraint anchored at table index n."""
-        e = self.stencil.trimmed
-        acc = [0] * self.order
-        for k, ek in enumerate(e):
-            if ek:
-                row = self.exponents(n + k)
-                for i in range(self.order):
-                    acc[i] += ek * row[i]
-        return all(x == 0 for x in acc)
-
 
 def _exact_quotient(x: int | Fraction, lead: int) -> int | Fraction:
     """x / lead as an int when it is one, else as a Fraction."""

@@ -259,14 +259,14 @@ class TestEntropy:
 
 def test_prim4_autonomous_stride3_relation():
     orb = iterate_t(TStencil(PRIM4), [F(1)] * 4, 30)
-    rel = analysis.find_linear_relation(orb, (0, 3, 6), 3, 15)
+    rel = analysis.relation_search(orb, (0, 3, 6), 3, 15).relation
     assert rel is not None
     assert rel.coefficients == (1, -5, 1) and rel.palindromic
 
 
 def test_prim4_autonomous_stride6_is_chebyshev_square():
     orb = iterate_t(TStencil(PRIM4), [F(1)] * 4, 40)
-    rel = analysis.find_linear_relation(orb, (0, 6, 12), 3, 15)
+    rel = analysis.relation_search(orb, (0, 6, 12), 3, 15).relation
     assert rel is not None and rel.coefficients == (1, -23, 1)  # 5^2 - 2
 
 

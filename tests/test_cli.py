@@ -81,14 +81,24 @@ def test_csv_bytes(capsys, argv, text):
     assert capsys.readouterr() == (text, "")
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("computed before refusing --format csv")
+
+
 @pytest.mark.parametrize("argv", [
     "run t --preset somos4 --mode symbolic", "run tz --preset somos4 --mode symbolic",
-    "zsys --preset somos4",
+    "zsys --preset somos4", "reduce --preset somos4",
+    "linrel --preset prim4 --offsets 0,12,24", "verify --out DIR", "verify",
 ])
-def test_csv_needs_a_value_list(capsys, argv):
-    assert main(argv.split() + ["--format", "csv"]) == 2
+def test_csv_needs_a_value_list(capsys, monkeypatch, tmp_path, argv):
+    # refused before any work: nothing is iterated, run or written
+    for name in ("iterate_t", "iterate_tz", "run_criteria"):
+        monkeypatch.setattr(cli, name, _never)
+    out = tmp_path / "out"
+    assert main(argv.replace("DIR", str(out)).split() + ["--format", "csv"]) == 2
     assert capsys.readouterr() == (
         "", "config error: this command has no CSV form; use --format json\n")
+    assert not out.exists()
 
 
 def test_reduce_prints_formula_then_payload(capsys):

@@ -3,16 +3,21 @@
 `numpy` and `sympy` may be installed next to it, but they are not declared,
 so an import of either (or of anything else) in `src/` fails here.  So does
 an imported name that nothing in `src/` reads, since no linter runs on it,
-a module-level function or class of `src/` that nothing names, a module
-other than `coprime` that names a private slot of Fraction, and a module that
-takes another one's underscore name outside a short allow-list.
+a module-level function or class of `src/` that only tests name (a name that
+exists for its tests belongs in `tests/`), a module other than `coprime` that
+names a private slot of Fraction, and a module that takes another one's
+underscore name outside a short allow-list.  The package's `__all__` lists
+exactly the public names it binds.
 """
 
 import ast
 import re
 import sys
+import types
 from collections import Counter
 from pathlib import Path
+
+import cluster_painleve
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cluster_painleve"
@@ -115,9 +120,10 @@ def _unreferenced_defs(src_trees, other_trees):
 
 def test_src_defines_nothing_unreferenced():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
-    others = [ast.parse(path.read_text(), str(path)) for folder in ("tests", "perfbench", "scripts")
+    # the package's callers; tests do not count as one
+    others = [ast.parse(path.read_text(), str(path)) for folder in ("perfbench", "scripts")
               for path in (ROOT / folder).glob("*.py")]
-    assert len(trees) > 10 and len(others) > 10
+    assert len(trees) > 10 and len(others) > 5
     assert list(_unreferenced_defs(trees, others)) == []
 
 
@@ -131,6 +137,12 @@ def test_the_scan_sees_unreferenced_defs():
     }.items()}
     other = ast.parse("TARGETS = [('a', 'Traced.step')]\n# dead\nx = 'dead code'\n")
     assert sorted(_unreferenced_defs(trees, [other])) == ["a: dead", "b: Unused"]
+
+
+def test_all_lists_each_public_name_the_package_binds():
+    public = {name for name, value in vars(cluster_painleve).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(cluster_painleve.__all__) == sorted(public | {"__version__"})
 
 
 FRACTION_SLOTS = {"_numerator", "_denominator"}

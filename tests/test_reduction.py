@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from cluster_painleve import intlinalg, quiver, reduction
 from cluster_painleve.laurent import LaurentPoly
 from cluster_painleve.presets import get_preset
-from cluster_painleve.quiver import ExchangeMatrix, build_from_tuple
+from cluster_painleve.quiver import ExchangeMatrix, build_from_tuple, is_period1
 from cluster_painleve.tsystem import TStencil, iterate_t
 from cluster_painleve.zsystem import GeometricZ
 
@@ -201,6 +201,7 @@ def test_generator_leads_with_one_and_divides_g():
                 continue
             a = half + half[: length // 2][::-1]
             b = build_from_tuple(a)
+            assert is_period1(b), a  # the builder does not re-check its output
             v = reduction.palindromic_basis(b).generator
             g = [1] + [-max(-x, 0) for x in a] + [1]
             support = list(v)
