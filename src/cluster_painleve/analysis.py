@@ -258,16 +258,22 @@ def _certified_inconsistent(orb: Orbit, offs: tuple[int, ...], train: int) -> bo
     return rank_residues(rows) == len(offs)
 
 
-def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int) -> RelationSearch:
-    """Exact relation sum_k c_k x_{n+o_k} = 0 with c_0 = 1, solved on `train`
-    windows and kept only if it holds exactly on `verify` further ones."""
-    if orb.kind != "rational":
-        raise ValueError("relation search needs a rational orbit")
+def check_search_shape(offsets: Sequence[int], train: int, verify: int) -> tuple[int, ...]:
+    """The offsets as ints; ValueError for offsets or counts no orbit can serve."""
     offs = tuple(int(o) for o in offsets)
     if len(offs) < 2 or offs[0] != 0 or any(b <= a for a, b in zip(offs, offs[1:])):
         raise ValueError("offsets must be strictly increasing and start at 0")
     if train < 1 or verify < 1:
         raise ValueError("train and verify counts must be positive")
+    return offs
+
+
+def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int) -> RelationSearch:
+    """Exact relation sum_k c_k x_{n+o_k} = 0 with c_0 = 1, solved on `train`
+    windows and kept only if it holds exactly on `verify` further ones."""
+    if orb.kind != "rational":
+        raise ValueError("relation search needs a rational orbit")
+    offs = check_search_shape(offsets, train, verify)
     need = offs[-1] + train + verify
     if len(orb.values) < need:
         raise InsufficientData(f"orbit has {len(orb.values)} values; need {need}")

@@ -380,6 +380,14 @@ def _cmd_linrel(args) -> int:
             if value is not None:
                 raise ConfigInvalid(f"{flag} does not apply to linrel --orbit")
     _check_csv(args, False)
+    try:
+        offs = tuple(parse_int(v) for v in args.offsets.split(","))
+    except ValueError as exc:
+        raise ConfigInvalid(f"bad --offsets {args.offsets!r}") from exc
+    try:
+        analysis.check_search_shape(offs, args.train, args.verify)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
     if args.orbit:
         orb = _read_orbit(args.orbit)
         name = args.orbit
@@ -394,10 +402,6 @@ def _cmd_linrel(args) -> int:
         else:
             orb = iterate_t(st, init, steps)
         name = p.name
-    try:
-        offs = tuple(parse_int(v) for v in args.offsets.split(","))
-    except ValueError as exc:
-        raise ConfigInvalid(f"bad --offsets {args.offsets!r}") from exc
     try:
         rs = analysis.relation_search(orb, offs, args.train, args.verify)
     except (analysis.InsufficientData, ValueError) as exc:

@@ -6,14 +6,17 @@ values' numerators and denominators have in common, so they construct the
 result directly, in one of two ways.
 
 `coprime_base` serves the integer T-path, whose values are x = N / M with
-N an integer and M a monomial in a few small bases of the initial data.
-Refined once per orbit into a pairwise coprime base C, M is a numerator
-part prod c^-e (e < 0) over a denominator part prod c^e (e > 0), coprime to
-each other because no c is on both sides.  Each denominator element c
-shares with N exactly gcd(N, c^e), and dividing N and c^e by it leaves them
-coprime; the numerator part and the other denominator elements are coprime
-to c^e too, so the result is in lowest terms.  An element c with
-gcd(N mod c, c) = 1 is coprime to N and needs no gcd on N at all.
+N an integer and M a monomial over the pairwise coprime base C that it
+refines, once per orbit, from the numerators and denominators of the
+initial data; each of those values has one exponent per c, and M's
+exponents are tracked over C directly (the argument is in `tsystem`).  M
+is a numerator part prod c^-e (e < 0) over a denominator part prod c^e
+(e > 0), coprime to each other because no c is on both sides.  Each
+denominator element c shares with N exactly gcd(N, c^e), and dividing N
+and c^e by it leaves them coprime; the numerator part and the other
+denominator elements are coprime to c^e too, so the result is in lowest
+terms.  An element c with gcd(N mod c, c) = 1 is coprime to N and needs no
+gcd on N at all.
 
 `Pieces` serves the U-, q-P_I and Y-engines, whose values are monomials in
 the values before them: a Y-value is y_n = prod_j x_{n+j}^{-a_j} in

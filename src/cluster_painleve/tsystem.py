@@ -9,27 +9,38 @@ sequence Z_n (identically 1 in the coefficient-free case).  Symbolic
 iteration certifies the Laurent property step by step: every division must
 come out exact in the Laurent ring, otherwise the iterate is rejected.
 
-Rational iteration writes x_n = N_n / M_n with N_n an integer and M_n a
-monomial in the numerators and denominators of the initial window and of
-the bound coefficient values; the exponents of M_n are the max-plus
-(tropical) degree vectors of x_n, so by the Laurent phenomenon each step is
-one exact integer division.  A zero remainder proves the step; the division
-is `coprime.int_divmod`, the quotient and remainder of `divmod` in
-subquadratic time once the divisor passes 9,000 bits.  From the
-first step with a remainder, or whose Z_n has no integral monomial form in
-the bound coefficient values (`monomial` and `bound` in `zsystem`), the
-orbit goes on in plain Fraction arithmetic, the only path for non-Laurent
-data.
+Rational iteration writes x_n = N_n / M_n with N_n a signed integer and
+M_n = prod c^e over the pairwise coprime base C of the numerators and
+denominators of the initial window and the bound coefficient values
+(`coprime.coprime_base`), so each step is one exact integer division
+(`coprime.int_divmod`, subquadratic past 9,000-bit divisors).  A zero
+remainder proves the step.  From the first step with a remainder, or whose
+Z_n has no integral monomial form (`monomial` and `bound` in `zsystem`),
+the orbit goes on in plain Fraction arithmetic, the only path for
+non-Laurent data.
 
-The bases are refined once per orbit into a pairwise coprime base C
-(`coprime.coprime_base`), so M_n is a sign times prod c^e over C, a
-numerator part (e < 0) over a denominator part (e > 0) with no c in both.
-Both parts are carried from step to step and pick up only the changed
-exponents, one product and one exact division each.  Each value is then in
-lowest terms once N_n is divided by its gcd with c^e for every denominator
-element c that shares a factor with it, which one residue of N_n modulo
-the product of those c decides (the argument is in `coprime`); that gcd
-is mostly c^e itself, so one exact division tries it first.
+The exponents of M_n follow the max-plus (tropical) shadow of the
+recurrence, one coordinate per c, in which a value weighs its exponent of
+c.  The shadow is the tropicalisation of a subtraction-free recurrence
+(Fomin and Zelevinsky, "Cluster algebras IV", Compositio 143, 2007), and
+at any weight w on the initial variables and Z's symbols it gives the
+least <m, w> over the monomials m of the Laurent polynomial L_n of x_n:
+L_n has positive coefficients, so a sum does not cancel; a product adds
+the minima, because Z[x^±] is a domain; an exact quotient subtracts them.
+With w the exponents of c, for each c, every term of L_n at the data is an
+integer over M_n, so x_n M_n is an integer.  Correctness never rests on
+this: the remainder test proves each step and the lowest-terms step always
+runs, so a bound too small only hands over to Fraction steps early and one
+too large only costs a gcd.
+
+M_n is a numerator part (e < 0) over a denominator part (e > 0).  Both,
+and the scales that bring the exchange's two products to one denominator,
+are carried from step to step by their changed exponents.  A value is in
+lowest terms once N_n is divided by its gcd with c^e for each denominator
+element c that shares a factor with it, which one residue of N_n decides
+(the argument is in `coprime`).  As the shadow is exact, that happens only
+where the terms of L_n of least weight sum to a multiple of c, rarely for
+a large c.
 
 Symbolic iteration runs in the coordinates of the lattice L = im B, the
 saturated image of the exchange matrix, on its palindromic basis: the
@@ -191,61 +202,53 @@ def _z_exponents(z, n: int, width: int) -> tuple[int, ...]:
     return (0,) * (width - len(exps)) + exps
 
 
-def _rescale(m: int, old: dict[int, int], new: dict[int, int], base: list[int]) -> int:
-    """m = prod base[i]^old[i] as prod base[i]^new[i], by the changed exponents."""
+def _rescale(m: int, old: list[int], new: list[int], base: list[int]) -> tuple[int, list[int]]:
+    """m = prod base[i]^old[i] as prod base[i]^new[i], by the changed
+    exponents; returned with `new`, the exponents to carry on."""
     up = down = 1
-    for i in old.keys() | new.keys():
-        delta = new.get(i, 0) - old.get(i, 0)
-        if delta > 0:
-            up *= base[i] ** delta
-        elif delta < 0:
-            down *= base[i] ** -delta
-    if up > 1:
-        m *= up
-    if down > 1:
-        m //= down
-    return m
+    for c, o, e in zip(base, old, new):
+        if e > o:
+            up *= c ** (e - o)
+        elif e < o:
+            down *= c ** (o - e)
+    return m * up // down, new
 
 
 def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
     """Append x_n = N_n / M_n to `vals` while each step divides exactly.
 
-    N_n is an integer and M_n a monomial in the bases: the numerators and
-    denominators of the initial window and of Z's bound values (bases equal
-    to 1 are dropped).  A variable p/q enters M_n as p^d q^t, where -d and t
-    are the lowest and top exponents of x_n in it; these follow the max-plus
-    shadow of the recurrence, so the coefficients `ca`, `cb` below are
-    integers.  Returns the number of steps done: `steps`, or the first step
-    whose division leaves a remainder or whose Z_n has no integral monomial
-    form, from where the caller goes on in Fraction arithmetic.
+    An initial value x has N = sign(x) and M = prod c^-w over C, w the
+    exponent of c in x; Z_n adds its exponents over C, and its sign to N.
+    Returns the number of steps done: `steps`, or the first step whose
+    division leaves a remainder or whose Z_n has no integral monomial form,
+    from where the caller goes on in Fraction arithmetic.
     """
     n_ = st.n
     bound = z.bound
     if not steps or bound is None or 0 in bound:
         return 0
     variables = (*vals, *bound)  # x_0..x_{N-1}, then Z's symbol values
-    slots = [(k, b, e) for k, v in enumerate(variables)
-             for b, e in ((v.numerator, -1), (v.denominator, 1)) if b != 1]
-    bases = [b for _, b, _ in slots]
-    base, factors = coprime_base(bases)  # |bases[i]| = prod base[j]^m over factors[i]
-    negative = [i for i, b in enumerate(bases) if b < 0]
-    # M of the bare variable p/q is p^-1 q, so N = 1 for each initial value
-    units = [[e if i == k else 0 for i, _, e in slots] for k in range(len(variables))]
-    zunits = units[n_:]
+    base, factors = coprime_base([b for v in variables for b in (v.numerator, v.denominator)])
+    weights = [[0] * len(base) for _ in variables]  # each variable's exponents over C
+    for k, fac in enumerate(factors):  # a numerator, then its denominator
+        for i, m in fac:
+            weights[k // 2][i] += -m if k % 2 else m
+    zweights = [(w, v < 0) for w, v in zip(weights[n_:], bound)]
     plus = [(j, e) for j, e in enumerate(st.plus_exponents, start=1) if e]
     minus = [(j, e) for j, e in enumerate(st.minus_exponents, start=1) if e]
-    nums = [1] * n_  # N over the sliding window
-    num = den = 1  # the numerator and denominator parts of the last M
-    num_exps: dict[int, int] = {}  # their exponents over the base
-    den_exps: dict[int, int] = {}
-    degs = units[:n_]  # the matching exponent vectors of M
+    nums = [1 if v > 0 else -1 for v in vals]  # N over the sliding window
+    degs = [[-d for d in w] for w in weights[:n_]]  # the exponents of M over C
+    zero = [0] * len(base)
+    # the scales of the exchange's two products and the numerator and
+    # denominator parts of the last M, each with its exponents over C
+    ca = cb = num = den = 1
+    ca_exps = cb_exps = num_exps = den_exps = zero
 
     def side(exps):
-        acc, deg = 1, [0] * len(bases)
+        acc, deg = 1, zero
         for j, e in exps:
             acc *= nums[j] ** e
-            for i, d in enumerate(degs[j]):
-                deg[i] += e * d
+            deg = [a + e * d for a, d in zip(deg, degs[j])]
         return acc, deg
 
     for n in range(steps):
@@ -254,46 +257,32 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
             return n
         na, ua = side(plus)
         nb, ub = side(minus)
-        top = [max(u, d) for u, d in zip(ua, ub)]
-        ca = cb = 1
-        for b, t, u, d in zip(bases, top, ua, ub):
-            if t != u:
-                ca *= b ** (t - u)
-            if t != d:
-                cb *= b ** (t - d)
+        top = [u if u > d else d for u, d in zip(ua, ub)]
+        ca, ca_exps = _rescale(ca, ca_exps, [t - u for t, u in zip(top, ua)], base)
+        cb, cb_exps = _rescale(cb, cb_exps, [t - d for t, d in zip(top, ub)], base)
         quo, rem = int_divmod(ca * na + cb * nb, nums[0])
         if rem:
             return n
         if not quo:
             raise ZeroEncountered(f"orbit value x_{n + n_} vanished")
         deg = [t - d for t, d in zip(top, degs[0])]
-        for zk, u in zip(zexp, zunits):
+        for zk, (w, negative) in zip(zexp, zweights):
             if zk:
-                for i, d in enumerate(u):
-                    deg[i] += zk * d
-        # x = quo / M with M = +-prod c^e over the base; the running parts
-        # of M pick up the changed exponents only
-        mono: dict[int, int] = {}
-        for d, fac in zip(deg, factors):
-            if d:
-                for i, m in fac:
-                    mono[i] = mono.get(i, 0) + d * m
-        num_new = {i: -e for i, e in mono.items() if e < 0}
-        den_new = {i: e for i, e in mono.items() if e > 0}
-        num = _rescale(num, num_exps, num_new, base)
-        den = _rescale(den, den_exps, den_new, base)
-        num_exps, den_exps = num_new, den_new
+                deg = [d - zk * x for d, x in zip(deg, w)]
+                if negative and zk % 2:
+                    quo = -quo
+        num, num_exps = _rescale(num, num_exps, [-d if d < 0 else 0 for d in deg], base)
+        den, den_exps = _rescale(den, den_exps, [d if d > 0 else 0 for d in deg], base)
         # quo against the denominator part: one pass over quo, then a gcd
         # on quo only for the elements that share a factor with it
         n_out, d_out = quo, den
-        modulus = prod(base[i] for i in den_exps)
+        modulus = prod(c for c, e in zip(base, den_exps) if e)
         r = quo % modulus
         if gcd(r, modulus) > 1:
-            for i, e in den_exps.items():
-                c = base[i]
-                if gcd(r % c, c) > 1:
-                    # gcd(n_out, c^e) starts with n_out mod c^e, and is
-                    # mostly c^e itself: then the quotient is the cofactor
+            for c, e in zip(base, den_exps):
+                if e and gcd(r % c, c) > 1:
+                    # divmod gives the remainder the gcd with c^e starts
+                    # from, and the cofactor when it is 0
                     ce = c ** e
                     q, rem = int_divmod(n_out, ce)
                     if not rem:
@@ -302,8 +291,6 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
                         g = gcd(ce, rem)
                         n_out //= g
                         d_out //= g
-        if sum(deg[i] for i in negative) % 2:
-            n_out = -n_out
         vals.append(_from_coprime_ints(n_out * num, d_out))
         nums = nums[1:] + [quo]
         degs = degs[1:] + [deg]

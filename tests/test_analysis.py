@@ -311,6 +311,8 @@ def test_offsets_must_start_at_zero_and_increase():
         analysis.relation_search(orb, (1, 2, 3), 2, 5)
     with pytest.raises(ValueError):
         analysis.relation_search(orb, (0, 2, 2), 2, 5)
+    with pytest.raises(ValueError, match="^train and verify counts must be positive$"):
+        analysis.relation_search(orb, (0, 1, 2), 0, 5)
 
 
 def test_relation_search_needs_enough_data():

@@ -82,7 +82,7 @@ def test_csv_bytes(capsys, argv, text):
 
 
 def _never(*args, **kwargs):
-    raise AssertionError("computed before refusing --format csv")
+    raise AssertionError("computed before refusing the arguments")
 
 
 @pytest.mark.parametrize("argv", [
@@ -99,6 +99,25 @@ def test_csv_needs_a_value_list(capsys, monkeypatch, tmp_path, argv):
     assert capsys.readouterr() == (
         "", "config error: this command has no CSV form; use --format json\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", [
+    "--preset nonintegrable6", "--preset prim4 --z-init 2,3", "--orbit MISSING"])
+@pytest.mark.parametrize("search, message", [
+    ("--offsets 0,x", "bad --offsets '0,x'"),
+    ("--offsets 0,0", "offsets must be strictly increasing and start at 0"),
+    ("--offsets 1,2", "offsets must be strictly increasing and start at 0"),
+    ("--offsets 0,1,2 --train 0", "train and verify counts must be positive"),
+    ("--offsets 0,1,2 --verify 0", "train and verify counts must be positive"),
+])
+def test_linrel_refuses_a_bad_search_before_any_orbit(capsys, monkeypatch, tmp_path,
+                                                      source, search, message):
+    # nothing is iterated, and a missing orbit file is never opened
+    for name in ("iterate_t", "iterate_tz"):
+        monkeypatch.setattr(cli, name, _never)
+    argv = f"linrel {source} {search}".replace("MISSING", str(tmp_path / "none.json"))
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 def test_reduce_prints_formula_then_payload(capsys):

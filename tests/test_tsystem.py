@@ -347,18 +347,57 @@ def test_shared_and_composite_bases_match_fraction_loop(a, data, steps):
     assert_matches_reference(a, _coefficients(data, a), init, steps)
 
 
+CYCLE = [1009, 1013, 1019, 1021, 1031, 1033, 1039]
+
+
+def _cycle_window(n):
+    """prim{n} data in which each prime is the numerator of one window value
+    and the denominator of the next, and the numerator or denominator of a
+    coefficient value too."""
+    a = get_preset(f"prim{n}").a
+    init = [F((-1) ** i * CYCLE[i], CYCLE[(i + 1) % n]) for i in range(n)]
+    z_st = z_stencil_from_tuple(a)
+    zinit = [F(CYCLE[(i + 2) % n], CYCLE[i]) for i in range(z_st.order)]
+    return a, solve_z(z_st, zinit), init
+
+
 def test_every_step_on_the_integer_path_is_in_lowest_terms():
-    for z, init, steps in [
+    for a, z, init, steps in [
             # distinct primes near 1000
-            (ConstantZ(1), [F(1009, 1013), F(-1019, 1021), F(1031, 1033), F(1039, 1049)], 30),
+            (SOMOS4, ConstantZ(1), [F(1009, 1013), F(-1019, 1021), F(1031, 1033), F(1039, 1049)],
+             30),
             # N_n shares factors with M_n: 2 divides every N_n from this window
-            (ConstantZ(1), [F(2, 37), F(-11, 3), F(13, 17), F(19, 23)], 24),
+            (SOMOS4, ConstantZ(1), [F(2, 37), F(-11, 3), F(13, 17), F(19, 23)], 24),
             # composite bases, refined to the coprime base 2, 3, 5, 7
-            (ConstantZ(1), [F(6, 35), F(-10, 21), F(15, 14), F(7, 6)], 24),
+            (SOMOS4, ConstantZ(1), [F(6, 35), F(-10, 21), F(15, 14), F(7, 6)], 24),
             # Z's symbol values share primes with the window
-            (GeometricZ(F(3, 2), F(5, 7)), [F(2, 3), F(-1, 5), F(7), F(3, 4)], 24)]:
-        assert integer_steps(SOMOS4, z, init, steps) == steps
-        assert_matches_reference(SOMOS4, z, init, steps)
+            (SOMOS4, GeometricZ(F(3, 2), F(5, 7)), [F(2, 3), F(-1, 5), F(7), F(3, 4)], 24),
+            # 3, 5 and 7 each in a numerator and a denominator of the window, and in Z
+            (SOMOS4, GeometricZ(F(5, 2), F(7, 3)), [F(3, 5), F(-5, 7), F(7, 3), F(2, 3)], 40),
+            (SOMOS5, GeometricZ(F(-7, 10), F(3, 14)), [F(10, 3), F(3, 7), F(-7, 2), F(5, 6), F(6)],
+             40),
+            (*_cycle_window(5), 60),
+            (*_cycle_window(7), 60)]:
+        assert integer_steps(a, z, init, steps) == steps
+        assert_matches_reference(a, z, init, steps)
+
+
+def test_exact_shadow_leaves_the_lowest_terms_division_idle(monkeypatch):
+    # a bound per numerator and denominator would overcount each shared
+    # prime, leaving c^e in N_n to be divided out on nearly every step
+    calls = []
+    inner = tsystem.int_divmod
+
+    def spy(a, b):
+        calls.append(b)
+        return inner(a, b)
+
+    monkeypatch.setattr(tsystem, "int_divmod", spy)
+    a, z, init = _cycle_window(7)
+    assert integer_steps(a, z, init, 84) == 84
+    # the step's exact division is the first of each step's calls; any
+    # further ones divide N_n by c^e
+    assert len(calls) - 84 <= 2
 
 
 # -- divisions past the recursive gate of coprime.int_divmod ------------------
