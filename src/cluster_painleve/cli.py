@@ -93,6 +93,17 @@ def _parse_init(spec: str | None, count: int, default_seed: int,
     return vals
 
 
+def _orbit_init(args, count: int, positive: bool = False) -> list[Fraction]:
+    """The --init window of an orbit.  A window the orbit cannot start from
+    (a zero, or for a Y-orbit a value <= 0) is refused before the first step."""
+    init = _parse_init(args.init, count, args.seed)
+    if positive and min(init) <= 0:
+        raise ConfigInvalid("initial y window must be strictly positive")
+    if 0 in init:
+        raise ConfigInvalid("initial window contains zero")
+    return init
+
+
 def _resolve_z(args, a: tuple[int, ...], seed: int):
     """Coefficient dynamics for tz runs: explicit window or geometric."""
     z_init = getattr(args, "z_init", None)
@@ -210,10 +221,7 @@ def _cmd_run(args) -> int:
         st = TStencil(p.a)
         n = st.n
     if args.what in ("t", "tz"):
-        if args.mode == "symbolic":
-            init = None
-        else:
-            init = _parse_init(args.init, n, args.seed)
+        init = None if args.mode == "symbolic" else _orbit_init(args, n)
         if args.what == "t":
             orb = iterate_t(st, init, args.steps, mode=args.mode)
         else:
@@ -227,7 +235,7 @@ def _cmd_run(args) -> int:
         _emit(args, "orbit", payload, ("values", "value"))
         return 0
     if args.what == "y":
-        init = _parse_init(args.init, n, args.seed)
+        init = _orbit_init(args, n, positive=True)
         ys = ysystem.iterate_y(p.a, init, args.steps)
         payload = {"system": p.name, "tuple": list(p.a),
                    "values": [format_rational(v) for v in ys]}
@@ -281,6 +289,12 @@ def _cmd_zsys(args) -> int:
     _check_csv(args, bool(args.init))
     p = _resolve_system(args)
     st = z_stencil_from_tuple(p.a)
+    # bind --init before the factor search and the root finder run
+    vals = _parse_init(args.init, st.order, args.seed, "--init") if args.init else None
+    try:
+        sol = solve_z(st, vals)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
     cp = char_poly(st)
     roots = factor_roots(cp)
     payload = {
@@ -294,16 +308,8 @@ def _cmd_zsys(args) -> int:
         "precision": "roots to ~1e-12; exact factors listed in char_poly",
     }
     if args.init:
-        vals = _parse_init(args.init, st.order, args.seed, "--init")
         steps = ZSYS_STEPS if args.steps is None else args.steps
-        try:
-            sol = solve_z(st, vals)
-            payload["values"] = [format_rational(sol.value(n))
-                                 for n in range(steps + st.order)]
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from exc
-    else:
-        sol = solve_z(st)
+        payload["values"] = [format_rational(sol.value(n)) for n in range(steps + st.order)]
     if sol.closed_form:
         payload["closed_form"] = {
             k: ([format_rational(x) for x in v] if isinstance(v, tuple)
@@ -394,7 +400,7 @@ def _cmd_linrel(args) -> int:
     else:
         p = _resolve_system(args)
         st = TStencil(p.a)
-        init = _parse_init(args.init, st.n, args.seed)
+        init = _orbit_init(args, st.n)
         steps = LINREL_STEPS if args.steps is None else args.steps
         if args.beta or args.q or args.z_init:
             z = _resolve_z(args, p.a, args.seed)

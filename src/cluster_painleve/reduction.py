@@ -6,12 +6,13 @@ U_n = prod_j x_{n+j}^{v_{j+1}} intertwines the order-N bilinear recurrence
 with an order-r recurrence U_{n+r} U_n = F(U_{n+1..n+r-1}) in the reduced
 variables, carrying a log-canonical symplectic/presymplectic form.
 This module eliminates the recurrence, and verifies the conjugacy, the
-2-form invariance, and (numerically) the dilogarithm generating function of
-the reduced map.
+2-form invariance, and, exactly, the dilogarithm generating function of the
+period-1 map.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -20,7 +21,7 @@ from typing import ClassVar, Sequence
 from .coprime import Pieces, add_exps
 from .intlinalg import invert_fraction, mat_mul, transpose
 from .laurent import LaurentPoly
-from .quiver import (EliminationFailed, ExchangeMatrix, PalindromicBasis, _sgn,
+from .quiver import (EliminationFailed, ExchangeMatrix, PalindromicBasis, _pos, _sgn,
                      palindromic_basis, power_product)
 from .tsystem import TStencil, iterate_tz
 from .zsystem import ConstantZ
@@ -31,10 +32,6 @@ class ZeroComponent(ValueError):
 
 
 class SingularPoint(ValueError):
-    pass
-
-
-class DomainError(ValueError):
     pass
 
 
@@ -304,88 +301,78 @@ def poisson_bracket_matrix(c: list[list[Fraction]], u: Sequence[Fraction]) -> li
     return inv
 
 
-# -- dilogarithm generating function (numerical) ---------------------------------
+# -- dilogarithm generating function ---------------------------------------------
 
 
-def _theta_pullback_minus_theta(b: ExchangeMatrix, z: list) -> list:
-    """Coefficients of dz_i in (shift pullback of theta) - theta at the point z,
-    for theta = sum_{j<k} B_jk z_j dz_k (0-based z-window of length N)."""
-    import mpmath
+def _mono(n: int, *idx: int) -> tuple[int, ...]:
+    """Exponents over z_0..z_{n-1}, zeta (slot n) of the product of the slots."""
+    e = [0] * (n + 1)
+    for i in idx:
+        e[i] += 1
+    return tuple(e)
+
+
+def _theta_pullback_minus_theta(b: ExchangeMatrix) -> list[Counter]:
+    """2 T_i for i = 0..N-1, as exponent dicts over z_0..z_{N-1}, zeta: T_i is
+    the coefficient of dz_i in s*theta - theta, for the shift s and
+    theta = sum_{j<k} B_jk z_j dz_k.
+
+    The exchange weight x^+ / (x^+ + x^-), with x^(+-) = exp(sum_k a_k^(+-) z_k),
+    is zeta, so with s_N = sum_k B_{k-1,N-1} z_k the pullback adds
+    s_N * (a_i^+ zeta + a_i^- (1 - zeta)) = s_N * (a_i^- + a_i zeta) to T_i
+    for i >= 1, and -s_N to T_0.
+    """
     n = b.n
-    a = b.first_row_tuple()
-    mplus = mpmath.exp(mpmath.fsum(max(aj, 0) * z[j] for j, aj in enumerate(a, start=1)))
-    mminus = mpmath.exp(mpmath.fsum(max(-aj, 0) * z[j] for j, aj in enumerate(a, start=1)))
-    total = mplus + mminus
-    s = mpmath.fsum(b.rows[j][n - 1] * z[j + 1] for j in range(n - 1))
-    out = [mpmath.mpf(0)] * n
-    out[0] -= s
-    for i in range(1, n):
-        # first block: sum_{j<k<=N-2} B_jk zhat_j dzhat_k with zhat_j = z[j+1]
-        k = i - 1
-        acc = mpmath.fsum(b.rows[j][k] * z[j + 1] for j in range(k)) if k >= 1 else mpmath.mpf(0)
-        ai = a[i - 1]
-        c = (max(ai, 0) * mplus + max(-ai, 0) * mminus) / total
-        out[i] += acc + s * c
-    for i in range(n):
-        out[i] -= mpmath.fsum(b.rows[j][i] * z[j] for j in range(i))
+    a = (0,) + b.first_row_tuple()
+    rows = b.rows
+    out = [Counter() for _ in range(n)]
+    for i, t in enumerate(out):
+        for j in range(i):
+            t[_mono(n, j)] -= 2 * rows[j][i]
+        for j in range(i - 1):
+            t[_mono(n, j + 1)] += 2 * rows[j][i - 1]
+        lo, hi = (-1, 0) if i == 0 else (_pos(-a[i]), a[i])
+        for k in range(1, n):
+            t[_mono(n, k)] += 2 * lo * rows[k - 1][n - 1]
+            t[_mono(n, k, n)] += 2 * hi * rows[k - 1][n - 1]
     return out
 
 
-def _generating_function(b: ExchangeMatrix, z: list):
-    import mpmath
-    n = b.n
-    a = b.first_row_tuple()
-    g0 = mpmath.mpf(0)
-    for j in range(1, n - 1):
-        for k in range(j + 1, n):
-            g0 += max(-a[j - 1], 0) * a[k - 1] * z[j] * z[k]
-    for j in range(1, n):
-        aj = a[j - 1]
-        g0 += aj * z[j] * (-z[0] + mpmath.mpf(max(-aj, 0)) / 2 * z[j])
-    arg = mpmath.fsum(a[k - 1] * z[k] for k in range(1, n))
-    zeta = 1 / (1 + mpmath.exp(-arg))
-    if not (0 < zeta < 1):
-        raise DomainError("dilogarithm argument left (0, 1)")
-    rogers = mpmath.polylog(2, zeta) + mpmath.log(zeta) * mpmath.log(1 - zeta) / 2
-    gl = -rogers + mpmath.log(1 - zeta) * mpmath.log((1 - zeta) / zeta) / 2
-    return g0 + gl
+def generating_function_check(b: ExchangeMatrix) -> bool:
+    """Does dG = s*theta - theta hold exactly, for the dilogarithm generating
+    function G = g0(z) + gl(zeta) of the shift s, in z_k = log x_k?
 
-
-def _to_mpf(x):
-    import mpmath
-    if isinstance(x, float):
-        return mpmath.mpf(x)
-    fr = Fraction(x)
-    return mpmath.mpf(fr.numerator) / fr.denominator
-
-
-def generating_function_check(b: ExchangeMatrix, point: Sequence, h: float = 1e-3) -> dict:
-    """Residual of d(generating function) against the pullback difference.
-
-    Central differences at step h and h/2; the max-norm residual must shrink
-    by ~4x (second-order convergence) when the identity holds.
+    A period-1 map is a cluster transformation, so it moves the 2-form's
+    potential theta by a Rogers dilogarithm (Fock and Goncharov, "Cluster
+    ensembles, quantization and the dilogarithm", Ann. Sci. ÉNS 42, 2009;
+    Nakanishi, "Periodicities in cluster algebras and dilogarithm
+    identities", 2011).  Here
+      g0 = sum_{1<=j<k<N} a_j^- a_k z_j z_k + sum_j a_j z_j (a_j^- z_j / 2 - z_0),
+    and the derivative of gl is elementary:
+      arg = sum_k a_k z_k, zeta = 1 / (1 + e^(-arg)), A = log zeta, B = log(1 - zeta);
+      gl = -Li2(zeta) - A B + B^2 / 2, so dgl/dzeta = (A - B) / (1 - zeta);
+      A - B = arg, and dzeta/dz_i = a_i zeta (1 - zeta);
+      so dgl/dz_i = a_i zeta arg, and the shift's exchange weight is zeta;
+      dG = s*theta - theta is 2 dg0/dz_i + 2 a_i zeta arg = 2 T_i(z, zeta).
+    The factor 2 keeps every coefficient an integer, and both sides lie in
+    Z[z_0..z_{N-1}, zeta] with degree at most 2.  An identity in independent
+    z and zeta gives the identity on zeta = 1 / (1 + e^(-arg)).  Conversely,
+    when a = 0 neither side contains zeta, and otherwise zeta is
+    transcendental over Q(z), so a failed comparison is a true failure.
     """
-    import mpmath
-    with mpmath.workdps(40):
-        xs = [_to_mpf(p) for p in point]
-        if any(x <= 0 for x in xs):
-            raise DomainError("point must be strictly positive")
-        z = [mpmath.log(x) for x in xs]
-        target = _theta_pullback_minus_theta(b, z)
-
-        def resid(step) -> float:
-            hh = mpmath.mpf(step)
-            worst = mpmath.mpf(0)
-            for i in range(b.n):
-                zp = list(z)
-                zm = list(z)
-                zp[i] += hh
-                zm[i] -= hh
-                d = (_generating_function(b, zp) - _generating_function(b, zm)) / (2 * hh)
-                worst = max(worst, abs(d - target[i]))
-            return float(worst)
-
-        r1 = resid(h)
-        r2 = resid(h / 2)
-    return {"h": h, "residual": r1, "residual_half": r2,
-            "ratio": r1 / r2 if r2 else float("inf")}
+    n = b.n
+    a = (0,) + b.first_row_tuple()
+    names = [f"z{k}" for k in range(n)] + ["zeta"]
+    g = Counter()
+    for j in range(1, n):
+        g[_mono(n, 0, j)] -= 2 * a[j]
+        g[_mono(n, j, j)] += a[j] * _pos(-a[j])
+        for k in range(j + 1, n):
+            g[_mono(n, j, k)] += 2 * _pos(-a[j]) * a[k]
+    two_g0 = LaurentPoly(names, g)
+    for i, t in enumerate(_theta_pullback_minus_theta(b)):
+        for k in range(1, n):
+            t[_mono(n, k, n)] -= 2 * a[i] * a[k]
+        if two_g0.partial(names[i]) != LaurentPoly(names, t):
+            return False
+    return True

@@ -120,6 +120,19 @@ def test_linrel_refuses_a_bad_search_before_any_orbit(capsys, monkeypatch, tmp_p
     assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
+@pytest.mark.parametrize("init, message", [
+    ("1,x", "bad --init '1,x': Invalid literal for Fraction: 'x'"),
+    ("1", "--init needs 2 values, got 1"),
+    ("0,1", "initial coefficient data must be nonzero"),
+])
+def test_zsys_refuses_a_bad_init_before_the_factor_search(capsys, monkeypatch, init, message):
+    # no characteristic polynomial is factored and no root is searched for
+    for name in ("char_poly", "factor_roots"):
+        monkeypatch.setattr(cli, name, _never)
+    assert main(["zsys", "--preset", "somos4", "--init", init]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
 def test_reduce_prints_formula_then_payload(capsys):
     rc = main(["reduce", "--preset", "somos6"])
     out = capsys.readouterr().out
@@ -224,10 +237,33 @@ class TestExitCodes:
                    "--steps", "2"])
         assert rc == 2
 
-    def test_zero_init_is_compute_error(self, capsys):
-        rc = main(["run", "t", "--preset", "somos4", "--init", "0,1,1,1",
+    @pytest.mark.parametrize("argv, message", [
+        ("run t --preset somos4 --init 0,1,1,1", "initial window contains zero"),
+        ("run tz --preset somos4 --init 1,0,1,1 --beta 2 --q 3",
+         "initial window contains zero"),
+        ("run y --preset somos4 --init -1,1,1,1", "initial y window must be strictly positive"),
+        ("run y --preset somos4 --init 0,1,1,1", "initial y window must be strictly positive"),
+        ("run qp1 --beta 2 --q 3 --init -1,1", "initial window must be strictly positive"),
+        ("linrel --preset somos4 --init 0,1,1,1 --offsets 0,1,2",
+         "initial window contains zero"),
+        ("linrel --preset prim4 --init 1,1,1,0 --z-init 2,3 --offsets 0,12,24",
+         "initial window contains zero"),
+    ], ids=["t-zero", "tz-zero", "y-negative", "y-zero", "qp1-negative", "linrel-zero",
+            "linrel-tz-zero"])
+    def test_bad_init_window_is_config_error(self, capsys, monkeypatch, argv, message):
+        # refused before the first step: no orbit engine runs
+        for name in ("iterate_t", "iterate_tz"):
+            monkeypatch.setattr(cli, name, _never)
+        monkeypatch.setattr(cli.ysystem, "iterate_y", _never)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    def test_zero_mid_orbit_is_compute_error(self, capsys):
+        rc = main(["run", "t", "--preset", "somos4", "--init", "-2,-2,-2,2",
                    "--steps", "2"])
         assert rc == 3
+        assert capsys.readouterr().err == (
+            "compute error: ZeroEncountered: orbit value x_4 vanished\n")
 
     def test_csv_unavailable_for_reduce(self, capsys):
         assert main(["reduce", "--preset", "somos4", "--format", "csv"]) == 2
@@ -369,12 +405,15 @@ def test_closed_stdout_is_not_an_error():
 
 
 def test_import_leaves_mpmath_out():
-    # only the numerical root reports need mpmath, so plain imports skip it
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cluster_painleve.cli; print('mpmath' in sys.modules)"],
-        capture_output=True, text=True, env=_child_env(), timeout=60)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    # only the numerical root reports need mpmath, so neither a plain import
+    # nor the exact dilogarithm criterion loads it
+    for code in ("import cluster_painleve.cli",
+                 "from cluster_painleve.acceptance import run_criteria\n"
+                 "assert [r.passed for r in run_criteria(numbers={12})] == [True]"):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys\n{code}\nprint('mpmath' in sys.modules)"],
+            capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("tup, text", [

@@ -1,4 +1,5 @@
-"""The package depends at run time on the standard library and `mpmath` alone.
+"""The package depends at run time on the standard library and `mpmath` alone,
+and only `zsystem` imports `mpmath`, for the roots of `factor_roots`.
 
 `numpy` and `sympy` may be installed next to it, but they are not declared,
 so an import of either (or of anything else) in `src/` fails here.  So does
@@ -44,6 +45,27 @@ def test_the_scan_sees_function_level_imports():
     tree = ast.parse("def f():\n    import numpy.linalg\n    from sympy import S\n"
                      "    from . import laurent\n")
     assert list(_absolute_imports(tree)) == ["numpy.linalg", "sympy"]
+
+
+def _mpmath_importers(trees):
+    """Each module of the trees other than `zsystem` that imports `mpmath`."""
+    return sorted(stem for stem, tree in trees.items() if stem != "zsystem" and any(
+        name.partition(".")[0] == "mpmath" for name in _absolute_imports(tree)))
+
+
+def test_only_zsystem_imports_mpmath():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    assert len(trees) > 10 and _mpmath_importers(trees) == []
+
+
+def test_the_scan_sees_mpmath_imports():
+    trees = {name: ast.parse(text) for name, text in {
+        "zsystem": "def f():\n    import mpmath\n",
+        "a": "def g():\n    from mpmath.libmp import NoConvergence\n",
+        "b": "import mpmathx\nfrom . import mpmath\n",
+        "c": "import os, mpmath as mp\n",
+    }.items()}
+    assert _mpmath_importers(trees) == ["a", "c"]
 
 
 def _unused_imports(trees):

@@ -473,8 +473,16 @@ def test_symplectic_form_entries():
     assert om == [[0, F(-1, 6)], [F(1, 6), 0]]
 
 
-def test_dilog_flatness_is_second_order():
-    res = reduction.generating_function_check(
-        get_preset("somos4").matrix, [F(1), F(1), F(2), F(1, 2)], h=1e-3)
-    assert res["ratio"] == pytest.approx(4.0, abs=0.2)
-    assert abs(res["residual"]) < 1e-5
+@pytest.mark.parametrize("name", ["somos4", "somos5", "somos6", "somos7", "prim4",
+                                  "nonintegrable6"])
+def test_dilog_identity_holds_exactly(name):
+    assert reduction.generating_function_check(get_preset(name).matrix)
+
+
+def test_dilog_identity_fails_off_the_shift_periodic_matrices():
+    rows = [list(row) for row in get_preset("somos4").matrix.rows]
+    rows[1][2] += 1
+    rows[2][1] -= 1
+    b = ExchangeMatrix.from_rows(rows)
+    assert not is_period1(b)
+    assert not reduction.generating_function_check(b)
