@@ -402,11 +402,12 @@ def _cmd_linrel(args) -> int:
         st = TStencil(p.a)
         init = _orbit_init(args, st.n)
         steps = LINREL_STEPS if args.steps is None else args.steps
-        if args.beta or args.q or args.z_init:
-            z = _resolve_z(args, p.a, args.seed)
-            orb = iterate_tz(st, z, init, steps)
-        else:
-            orb = iterate_t(st, init, steps)
+        z = _resolve_z(args, p.a, args.seed) if args.beta or args.q or args.z_init else None
+        need = offs[-1] + args.train + args.verify
+        if st.n + steps < need:
+            # the message relation_search gives, before the orbit is built
+            raise ConfigInvalid(f"orbit has {st.n + steps} values; need {need}")
+        orb = iterate_t(st, init, steps) if z is None else iterate_tz(st, z, init, steps)
         name = p.name
     try:
         rs = analysis.relation_search(orb, offs, args.train, args.verify)

@@ -135,12 +135,39 @@ def iterate_usystem(spec: USystemSpec, init: Sequence[Fraction], steps: int,
     exponent of U_j in F, F = Ph * prod_j a_j^lo_j b_j^-hi_j where
     Ph = sum_t c_t prod_j a_j^(e_tj - lo_j) b_j^(hi_j - e_tj) is the
     homogenised numerator.  Each value is an exponent dict over one
-    `coprime.Pieces` store, and Ph is one new piece a step.  Z_n (to the
-    power `spec.z_power`, which is 1) enters as the pieces of its bound
-    bases, zip(z.bound, z.monomial(n)), and as the one value z.value(n)
-    where `bound` or `monomial(n)` is None; a base reused from the step
-    before keeps its pieces.  A zero in the window raises what
-    `LaurentPoly.evaluate` and Fraction division raised there.
+    `coprime.Pieces` store.  Read over piece ids, term t of Ph is c_t times
+    prod_p p^E_tp, and G = prod_p p^(min_t E_tp) divides every term; the
+    step enters as G, by id, and one new piece |Ph / G|, with
+    Ph / G = sum_t c_t prod_j A_j^(e_tj - lo_j) B_j^(hi_j - e_tj)
+    prod_p p^(E_tp - G_p) over the pieces p of G, where A_j / B_j is U_{n+j}
+    without them: a_j / b_j itself unless G holds one of its pieces, and
+    otherwise the product of its other pieces.
+
+    A piece of G lies in two of the U_{n+j} that Ph reads (lo_j < hi_j):
+    the terms that reach lo_j and hi_j hold a_j^0 and b_j^0, so one of them
+    lacks a piece of U_{n+j} alone.  It is also held by the term that reads
+    the fewest denominators, which reads only a_j where its exponent is
+    hi_j, so there it is a numerator piece.  The step tests the pieces of
+    those pairs, and G is exact on them: a split removes the piece it
+    replaces, so a value's numerator set is renewed when one of its pieces
+    has left it.  (Any G that divides every term gives the same value, so
+    the test decides only the cost.)  So at
+    order 2, and wherever F reads one value, G = 1 and Ph is the integer
+    from a_1 and b_1; it is coprime to a_1 and b_1 when c_lo and c_hi are
+    (Ph = c_lo b_1^D mod a_1 and c_hi a_1^D mod b_1), which the store takes
+    as known.  At somos6, order 4 with U_n = x_n x_{n+2} / x_{n+1}^2, G
+    holds the factors of x_{n+2}, x_{n+3} and x_{n+4} that U_{n+1..n+3}
+    share; they enter by id, and those U_n holds cancel by id.  Multiplied into
+    Ph, they were found again by dividing pieces of up to 60,000 bits: the
+    benchmark's 55-step orbit made 743 splits, 13 a step, where 120
+    remain.
+
+    Z_n (to the power `spec.z_power`, which is 1) enters as the pieces of
+    its bound bases, zip(z.bound, z.monomial(n)), and as the one value
+    z.value(n) where `bound` or `monomial(n)` is None; a base reused from
+    the step before keeps its pieces.  A zero in the window raises what
+    `LaurentPoly.evaluate` and Fraction division raised there; a zero
+    value has no pieces, and a term that reads it vanishes with a_j = 0.
     """
     r = spec.order
     if steps < 0:
@@ -158,38 +185,65 @@ def iterate_usystem(spec: USystemSpec, init: Sequence[Fraction], steps: int,
     items = list(terms.items())
     lo = [min(e[j] for e, _ in items) for j in range(r - 1)]
     hi = [max(e[j] for e, _ in items) for j in range(r - 1)]
-    powers = [(c, [(j + 1, k - l, h - k) for j, (k, l, h) in enumerate(zip(e, lo, hi))])
+    # Ph reads U_{n+j} where lo_j < hi_j; the rest of F is the monomial
+    # prod_j a_j^lo_j b_j^-hi_j.  A piece every term holds is in a pair of
+    # slots, and in the numerator at a slot `by_num`, where `fewest` reads
+    # only numerators.
+    slots = [j for j in range(1, r) if lo[j - 1] < hi[j - 1]]
+    powers = [(c, [(j, e[j - 1] - lo[j - 1], hi[j - 1] - e[j - 1]) for j in slots])
               for e, c in items]
+    outside = [(j, lo[j - 1], hi[j - 1]) for j in range(1, r) if lo[j - 1] or hi[j - 1]]
+    pairs = [(j, k) for j in slots for k in slots if j != k]
+    fewest = min(terms, key=lambda e: sum(x < h for x, h in zip(e, hi)))
+    by_num = {j for j in slots if fewest[j - 1] == hi[j - 1]} if pairs else set()
+    whole = [()] * len(powers)  # no term has pieces of G left
     if r == 2:
         # Ph = c_lo b^D mod a and c_hi a^D mod b, so Ph is coprime to a and b
         # when c_lo and c_hi are; that is decided per step
         c_lo, c_hi = terms[(lo[0],)], terms[(hi[0],)]
     store = Pieces()
+    val = store.value
     reps = [store.of(u) for u in us]  # U_k as piece exponents
+    num_ids = [{p for p, e in x.items() if e > 0} if by_num else None for x in reps]
+    numer = [u.numerator for u in us]
+    denom = [u.denominator for u in us]
     zf: list[tuple[Fraction, int]] = []  # Z_n as (base, exponent) pairs
     zreps: dict[Fraction, dict[int, int]] = {}
     for n in range(steps):
-        w = us[n:n + r]
-        a = [u.numerator for u in w]
-        b = [u.denominator for u in w]
+        a = numer[n:n + r]
+        b = denom[n:n + r]
         if 0 in a and any(a[j] == 0 and lo[j - 1] < 0 for j in range(1, r)):
             raise ZeroDivisionError("negative exponent at zero value")
         if z is not None:
             exps = None if z.bound is None else z.monomial(n)
             zf = [(z.value(n), 1)] if exps is None else list(zip(z.bound, exps))
-        zreps = {zb: zreps[zb] if zb in zreps else store.of(zb) for zb, _ in zf}
+            zreps = {zb: zreps[zb] if zb in zreps else store.of(zb) for zb, _ in zf}
+        for j in by_num:
+            x = reps[n + j]
+            if not num_ids[n + j] <= x.keys():
+                num_ids[n + j] = {p for p, e in x.items() if e > 0}
+        cand = set()
+        for j, k in pairs:
+            cand |= (num_ids[n + j] if j in by_num else reps[n + j].keys()) & reps[n + k].keys()
+        g, rest = _common_pieces(cand, reps, n, powers) if cand else ({}, whole)
+        for j in slots if g else ():
+            x = reps[n + j]
+            if not g.keys().isdisjoint(x):
+                num, b[j] = store.ints({p: e for p, e in x.items() if p not in g})
+                a[j] = _sgn(a[j]) * num
         ph = 0
-        for c, pw in powers:
-            t = c
+        for (c, pw), left in zip(powers, rest):
             for j, ka, kb in pw:
-                t *= a[j] ** ka * b[j] ** kb
-            ph += t
+                c *= a[j] ** ka * b[j] ** kb
+            for p, k in left:
+                c *= val[p] ** k
+            ph += c
         sign = _sgn(ph)
         for zb, e in zf:
             # a solved exponent may be negative: the parity gives the sign
             sign *= _sgn(zb) ** (e % 2)
-        for j in range(1, r):
-            sign *= _sgn(a[j]) ** abs(lo[j - 1])
+        for j, l, _ in outside:
+            sign *= _sgn(a[j]) ** abs(l)
         if a[0] == 0:
             # Fraction's division by 0/1 cancels gcd(numerator, 0) first, so
             # its message carries only the sign of Z_n * F
@@ -199,14 +253,41 @@ def iterate_usystem(spec: USystemSpec, init: Sequence[Fraction], steps: int,
         if sign:
             seed = window[0] if r == 2 and gcd(c_lo, a[1]) == 1 == gcd(c_hi, b[1]) else ()
             rep = store.new(abs(ph), seed)
+            rep.update(g)
             for zb, e in zf:
                 add_exps(rep, zreps[zb], e)
-            for j in range(1, r):
-                add_exps(rep, reps[n + j], lo[j - 1], hi[j - 1])
+            for j, l, h in outside:
+                add_exps(rep, reps[n + j], l, h)
             add_exps(rep, reps[n], -1)
-        us.append(store.build(sign * _sgn(a[0]), rep, [*window, *zreps.values(), rep]))
+        u = store.build(sign * _sgn(a[0]), rep, [*window, *zreps.values(), rep])
+        us.append(u)
+        numer.append(u.numerator)
+        denom.append(u.denominator)
         reps.append(rep)
+        num_ids.append({p for p, e in rep.items() if e > 0} if by_num else None)
     return us
+
+
+def _common_pieces(cand, reps, n, powers):
+    """G over the pieces `cand` of the window at n, as {p: G_p > 0}, and for
+    each term of Ph its pieces p with E_tp > G_p, as (p, E_tp - G_p) pairs."""
+    g, rest = {}, [[] for _ in powers]
+    for p in cand:
+        es = []
+        for _, pw in powers:
+            e = 0
+            for j, ka, kb in pw:
+                x = reps[n + j].get(p)
+                if x:
+                    e += ka * x if x > 0 else -kb * x
+            es.append(e)
+        m = min(es)
+        if m:
+            g[p] = m
+            for left, e in zip(rest, es):
+                if e > m:
+                    left.append((p, e - m))
+    return g, rest
 
 
 def verify_conjugacy(b: ExchangeMatrix, init: Sequence[Fraction], steps: int,

@@ -120,6 +120,19 @@ def test_linrel_refuses_a_bad_search_before_any_orbit(capsys, monkeypatch, tmp_p
     assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
+@pytest.mark.parametrize("source, values, need", [
+    ("--preset nonintegrable6", 66, 134), ("--preset somos4", 64, 134),
+    ("--preset prim4 --z-init 2,3", 64, 134), ("--preset somos4 --steps 10 --train 2", 14, 132)])
+def test_linrel_refuses_a_short_orbit_before_any_orbit(capsys, monkeypatch, source, values, need):
+    # the orbit length is known from the window and --steps; a search past
+    # its end is refused before the orbit is built (nonintegrable6 would
+    # take minutes for its 60 steps of ever taller values)
+    for name in ("iterate_t", "iterate_tz"):
+        monkeypatch.setattr(cli, name, _never)
+    assert main(f"linrel {source} --offsets 0,100".split()) == 2
+    assert capsys.readouterr() == ("", f"config error: orbit has {values} values; need {need}\n")
+
+
 @pytest.mark.parametrize("init, message", [
     ("1,x", "bad --init '1,x': Invalid literal for Fraction: 'x'"),
     ("1", "--init needs 2 values, got 1"),

@@ -316,6 +316,24 @@ def test_somos4_zero_values_raise_the_same(init, steps):
                 lambda: fraction_usystem(spec, init, steps))
 
 
+@pytest.mark.parametrize("name, n, init, steps", [
+    # F = 1 + U1 U3: U_4 = U_6 = 0 drop the U1 U3 term, then U_8 = 0 / 0
+    ("prim4", None, [F(2), F(-1), F(5), F(1)], 5),
+    # F = (1 + U1 U2 U3) / (U1 U2 U3)^2: U_8 = 0, then F reads U^-2 at 0
+    ("somos6", None, [F(1), F(1), F(1), F(-2)], 6),
+    ("somos6", None, [F(1), F(2, 3), F(1), F(-1, 2)], 13),
+    # F = U1 U3 / U2 (1 + U1 U3 / U2): U_14 = 0 makes U_15 = 0, then U2 = 0
+    ("primN", 5, [F(1), F(-1), F(-3), F(3)], 13),
+])
+def test_zero_values_above_order_two_raise_the_same(name, n, init, steps):
+    # every orbit prefix: the values up to the zeros, and the raise after them
+    spec = spec_of(get_preset(name, n).a if n else get_preset(name).a, False)
+    for k in range(steps + 1):
+        assert_same(lambda: reduction.iterate_usystem(spec, init, k),
+                    lambda: fraction_usystem(spec, init, k))
+    assert outcome(lambda: fraction_usystem(spec, init, steps))[0] is ZeroDivisionError
+
+
 @pytest.mark.parametrize("zvalue, message", [
     (F(1), "Fraction(1, 0)"), (F(-5, 3), "Fraction(-1, 0)"), (F(0), "Fraction(0, 0)")])
 def test_division_by_a_zero_value_raises_the_same(zvalue, message):
@@ -526,6 +544,22 @@ def test_qp1_long_orbit_with_parameters_sharing_primes():
     beta, q, init = F(12, 35), F(10, 21), [F(6, 7), F(15, 2 ** 4 * 3)]
     assert_same(lambda: ysystem.qp1_iterate(beta, q, init, 30),
                 lambda: fraction_qp1(beta, q, init, 30))
+
+
+@pytest.mark.parametrize("label, most, exact", [
+    ("somos6-u55", 3 * 55, False), ("somos4-u55", 55, True), ("qp1-46", 44, True)])
+def test_u_orbit_splits_on_the_benchmark_windows(bench_workloads, monkeypatch,
+                                                 label, most, exact):
+    # the pieces every term of Ph holds enter the step by id, so the order-4
+    # somos6 orbit splits at most 3 times a step (743 times in all when they
+    # were multiplied into Ph and found again by division); the order-2
+    # orbits split once a step, q-P_I on all but two
+    seen = []
+    split = coprime.Pieces._split
+    monkeypatch.setattr(coprime.Pieces, "_split",
+                        lambda self, *args: seen.append(1) or split(self, *args))
+    next(j for j in bench_workloads.build("orbit", 0) if j.label == label).run()
+    assert len(seen) == most if exact else len(seen) <= most
 
 
 # -- the piece store ---------------------------------------------------------------------

@@ -20,7 +20,7 @@ from cluster_painleve.laurent import LaurentPoly
 from cluster_painleve.presets import get_preset
 from cluster_painleve.quiver import ExchangeMatrix, build_from_tuple, is_period1
 from cluster_painleve.tsystem import TStencil, iterate_t
-from cluster_painleve.zsystem import GeometricZ
+from cluster_painleve.zsystem import GeometricZ, solve_z, z_stencil_from_tuple
 
 F = Fraction
 
@@ -423,6 +423,21 @@ def test_reduction_conjugates_the_dynamics(name):
     b = get_preset(name).matrix
     init = [F(2), F(1, 3), F(5), F(7, 2), F(1), F(4)][: b.n]
     assert reduction.verify_conjugacy(b, init, 12)
+
+
+@pytest.mark.parametrize("name, n", [("somos6", None), ("primN", 5), ("primN", 8)])
+@pytest.mark.parametrize("kind", ["solved", "geometric"])
+def test_reduction_conjugates_the_dynamics_with_coefficients(name, n, kind):
+    # orders 4, 3 and 6: the U-engine's pieces shared by every term of F,
+    # with Z_n entering as pieces of its bound bases
+    p = get_preset(name, n) if n else get_preset(name)
+    if kind == "solved":
+        zst = z_stencil_from_tuple(p.a)
+        z = solve_z(zst, [F(2, 3), F(-5, 4), F(7), F(1, 6), F(3), F(5, 2)][:zst.order])
+    else:
+        z = GeometricZ(F(3, 2), F(5, 7))
+    init = [F(3, 2), F(-2, 5), F(1, 4), F(4, 3), F(-1, 7), F(5), F(2, 9), F(7, 5)][:p.n]
+    assert reduction.verify_conjugacy(p.matrix, init, 12, z)
 
 
 @given(st.lists(rational9, min_size=4, max_size=4))
