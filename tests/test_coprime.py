@@ -385,7 +385,7 @@ def hand_spec(order, terms, z_flag=True):
     return reduction.USystemSpec((), order, (), uvars, f, f, one, z_flag)
 
 
-laurent_terms = st.integers(1, 3).flatmap(lambda r: st.tuples(
+laurent_terms = st.integers(1, 4).flatmap(lambda r: st.tuples(
     st.just(r), st.dictionaries(
         st.tuples(*[st.integers(-2, 2)] * (r - 1)),
         st.sampled_from([-6, -3, -2, -1, 1, 2, 3, 4, 6, 10, 15]), min_size=1, max_size=4)))
@@ -395,7 +395,8 @@ laurent_terms = st.integers(1, 3).flatmap(lambda r: st.tuples(
 @settings(max_examples=200, deadline=None)
 def test_usystem_with_any_laurent_map(rt, z_flag, data, steps):
     # coefficients that share factors with the values (c_lo, c_top not 1),
-    # orders 1-3 and zero values
+    # orders 1-4 (pieces every term holds over up to three slots) and zero
+    # values
     r, terms = rt
     spec = hand_spec(r, terms, z_flag)
     init = data.draw(st.lists(signed, min_size=r, max_size=r))
