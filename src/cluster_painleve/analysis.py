@@ -258,13 +258,17 @@ def _certified_inconsistent(orb: Orbit, offs: tuple[int, ...], train: int) -> bo
     return rank_residues(rows) == len(offs)
 
 
-def check_search_shape(offsets: Sequence[int], train: int, verify: int) -> tuple[int, ...]:
-    """The offsets as ints; ValueError for offsets or counts no orbit can serve."""
+def check_search_shape(offsets: Sequence[int], train: int, verify: int,
+                       length: int | None = None) -> tuple[int, ...]:
+    """The offsets as ints; ValueError for offsets or counts no orbit can
+    serve, and InsufficientData past the end of an orbit of `length` values."""
     offs = tuple(int(o) for o in offsets)
     if len(offs) < 2 or offs[0] != 0 or any(b <= a for a, b in zip(offs, offs[1:])):
         raise ValueError("offsets must be strictly increasing and start at 0")
     if train < 1 or verify < 1:
         raise ValueError("train and verify counts must be positive")
+    if length is not None and length < (need := offs[-1] + train + verify):
+        raise InsufficientData(f"orbit has {length} values; need {need}")
     return offs
 
 
@@ -273,11 +277,8 @@ def relation_search(orb: Orbit, offsets: Sequence[int], train: int, verify: int)
     windows and kept only if it holds exactly on `verify` further ones."""
     if orb.kind != "rational":
         raise ValueError("relation search needs a rational orbit")
-    offs = check_search_shape(offsets, train, verify)
-    need = offs[-1] + train + verify
-    if len(orb.values) < need:
-        raise InsufficientData(f"orbit has {len(orb.values)} values; need {need}")
     vals = orb.values
+    offs = check_search_shape(offsets, train, verify, len(vals))
     m = len(offs) - 1
     if train > m and _certified_inconsistent(orb, offs, train):
         return RelationSearch(offs, m, -1, None, "inconsistent")

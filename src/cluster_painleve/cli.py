@@ -26,7 +26,7 @@ from .presets import Preset, UnknownPreset, get_preset, list_presets
 from .quiver import build_from_tuple
 from .tsystem import TStencil, iterate_t, iterate_tz, orbit_from_json
 from .zsystem import (
-    GeometricZ, char_poly, factor_roots, format_poly, solve_z, spectral_radius,
+    GeometricZ, ZeroTuple, char_poly, factor_roots, format_poly, solve_z, spectral_radius,
     z_stencil_from_tuple,
 )
 
@@ -104,6 +104,14 @@ def _orbit_init(args, count: int, positive: bool = False) -> list[Fraction]:
     return init
 
 
+def _z_stencil(a: tuple[int, ...]):
+    """The coefficient constraint of `a`; an all-zero tuple has none."""
+    try:
+        return z_stencil_from_tuple(a)
+    except ZeroTuple as exc:
+        raise ConfigInvalid(str(exc)) from exc
+
+
 def _resolve_z(args, a: tuple[int, ...], seed: int):
     """Coefficient dynamics for tz runs: explicit window or geometric."""
     z_init = getattr(args, "z_init", None)
@@ -118,7 +126,7 @@ def _resolve_z(args, a: tuple[int, ...], seed: int):
             return GeometricZ(b, qq)
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
-    st = z_stencil_from_tuple(a)
+    st = _z_stencil(a)
     if z_init:
         vals = _parse_init(z_init, st.order, seed, "--z-init")
         try:
@@ -260,8 +268,11 @@ def _cmd_run(args) -> int:
 def _cmd_reduce(args) -> int:
     _check_csv(args, False)
     p = _resolve_system(args)
-    spec = (reduction.derive_uzsystem if args.with_z
-            else reduction.derive_usystem)(p.matrix)
+    try:
+        spec = (reduction.derive_uzsystem if args.with_z
+                else reduction.derive_usystem)(p.matrix)
+    except reduction.ZeroRank as exc:  # an all-zero tuple: nothing to reduce
+        raise ConfigInvalid(str(exc)) from exc
     bas = spec.basis()
     chat = reduction.reduced_structure_matrix(p.matrix, bas)
     payload = {
@@ -288,7 +299,7 @@ def _cmd_zsys(args) -> int:
         raise ConfigInvalid("--steps does not apply to zsys without --init")
     _check_csv(args, bool(args.init))
     p = _resolve_system(args)
-    st = z_stencil_from_tuple(p.a)
+    st = _z_stencil(p.a)
     # bind --init before the factor search and the root finder run
     vals = _parse_init(args.init, st.order, args.seed, "--init") if args.init else None
     try:
@@ -403,10 +414,10 @@ def _cmd_linrel(args) -> int:
         init = _orbit_init(args, st.n)
         steps = LINREL_STEPS if args.steps is None else args.steps
         z = _resolve_z(args, p.a, args.seed) if args.beta or args.q or args.z_init else None
-        need = offs[-1] + args.train + args.verify
-        if st.n + steps < need:
-            # the message relation_search gives, before the orbit is built
-            raise ConfigInvalid(f"orbit has {st.n + steps} values; need {need}")
+        try:  # the orbit's length is known before it is built
+            analysis.check_search_shape(offs, args.train, args.verify, st.n + steps)
+        except analysis.InsufficientData as exc:
+            raise ConfigInvalid(str(exc)) from exc
         orb = iterate_t(st, init, steps) if z is None else iterate_tz(st, z, init, steps)
         name = p.name
     try:

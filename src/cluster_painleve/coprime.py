@@ -3,29 +3,20 @@
 `Fraction(n, d)` divides both by `gcd(n, d)`, a quadratic-time gcd on the
 full-size integers.  The orbit engines know in advance most of what their
 values' numerators and denominators have in common, so they construct the
-result directly, in one of two ways.
+result directly.  One store of factors, `Pieces`, serves every exact
+engine, and it runs the factor refinement of E. Bach, J. Driscoll and
+J. Shallit ("Factor refinement", J. Algorithms 15, 1993) in one of two
+ways: to lowest terms for each value of the U-, q-P_I and Y-engines, and
+to a pairwise coprime base, once per orbit, for the integer T-path.
 
-`coprime_base` serves the integer T-path, whose values are x = N / M with
-N an integer and M a monomial over the pairwise coprime base C that it
-refines, once per orbit, from the numerators and denominators of the
-initial data; each of those values has one exponent per c, and M's
-exponents are tracked over C directly (the argument is in `tsystem`).  M
-is a numerator part prod c^-e (e < 0) over a denominator part prod c^e
-(e > 0), coprime to each other because no c is on both sides.  Each
-denominator element c shares with N exactly gcd(N, c^e), and dividing N
-and c^e by it leaves them coprime; the numerator part and the other
-denominator elements are coprime to c^e too, so the result is in lowest
-terms.  An element c with gcd(N mod c, c) = 1 is coprime to N and needs no
-gcd on N at all.
-
-`Pieces` serves the U-, q-P_I and Y-engines, whose values are monomials in
-the values before them: a Y-value is y_n = prod_j x_{n+j}^{-a_j} in
-T-values and 1 + y_n an exchange binomial (Fomin and Zelevinsky, "Cluster
-algebras IV", Compositio 143, 2007), and U_n = x^{s^n v}.  So consecutive
-values share large factors, and the same factor turns up again at every
-window position.  The store keeps integers > 1 (pieces) under ids, and each
-live value is a sign and an exponent dict over piece ids (positive
-exponents for the numerator, negative for the denominator).
+The U-, q-P_I and Y-engines' values are monomials in the values before
+them: a Y-value is y_n = prod_j x_{n+j}^{-a_j} in T-values and 1 + y_n an
+exchange binomial (Fomin and Zelevinsky, "Cluster algebras IV", Compositio
+143, 2007), and U_n = x^{s^n v}.  So consecutive values share large
+factors, and the same factor turns up again at every window position.  The
+store keeps integers > 1 (pieces) under ids, and each live value is a sign
+and an exponent dict over piece ids (positive exponents for the numerator,
+negative for the denominator).
 
 - A new value's dict is a signed sum of its window's dicts plus the step's
   new pieces, so a factor shared by numerator and denominator cancels by
@@ -44,14 +35,28 @@ exponents for the numerator, negative for the denominator).
   the engine proves of its new pieces (`reduction.iterate_usystem` at
   order 2, where G = 1).
 - A pair with gcd g > 1 is split: both pieces become g and their
-  cofactors, in every live dict.  This is the refinement step of factor
-  refinement (E. Bach, J. Driscoll and J. Shallit, "Factor refinement",
-  J. Algorithms 15, 1993), run only until each numerator piece is coprime
-  to each denominator piece, which puts the product in lowest terms.  Most
-  splits find one piece dividing the other, so a pair is tested by
-  dividing the larger by the smaller first: a zero remainder gives the
-  cofactor at once, and otherwise the gcd goes on from the remainder.
+  cofactors, in every live dict.  This is the refinement step, run only
+  until each numerator piece is coprime to each denominator piece, which
+  puts the product in lowest terms.  Most splits find one piece dividing
+  the other, so a pair is tested by dividing the larger by the smaller
+  first: a zero remainder gives the cofactor at once, and otherwise the
+  gcd goes on from the remainder.
 - Lowest terms are unique, so the value is the one Fraction would give.
+
+The integer T-path's values are x = N / M with N an integer and M a
+monomial over the pairwise coprime base C of the numerators and
+denominators of the initial data.  It enters those data as pieces, and
+`Pieces.refine` splits the first pair of live pieces with a gcd > 1 until
+none is left: the whole refinement, once per orbit.  The live pieces are
+then C, and each value's dict holds its exponent of each c; M's exponents
+are tracked over C directly (the argument is in `tsystem`).  M is a
+numerator part prod c^-e (e < 0) over a denominator part prod c^e
+(e > 0), coprime to each other because no c is on both sides.  Each
+denominator element c shares with N exactly gcd(N, c^e), and dividing N
+and c^e by it leaves them coprime; the numerator part and the other
+denominator elements are coprime to c^e too, so the result is in lowest
+terms.  An element c with gcd(N mod c, c) = 1 is coprime to N and needs no
+gcd on N at all.
 
 `int_divmod` serves the integer T-path's one exact division a step and the
 pair test of `Pieces`, whose divisors reach tens of thousands of bits.
@@ -79,7 +84,7 @@ dividend into thousands of blocks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -143,44 +148,6 @@ def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
             r += b
         q = q << h | d
     return q, r >> pad
-
-
-def coprime_base(ints: Sequence[int]) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """A pairwise coprime base C of the nonzero `ints`, and each |int| over it.
-
-    Returns C (integers > 1) and, for each input x, the sparse list of
-    (index into C, multiplicity) with |x| = prod c^m; the list of 1 and -1
-    is empty.  C comes from the refinement step of Bach, Driscoll and
-    Shallit: a candidate that shares g > 1 with a member of C is replaced,
-    with that member, by g, the member's cofactor and its own cofactor,
-    each of them a candidate again.
-    """
-    base: list[int] = []
-    todo = [abs(x) for x in ints]
-    while todo:
-        x = todo.pop()
-        if x == 1:
-            continue
-        for i, c in enumerate(base):
-            g = gcd(x, c)
-            if g > 1:
-                del base[i]
-                todo += [g, c // g, x // g]
-                break
-        else:
-            base.append(x)
-    factors = []
-    for x in ints:
-        x, fac = abs(x), []
-        for i, c in enumerate(base):
-            m = 0
-            while not x % c:
-                x //= c
-                m += 1
-            if m:
-                fac.append((i, m))
-        factors.append(fac)
-    return base, factors
 
 
 def add_exps(target: Exps, exps: Exps, up: int, down: int | None = None) -> None:
@@ -268,6 +235,19 @@ class Pieces:
                         known[q].discard(p)
             self._prune_at = 2 * len(self.value) + 16
         return _from_coprime_ints(sign * n, d)
+
+    def refine(self, live: Sequence[Exps]) -> None:
+        """Split pieces until the pieces that the dicts in `live` hold are
+        pairwise coprime: the whole factor refinement of their values."""
+        val = self.value
+        while True:
+            for p, q in combinations(set().union(*live), 2):
+                g = gcd(val[p], val[q])
+                if g > 1:
+                    self._split(p, q, g, {}, live)
+                    break
+            else:
+                return
 
     def _lowest_terms(self, exps: Exps, live: Sequence[Exps]) -> None:
         """Split pieces until each numerator piece of `exps` is coprime to

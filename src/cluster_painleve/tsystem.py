@@ -12,7 +12,7 @@ come out exact in the Laurent ring, otherwise the iterate is rejected.
 Rational iteration writes x_n = N_n / M_n with N_n a signed integer and
 M_n = prod c^e over the pairwise coprime base C of the numerators and
 denominators of the initial window and the bound coefficient values
-(`coprime.coprime_base`), so each step is one exact integer division
+(`coprime.Pieces.refine`), so each step is one exact integer division
 (`coprime.int_divmod`, subquadratic past 9,000-bit divisors).  A zero
 remainder proves the step.  From the first step with a remainder, or whose
 Z_n has no integral monomial form (`monomial` and `bound` in `zsystem`),
@@ -74,7 +74,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Sequence
 
-from .coprime import _from_coprime_ints, coprime_base, int_divmod
+from .coprime import Pieces, _from_coprime_ints, int_divmod
 from .intlinalg import residue
 from .laurent import LaurentPoly, format_rational, laurent_try_div, monomial_map, parse_rational
 from .quiver import NotPalindromic, _pos, build_from_tuple, palindromic_basis, power_product
@@ -227,12 +227,11 @@ def _integer_steps(st: TStencil, z, vals: list[Fraction], steps: int) -> int:
     bound = z.bound
     if not steps or bound is None or 0 in bound:
         return 0
-    variables = (*vals, *bound)  # x_0..x_{N-1}, then Z's symbol values
-    base, factors = coprime_base([b for v in variables for b in (v.numerator, v.denominator)])
-    weights = [[0] * len(base) for _ in variables]  # each variable's exponents over C
-    for k, fac in enumerate(factors):  # a numerator, then its denominator
-        for i, m in fac:
-            weights[k // 2][i] += -m if k % 2 else m
+    store = Pieces()
+    live = [store.of(v) for v in (*vals, *bound)]  # x_0..x_{N-1}, then Z's symbol values
+    store.refine(live)
+    base = list(store.value.values())
+    weights = [[exps.get(p, 0) for p in store.value] for exps in live]  # exponents over C
     zweights = [(w, v < 0) for w, v in zip(weights[n_:], bound)]
     plus = [(j, e) for j, e in enumerate(st.plus_exponents, start=1) if e]
     minus = [(j, e) for j, e in enumerate(st.minus_exponents, start=1) if e]

@@ -388,6 +388,35 @@ class TestConfigErrors:
         err = assert_config_error(capsys, ["verify", "--filter", flt])
         assert err == f"config error: --filter {flt} matches no criterion\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        ("reduce --tuple 0,0,0", "zero matrix has no reduced recurrence"),
+        ("reduce --tuple 0", "zero matrix has no reduced recurrence"),
+        ("reduce --tuple 0,0,0 --with-z", "zero matrix has no reduced recurrence"),
+        ("zsys --tuple 0,0,0", "tuple with empty support gives no constraint"),
+        ("zsys --tuple 0,0,0 --init 1", "tuple with empty support gives no constraint"),
+        ("run tz --tuple 0,0,0 --z-init 1", "tuple with empty support gives no constraint"),
+        ("run tz --tuple 0,0,0 --mode symbolic",
+         "tuple with empty support gives no constraint"),
+        ("linrel --tuple 0,0,0 --z-init 1 --offsets 0,1",
+         "tuple with empty support gives no constraint"),
+    ])
+    def test_all_zero_tuple_without_a_constraint_or_reduction(self, capsys, monkeypatch,
+                                                              argv, message):
+        # nothing is iterated, solved, factored or written
+        for name in ("iterate_t", "iterate_tz", "solve_z", "char_poly", "factor_roots"):
+            monkeypatch.setattr(cli, name, _never)
+        monkeypatch.setattr(cli.reduction, "reduced_structure_matrix", _never)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        "run t --tuple 0,0,0", "run y --tuple 0,0,0", "entropy --tuple 0,0,0",
+        "run tz --tuple 0,0,0 --beta 2 --q 3",
+    ])
+    def test_all_zero_tuple_runs_where_no_constraint_is_needed(self, capsys, argv):
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().err == ""
+
     def test_run_tz_needs_coefficient_values(self, capsys):
         rc = main(["run", "tz", "--preset", "somos4", "--init", "ones", "--steps", "8"])
         err = capsys.readouterr().err

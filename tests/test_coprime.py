@@ -5,7 +5,7 @@ a product of shared pieces (`coprime.Pieces`) and construct the Fraction
 without a gcd on the full-size integers.  The plain Fraction loops are kept
 below as references: every value must agree with them on `==` and on the
 exact numerator and denominator, and every raised exception on its type and
-message.  The integer T-path's coprime base (`coprime.coprime_base`) and
+message.  The integer T-path's coprime base (`coprime.Pieces.refine`) and
 its exact division (`coprime.int_divmod`, against builtin `divmod`) are
 tested here too; its orbits are checked in `test_tsystem.py`.
 """
@@ -123,33 +123,41 @@ def test_coprime_constructor_hypothesis(n, d):
 # -- the coprime base of the integer T-path ----------------------------------------
 
 
-def assert_coprime_base(ints):
-    base, factors = coprime.coprime_base(ints)
-    assert all(c > 1 for c in base)
-    assert all(math.gcd(c, d) == 1 for c, d in itertools.combinations(base, 2))
-    assert len(factors) == len(ints)
-    for x, fac in zip(ints, factors):
-        assert all(m > 0 for _, m in fac) and len({i for i, _ in fac}) == len(fac)
-        assert math.prod(base[i] ** m for i, m in fac) == abs(x)
+def assert_refined(values):
+    # the pieces the live dicts hold are pairwise coprime, they are all the
+    # store holds, and each dict still stands for its value in lowest terms
+    store = coprime.Pieces()
+    live = [store.of(F(v)) for v in values]
+    store.refine(live)
+    held, val = set().union(*live), store.value
+    assert set(val) == held and all(val[p] > 1 for p in held)
+    assert all(math.gcd(val[p], val[q]) == 1 for p, q in itertools.combinations(held, 2))
+    for v, exps in zip(values, live):
+        assert store.ints(exps) == (abs(F(v).numerator), F(v).denominator)
 
 
-@pytest.mark.parametrize("ints", [
+@pytest.mark.parametrize("values", [
     [], [1], [-1, 1], [2, 2, -2], [6, 35, 10, 21, 15, 14, 7, 6],
     [12, 18, -8, 27], [1009, -1013, 1, 1009 * 1013], [2 ** 40, 6 ** 7, 3 ** 5, -1],
+    [F(6, 35), F(-10, 21), F(15, 14), F(7, 6)], [F(4, 9), F(-9, 4), F(4, 9), F(1, 6)],
+    [F(1009, 1013), F(-1013, 1019), F(1019 * 1009, 2), F(1, 1009 ** 3)],
 ])
-def test_coprime_base(ints):
-    assert_coprime_base(ints)
+def test_refine(values):
+    assert_refined(values)
 
 
 # products of a few small primes share factors in every way; signs and 1 too
 smooth = st.builds(lambda s, ps: s * math.prod(ps), st.sampled_from([1, -1]),
                    st.lists(st.sampled_from([2, 3, 5, 7, 1009]), max_size=6))
+windows = st.lists(st.one_of(st.builds(F, smooth, smooth.map(abs)),
+                             st.integers(-10 ** 6, 10 ** 6).filter(bool)), max_size=10)
 
 
-@given(st.lists(st.one_of(smooth, st.integers(-10 ** 6, 10 ** 6).filter(bool)), max_size=10))
+@given(windows.flatmap(lambda vs: st.lists(st.sampled_from(vs), max_size=3).map(
+    vs.__add__) if vs else st.just(vs)))  # some values repeated
 @settings(max_examples=300, deadline=None)
-def test_coprime_base_hypothesis(ints):
-    assert_coprime_base(ints)
+def test_refine_hypothesis(values):
+    assert_refined(values)
 
 
 # -- the exact division of the integer T-path ---------------------------------------

@@ -3,7 +3,7 @@
 The orbit jobs of `perfbench/workloads.py` that run the U-, q-P_I and
 Y-engines and the seed mutation chain (each value a product of shared
 pieces, `coprime.Pieces`), and one somos6 integer T-orbit (values over a
-coprime base, `coprime.coprime_base`), run at seeds 0 and 1; one somos4
+coprime base, `coprime.Pieces.refine`), run at seeds 0 and 1; one somos4
 integer T-orbit and one geometric-coefficient T-orbit at seed 0.  Each
 result must pass the job's own check against `perfbench/oracles.py`.  The
 benchmark files are only read.

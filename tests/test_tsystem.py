@@ -10,6 +10,7 @@ the coordinates of the initial window it is checked against, terms and
 exceptions alike.
 """
 
+import fnmatch
 from fractions import Fraction
 
 import pytest
@@ -398,6 +399,45 @@ def test_exact_shadow_leaves_the_lowest_terms_division_idle(monkeypatch):
     # the step's exact division is the first of each step's calls; any
     # further ones divide N_n by c^e
     assert len(calls) - 84 <= 2
+
+
+@pytest.mark.parametrize("workload, patterns, orbits, steps, lowest", [
+    ("survey", ("*-scan*",), 24, 2016, 13),
+    ("orbit", ("*-t[0-9]*", "*-ones*", "*-geo*"), 11, 1265, 0),
+])
+def test_lowest_terms_division_on_the_benchmark_windows(bench_workloads, monkeypatch, workload,
+                                                        patterns, orbits, steps, lowest):
+    # the seed-0 T-orbits of the benchmark: the scan orbits put one prime of
+    # the 16-prime band in the numerator of one value and the denominator of
+    # another, and the exact shadow over the coprime base of the data leaves
+    # N_n to be divided by c^e on only a few steps; a coarser or different
+    # base would change how many
+    done, per_step, calls = [], [], [0]
+    inner_steps, inner_div, inner_value = (
+        tsystem._integer_steps, tsystem.int_divmod, tsystem._from_coprime_ints)
+
+    def steps_spy(*args):
+        calls[0] = 0
+        done.append(inner_steps(*args))
+        return done[-1]
+
+    def div_spy(a, b):
+        calls[0] += 1
+        return inner_div(a, b)
+
+    def value_spy(n, d):  # a step's last call: the calls before it are its divisions
+        per_step.append(calls[0])
+        calls[0] = 0
+        return inner_value(n, d)
+
+    monkeypatch.setattr(tsystem, "_integer_steps", steps_spy)
+    monkeypatch.setattr(tsystem, "int_divmod", div_spy)
+    monkeypatch.setattr(tsystem, "_from_coprime_ints", value_spy)
+    for job in bench_workloads.build(workload, 0):
+        if any(fnmatch.fnmatch(job.label, p) for p in patterns):
+            job.run()
+    assert (len(done), sum(done), len(per_step)) == (orbits, steps, steps)
+    assert sum(c > 1 for c in per_step) == lowest
 
 
 # -- divisions past the recursive gate of coprime.int_divmod ------------------
