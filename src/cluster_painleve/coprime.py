@@ -4,59 +4,62 @@
 full-size integers.  The orbit engines know in advance most of what their
 values' numerators and denominators have in common, so they construct the
 result directly.  One store of factors, `Pieces`, serves every exact
-engine, and it runs the factor refinement of E. Bach, J. Driscoll and
-J. Shallit ("Factor refinement", J. Algorithms 15, 1993) in one of two
-ways: to lowest terms for each value of the U-, q-P_I and Y-engines, and
-to a pairwise coprime base, once per orbit, for the integer T-path.
+engine.  It keeps integers > 1 (pieces) under ids, and each live value is a
+sign and an exponent dict over piece ids (positive exponents for the
+numerator, negative for the denominator).
 
-The U-, q-P_I and Y-engines' values are monomials in the values before
-them: a Y-value is y_n = prod_j x_{n+j}^{-a_j} in T-values and 1 + y_n an
-exchange binomial (Fomin and Zelevinsky, "Cluster algebras IV", Compositio
-143, 2007), and U_n = x^{s^n v}.  So consecutive values share large
-factors, and the same factor turns up again at every window position.  The
-store keeps integers > 1 (pieces) under ids, and each live value is a sign
-and an exponent dict over piece ids (positive exponents for the numerator,
-negative for the denominator).
+The store runs the factor refinement of E. Bach, J. Driscoll and J.
+Shallit ("Factor refinement", J. Algorithms 15, 1993) with one pair test
+and one split:
 
-- A new value's dict is a signed sum of its window's dicts plus the step's
-  new pieces, so a factor shared by numerator and denominator cancels by
-  id, with no arithmetic.  The engine keeps a factor it knows by id out
-  of its new pieces: the U-engine enters the part G that every term of
-  its new sum holds, read over piece ids, by id, and multiplies out only
-  the sum divided by G (`reduction.iterate_usystem`).  At order 4 on
-  somos6 G holds the x-level factors the window shares; multiplied into
-  the new piece, they were split out of it again by dividing pieces of up
-  to 60,000 bits, 743 splits on a 55-step orbit where 120 remain.
-- Then only the numerator/denominator pairs of that dict are tested, each
-  pair found coprime is remembered while both pieces live, and a divisor
-  of a piece inherits every coprimality of that piece.  Coprimality known
-  by proof enters the same memo with no gcd: the numerator and denominator
-  of a value in lowest terms, a + b against every piece of a/b, and what
-  the engine proves of its new pieces (`reduction.iterate_usystem` at
-  order 2, where G = 1).
+- The pair test takes two collections of pieces and finds the first pair,
+  one piece from each, that is not known to be coprime and shares a
+  factor.  Most such pairs have one piece dividing the other, so a pair is
+  tested by dividing the larger by the smaller first: a zero remainder
+  gives the cofactor at once, and otherwise the gcd goes on from the
+  remainder.  Each pair found coprime is remembered while both pieces
+  live, and a divisor of a piece inherits every coprimality of that piece.
+  Coprimality known by proof enters the same memo with no gcd: the
+  numerator and denominator of a value in lowest terms (`Pieces.of`),
+  a + b against every piece of a/b, and what the engine proves of its new
+  pieces (`reduction.iterate_usystem` at order 2).
 - A pair with gcd g > 1 is split: both pieces become g and their
-  cofactors, in every live dict.  This is the refinement step, run only
-  until each numerator piece is coprime to each denominator piece, which
-  puts the product in lowest terms.  Most splits find one piece dividing
-  the other, so a pair is tested by dividing the larger by the smaller
-  first: a zero remainder gives the cofactor at once, and otherwise the
-  gcd goes on from the remainder.
-- Lowest terms are unique, so the value is the one Fraction would give.
+  cofactors, in every live dict.
+
+Split and test again until no pair is left.  `Pieces.build` tests a
+value's numerator pieces against its denominator pieces, which puts the
+value in lowest terms; lowest terms are unique, so the value is the one
+Fraction would give.  `Pieces.refine` tests the live pieces against each
+other, which leaves them pairwise coprime: the whole refinement.
+
+The U-, q-P_I and Y-engines and the seed chain build each value.  Their
+values are monomials in the values before them: a Y-value is
+y_n = prod_j x_{n+j}^{-a_j} in T-values and 1 + y_n an exchange binomial
+(Fomin and Zelevinsky, "Cluster algebras IV", Compositio 143, 2007), and
+U_n = x^{s^n v}.  So consecutive values share large factors, and the same
+factor turns up again at every window position.  A new value's dict is a
+signed sum of its window's dicts plus the step's new pieces, so a factor
+shared by numerator and denominator cancels by id, with no arithmetic, and
+only what is left meets the pair test.  The engine keeps a factor it knows
+by id out of its new pieces: the U-engine enters the part G that every
+term of its new sum holds, read over piece ids, by id, and multiplies out
+only the sum divided by G (`reduction.iterate_usystem`).  At order 4 on
+somos6 G holds the x-level factors the window shares; multiplied into the
+new piece, they were split out of it again by dividing pieces of up to
+60,000 bits, 743 splits on a 55-step orbit where 120 remain.
 
 The integer T-path's values are x = N / M with N an integer and M a
 monomial over the pairwise coprime base C of the numerators and
-denominators of the initial data.  It enters those data as pieces, and
-`Pieces.refine` splits the first pair of live pieces with a gcd > 1 until
-none is left: the whole refinement, once per orbit.  The live pieces are
-then C, and each value's dict holds its exponent of each c; M's exponents
-are tracked over C directly (the argument is in `tsystem`).  M is a
-numerator part prod c^-e (e < 0) over a denominator part prod c^e
-(e > 0), coprime to each other because no c is on both sides.  Each
-denominator element c shares with N exactly gcd(N, c^e), and dividing N
-and c^e by it leaves them coprime; the numerator part and the other
-denominator elements are coprime to c^e too, so the result is in lowest
-terms.  An element c with gcd(N mod c, c) = 1 is coprime to N and needs no
-gcd on N at all.
+denominators of the initial data.  It enters those data with `Pieces.of`
+and refines them, once per orbit.  The live pieces are then C, and each
+value's dict holds its exponent of each c; M's exponents are tracked over
+C directly (the argument is in `tsystem`).  M is a numerator part
+prod c^-e (e < 0) over a denominator part prod c^e (e > 0), coprime to
+each other because no c is on both sides.  Each denominator element c
+shares with N exactly gcd(N, c^e), and dividing N and c^e by it leaves
+them coprime; the numerator part and the other denominator elements are
+coprime to c^e too, so the result is in lowest terms.  An element c with
+gcd(N mod c, c) = 1 is coprime to N and needs no gcd on N at all.
 
 `int_divmod` serves the integer T-path's one exact division a step and the
 pair test of `Pieces`, whose divisors reach tens of thousands of bits.
@@ -84,9 +87,9 @@ dividend into thousands of blocks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 Exps = dict[int, int]  # piece id -> exponent, never 0
 
@@ -222,61 +225,43 @@ class Pieces:
         holds are forgotten, once the store has doubled since that was
         last done, so that the cost is amortised.
         """
-        self._lowest_terms(exps, live)
+        while (pair := self._common_pair([p for p, e in exps.items() if e > 0],
+                                         [q for q, e in exps.items() if e < 0])) is not None:
+            self._split(*pair, live)
         n, d = self.ints(exps)
         if len(self.value) >= self._prune_at:
-            known = self.coprime
-            dead = self.value.keys() - set().union(*live)
-            for p in dead:
-                del self.value[p]
-            for p in dead:
-                for q in known.pop(p):
-                    if q not in dead:
-                        known[q].discard(p)
+            for p in self.value.keys() - set().union(*live):
+                self._drop(p)
             self._prune_at = 2 * len(self.value) + 16
         return _from_coprime_ints(sign * n, d)
 
     def refine(self, live: Sequence[Exps]) -> None:
         """Split pieces until the pieces that the dicts in `live` hold are
         pairwise coprime: the whole factor refinement of their values."""
-        val = self.value
-        while True:
-            for p, q in combinations(set().union(*live), 2):
-                g = gcd(val[p], val[q])
-                if g > 1:
-                    self._split(p, q, g, {}, live)
-                    break
-            else:
-                return
-
-    def _lowest_terms(self, exps: Exps, live: Sequence[Exps]) -> None:
-        """Split pieces until each numerator piece of `exps` is coprime to
-        each of its denominator pieces."""
-        while (pair := self._common_pair(exps)) is not None:
+        while (pair := self._common_pair(held := set().union(*live), held)) is not None:
             self._split(*pair, live)
 
-    def _common_pair(self, exps: Exps):
-        """A numerator and a denominator piece of `exps` not coprime, with
-        their gcd and the cofactors found on the way; None if there is none.
-        Each pair found coprime is remembered."""
+    def _common_pair(self, ps: Iterable[int], qs: Collection[int]):
+        """The first pieces p in `ps` and q != p in `qs` not known to be
+        coprime that share a factor, with their gcd and the cofactors found
+        on the way; None if there are none.  Each pair found coprime is
+        remembered."""
         val, known = self.value, self.coprime
-        den = [q for q, e in exps.items() if e < 0]
-        for p, e in exps.items():
-            if e > 0:
-                kp = known[p]
-                for q in den:
-                    if q not in kp:
-                        # the larger mod the smaller, where gcd starts; when
-                        # that is 0 the quotient is the larger one's cofactor
-                        x, y = (p, q) if val[p] >= val[q] else (q, p)
-                        quo, rem = int_divmod(val[x], val[y])
-                        if not rem:
-                            return p, q, val[y], {x: quo}
-                        g = gcd(val[y], rem)
-                        if g > 1:
-                            return p, q, g, {}
-                        kp.add(q)
-                        known[q].add(p)
+        for p in ps:
+            kp = known[p]
+            for q in qs:
+                if q != p and q not in kp:
+                    # the larger mod the smaller, where gcd starts; when
+                    # that is 0 the quotient is the larger one's cofactor
+                    x, y = (p, q) if val[p] >= val[q] else (q, p)
+                    quo, rem = int_divmod(val[x], val[y])
+                    if not rem:
+                        return p, q, val[y], {x: quo}
+                    g = gcd(val[y], rem)
+                    if g > 1:
+                        return p, q, g, {}
+                    kp.add(q)
+                    known[q].add(p)
         return None
 
     def _split(self, p: int, q: int, g: int, cofactors: dict[int, int],

@@ -193,12 +193,6 @@ class LaurentPoly:
         return cls(variables, {z: c} if c else {})
 
     @classmethod
-    def gen(cls, variables: Sequence[str], name: str) -> "LaurentPoly":
-        i = list(variables).index(name)
-        e = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {e: 1})
-
-    @classmethod
     def monomial(cls, variables: Sequence[str], exps: Sequence[int], coef: int = 1) -> "LaurentPoly":
         return cls(variables, {tuple(exps): coef})
 

@@ -6,16 +6,19 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cluster_painleve
 from cluster_painleve import cli
+from cluster_painleve.analysis import relation_search
 from cluster_painleve.cli import _json_text, main
 from cluster_painleve.laurent import format_rational
 from cluster_painleve.presets import get_preset
-from cluster_painleve.tsystem import TStencil, iterate_t
+from cluster_painleve.tsystem import TStencil, iterate_t, iterate_tz
+from cluster_painleve.zsystem import GeometricZ
 
 
 def run_json(capsys, argv):
@@ -218,12 +221,56 @@ def test_linrel_from_orbit_file(tmp_path, capsys):
     assert d["relation"]["coefficients"] == ["1", "-76657/36", "1"]
 
 
+def test_linrel_on_a_computed_orbit_prints_the_golden(capsys):
+    # the formula line, then the payload: the benchmark's golden, which
+    # `test_linrel_from_orbit_file` reaches through an orbit file instead
+    golden = (Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
+              / "linrel_prim4.txt").read_text()
+    rc = main(["linrel", "--preset", "prim4", "--z-init", "2,3", "--init", "ones",
+               "--steps", "58", "--offsets", "0,12,24", "--train", "4", "--verify", "30"])
+    assert rc == 0 and capsys.readouterr() == (golden, "")
+
+
+@pytest.mark.parametrize("train, status", [(1, "underdetermined"), (5, "inconsistent")])
+def test_linrel_with_geometric_z_is_relation_search_on_the_tz_orbit(capsys, train, status):
+    rc = main(["linrel", "--preset", "somos4", "--beta", "2", "--q", "3", "--init", "ones",
+               "--steps", "30", "--offsets", "0,1,2,3", "--train", str(train),
+               "--verify", "8"])
+    line, _, payload = capsys.readouterr().out.partition("\n")
+    orb = iterate_tz(TStencil(get_preset("somos4").a), GeometricZ(Fraction(2), Fraction(3)),
+                     [Fraction(1)] * 4, 30)
+    rs = relation_search(orb, (0, 1, 2, 3), train, 8)
+    d = json.loads(payload)
+    assert rc == 0 and rs.status == status and line == f"no relation: {status}"
+    assert (d["status"], d["train_rank"], d["solution_dim"], d["relation"]) == (
+        rs.status, rs.train_rank, rs.solution_dim, None)
+
+
 def test_verify_filter_by_number(capsys):
     rc = main(["verify", "--filter", "1,3"])
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert len(out) == 3 and out[-1].startswith("passed 2/2")
     assert all(line.startswith("PASS") for line in out[:2])
+
+
+def test_verify_out_writes_the_documented_summary(tmp_path, capsys):
+    # the layout of docs/formats.md: `summary` and `results` with no times,
+    # the selected criteria alone, and the same bytes on every run
+    texts = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        assert main(["verify", "--filter", "1,3", "--out", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {path}"
+        texts.append(path.read_text())
+    assert texts[0] == texts[1]
+    d = json.loads(texts[0])
+    assert texts[0] == _json_text(d)
+    assert d["summary"] == {"blocking_failures": [], "ok": True, "passed": 2, "total": 2}
+    assert [r["number"] for r in d["results"]] == [1, 3]
+    assert all(set(r) == {"blocking", "detail", "limit", "number", "passed", "title"}
+               and r["passed"] for r in d["results"])
+    assert set(d) == {"summary", "results"}
 
 
 def test_out_directory_and_determinism(tmp_path, capsys):

@@ -10,6 +10,7 @@ its exact division (`coprime.int_divmod`, against builtin `divmod`) are
 tested here too; its orbits are checked in `test_tsystem.py`.
 """
 
+import fnmatch
 import functools
 import itertools
 import math
@@ -158,6 +159,26 @@ windows = st.lists(st.one_of(st.builds(F, smooth, smooth.map(abs)),
 @settings(max_examples=300, deadline=None)
 def test_refine_hypothesis(values):
     assert_refined(values)
+
+
+def assert_memo_sound(store):
+    # each pair the memo holds is two live pieces, held both ways, coprime
+    val, known = store.value, store.coprime
+    for p, ps in known.items():
+        assert p in val
+        for q in ps:
+            assert q in val and p in known[q] and math.gcd(val[p], val[q]) == 1
+
+
+@given(windows.flatmap(lambda vs: st.lists(st.sampled_from(vs), max_size=3).map(
+    vs.__add__) if vs else st.just(vs)))
+@settings(max_examples=200, deadline=None)
+def test_refine_leaves_the_memo_sound(values):
+    store = coprime.Pieces()
+    live = [store.of(F(v)) for v in values]
+    assert_memo_sound(store)
+    store.refine(live)
+    assert_memo_sound(store)
 
 
 # -- the exact division of the integer T-path ---------------------------------------
@@ -571,6 +592,46 @@ def test_u_orbit_splits_on_the_benchmark_windows(bench_workloads, monkeypatch,
     assert len(seen) == most if exact else len(seen) <= most
 
 
+@pytest.mark.parametrize("workload, patterns, refines, tests, splits, pieces", [
+    ("survey", ("*-scan*",), 24, 2468, 130, 302),
+    ("orbit", ("*-t[0-9]*", "*-ones*", "*-geo*"), 11, 336, 4, 84),
+])
+def test_refine_counts_on_the_benchmark_windows(bench_workloads, monkeypatch, workload,
+                                                patterns, refines, tests, splits, pieces):
+    # the T-bases of the seed-0 benchmark orbits: the pair test skips every
+    # pair the memo holds, so each pair is tested about once (a rescan of
+    # every pair after each split made 11,608 and 509 tests for the same
+    # splits into the same pieces)
+    seen = {"refines": 0, "tests": 0, "splits": 0, "pieces": 0}
+    inside = [False]
+    divide, split, refine = coprime.int_divmod, coprime.Pieces._split, coprime.Pieces.refine
+
+    def divide_spy(a, b):
+        seen["tests"] += inside[0]
+        return divide(a, b)
+
+    def split_spy(self, *args):
+        seen["splits"] += inside[0]
+        return split(self, *args)
+
+    def refine_spy(self, live):
+        inside[0] = True
+        try:
+            refine(self, live)
+        finally:
+            inside[0] = False
+        seen["refines"] += 1
+        seen["pieces"] += len(set().union(*live))
+
+    monkeypatch.setattr(coprime, "int_divmod", divide_spy)
+    monkeypatch.setattr(coprime.Pieces, "_split", split_spy)
+    monkeypatch.setattr(coprime.Pieces, "refine", refine_spy)
+    for job in bench_workloads.build(workload, 0):
+        if any(fnmatch.fnmatch(job.label, p) for p in patterns):
+            job.run()
+    assert seen == {"refines": refines, "tests": tests, "splits": splits, "pieces": pieces}
+
+
 # -- the piece store ---------------------------------------------------------------------
 
 
@@ -598,3 +659,17 @@ def test_pieces_build_lowest_terms_and_keep_live_values(ints, data):
     assert dead not in store.value and dead not in store.coprime
     assert set(store.value) == set().union(*live)
     assert all(p in store.value for ps in store.coprime.values() for p in ps)
+
+
+@given(st.lists(st.integers(2, 400), min_size=1, max_size=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pieces_build_leaves_the_memo_sound(ints, data):
+    # a run of builds over dicts that share composite pieces, each build
+    # reading the memo that the ones before it wrote
+    store = coprime.Pieces()
+    ids = [next(iter(store.new(v))) for v in ints]
+    exps = st.dictionaries(st.sampled_from(ids), st.integers(-3, 3).filter(bool), max_size=6)
+    live = data.draw(st.lists(exps, min_size=1, max_size=4))
+    for i in data.draw(st.lists(st.integers(0, len(live) - 1), min_size=1, max_size=6)):
+        store.build(1, live[i], live)
+        assert_memo_sound(store)

@@ -5,7 +5,8 @@ and only `zsystem` imports `mpmath`, for the roots of `factor_roots`.
 so an import of either (or of anything else) in `src/` fails here.  So does
 an imported name that nothing in `src/` reads, since no linter runs on it,
 a module-level function or class of `src/` that only tests name (a name that
-exists for its tests belongs in `tests/`), a module other than `coprime` that
+exists for its tests belongs in `tests/`), a public method of a class of
+`src/` that only tests call, a module other than `coprime` that
 names a private slot of Fraction, and a module that takes another one's
 underscore name outside a short allow-list.  The package's `__all__` lists
 exactly the public names it binds.
@@ -159,6 +160,60 @@ def test_the_scan_sees_unreferenced_defs():
     }.items()}
     other = ast.parse("TARGETS = [('a', 'Traced.step')]\n# dead\nx = 'dead code'\n")
     assert sorted(_unreferenced_defs(trees, [other])) == ["a: dead", "b: Unused"]
+
+
+def _attribute_names(tree):
+    """Each name a tree reads as an attribute or spells in a dotted string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "." in node.value and DOTTED.fullmatch(node.value)):
+            yield from node.value.split(".")
+
+
+def _unreferenced_methods(src_trees, other_trees):
+    """``module: Class.name`` for each public method of a class of the
+    `src_trees` whose name no tree reads as an attribute or spells in a
+    dotted string outside the method itself."""
+    counts = Counter(name for tree in [*src_trees.values(), *other_trees]
+                     for name in _attribute_names(tree))
+    for stem, tree in src_trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and counts[node.name] == sum(
+                            name == node.name for name in _attribute_names(node))):
+                    yield f"{stem}: {cls.name}.{node.name}"
+
+
+def test_src_defines_no_method_that_only_tests_call():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SRC.glob("*.py")}
+    others = [ast.parse(path.read_text(), str(path)) for folder in ("perfbench", "scripts")
+              for path in (ROOT / folder).glob("*.py")]
+    assert len(trees) > 10 and len(others) > 5
+    assert list(_unreferenced_methods(trees, others)) == []
+
+
+def test_the_scan_sees_unreferenced_methods():
+    trees = {name: ast.parse(text) for name, text in {
+        "a": "class P:\n"
+             "    def used(self):\n        return self.walk\n"
+             "    def walk(self):\n        return self.walk()\n"
+             "    def rec(self):\n        return self.rec()\n"
+             "    def traced(self):\n        pass\n"
+             "    def named(self):\n        pass\n"
+             "    def stored(self):\n        pass\n"
+             "    def _private(self):\n        pass\n"
+             "    def __len__(self):\n        return 0\n",
+        "b": "def f(p):\n    p.stored = 1\n    class Q:\n"
+             "        def gen(self):\n            pass\n    return p.used()\n",
+    }.items()}
+    other = ast.parse("TARGETS = [('a', 'P.traced')]\ngetattr(p, 'named')\n")
+    assert sorted(_unreferenced_methods(trees, [other])) == [
+        "a: P.named", "a: P.rec", "a: P.stored", "b: Q.gen"]
 
 
 def test_all_lists_each_public_name_the_package_binds():

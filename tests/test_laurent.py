@@ -34,7 +34,7 @@ def test_constructor_drops_zero_coefficients():
 
 
 def test_gen_and_monomial():
-    x = LaurentPoly.gen(V, "x")
+    x = LaurentPoly.monomial(V, (1, 0))
     assert x.terms == {(1, 0): 1}
     m = LaurentPoly.monomial(V, (-2, 1), 5)
     assert m.terms == {(-2, 1): 5}
@@ -79,13 +79,13 @@ def test_try_div_roundtrip(p, q):
 
 
 def test_try_div_refuses_non_laurent_quotient():
-    x = LaurentPoly.gen(V, "x")
+    x = LaurentPoly.monomial(V, (1, 0))
     one = LaurentPoly.const(V, 1)
     assert laurent_try_div(x, x + one) is None
 
 
 def test_try_div_refuses_a_leading_term_that_does_not_divide():
-    x, y = LaurentPoly.gen(V, "x"), LaurentPoly.gen(V, "y")
+    x, y = LaurentPoly.monomial(V, (1, 0)), LaurentPoly.monomial(V, (0, 1))
     one = LaurentPoly.const(V, 1)
     assert laurent_try_div(x + y, y + one) is None
     assert laurent_try_div(x * x * x + y * y * y, x + y * y) is None
@@ -270,7 +270,7 @@ def test_products_past_the_limit_raise(a, b):
 
 
 def test_shift_division_and_powers_past_the_limit_raise():
-    x = LaurentPoly.gen(V, "x")
+    x = LaurentPoly.monomial(V, (1, 0))
     with pytest.raises(ExponentOverflowError):
         x.shift((2 ** 62, -2 ** 62))
     with pytest.raises(ExponentOverflowError):
@@ -404,7 +404,8 @@ def test_dense_kernels_match_the_dict_and_heap_loops(case):
 
 
 def test_dense_kernels_on_special_layouts():
-    x, y, z, t = (LaurentPoly.gen(("x", "y", "z", "t"), v) for v in "xyzt")
+    x, y, z, t = (LaurentPoly.monomial(tuple("xyzt"), [int(w == v) for w in "xyzt"])
+                  for v in "xyzt")
     one, two, three = (LaurentPoly.const(x.vars, c) for c in (1, 2, 3))
     cases = [
         (one + y + y * y, x * x + x * y + three * x * z),    # the first factor has one row
@@ -421,7 +422,7 @@ def test_dense_kernels_on_special_layouts():
 
 
 def test_non_divisible_pair_whose_leading_rows_divide():
-    x, y = LaurentPoly.gen(V, "x"), LaurentPoly.gen(V, "y")
+    x, y = LaurentPoly.monomial(V, (1, 0)), LaurentPoly.monomial(V, (0, 1))
     one = LaurentPoly.const(V, 1)
     q = x * x + x * y + y * y + one
     p = q * (x + y + one) + y   # the top row of p is the top row of q * (x + y + 1)
@@ -435,7 +436,7 @@ def test_quotient_past_the_slot_bound_goes_to_the_heap():
     # r = (1 + x + ... + x^9)^6 (1 + y) has coefficients of 16 bits, while
     # p = (x^10 - 1)^6 (1 + y) and q = (x - 1)^6 have at most 5, so the
     # grid sizes its slots at 16 bits
-    x, y = LaurentPoly.gen(V, "x"), LaurentPoly.gen(V, "y")
+    x, y = LaurentPoly.monomial(V, (1, 0)), LaurentPoly.monomial(V, (0, 1))
     one = LaurentPoly.const(V, 1)
     q = (x - one) ** 6
     p = (x ** 10 - one) ** 6 * (one + y)
@@ -453,7 +454,7 @@ def test_quotient_past_the_slot_bound_goes_to_the_heap():
 
 
 def test_negative_room_refuses_before_either_kernel():
-    x, y = LaurentPoly.gen(V, "x"), LaurentPoly.gen(V, "y")
+    x, y = LaurentPoly.monomial(V, (1, 0)), LaurentPoly.monomial(V, (0, 1))
     one = LaurentPoly.const(V, 1)
     p = (one + x + y) ** 4
     calls, spying = spy(["_div_dense", "_div_heap"])
@@ -495,7 +496,7 @@ def test_near_the_limit_a_dense_product_is_exact_or_refused(case):
 
 
 def test_dense_division_refuses_quotients_past_the_limit():
-    x = LaurentPoly.gen(V, "x")
+    x = LaurentPoly.monomial(V, (1, 0))
     one = LaurentPoly.const(V, 1)
     low = LaurentPoly.monomial(V, (EXP_MIN, 0)) * (one + x) * (one + x + x * x)
     with dense_kernels():

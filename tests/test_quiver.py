@@ -201,7 +201,7 @@ def test_power_product_matches_repeated_products_on_laurent_polys(pairs):
 def test_power_product_without_factors_is_one():
     one = LaurentPoly.const(XY, 1)
     assert power_product([], [], one) is one
-    assert power_product([LaurentPoly.gen(XY, "x")] * 3, [0, 0, 0], one) is one
+    assert power_product([LaurentPoly.monomial(XY, (1, 0))] * 3, [0, 0, 0], one) is one
     assert power_product([], []) == 1
 
 
@@ -210,5 +210,5 @@ def test_power_product_reads_only_the_nonzero_exponents():
     # with exponent 0 nor `one` is ever multiplied in
     values = [None, Fraction(2), None, Fraction(3)]
     assert power_product(values, [0, 2, 0, -1], None) == Fraction(4, 3)
-    x = LaurentPoly.gen(XY, "x")
+    x = LaurentPoly.monomial(XY, (1, 0))
     assert power_product([x, None], [1, 0], None) is x

@@ -490,7 +490,8 @@ def x_symbolic_orbit(a, z, steps, max_terms=10 ** 6):
     st_ = TStencil(a)
     n_ = st_.n
     variables = tuple(f"x{i}" for i in range(n_)) + tuple(z.symbols)
-    vals = [LaurentPoly.gen(variables, f"x{i}") for i in range(n_)]
+    vals = [LaurentPoly.monomial(variables, [int(j == i) for j in range(len(variables))])
+            for i in range(n_)]
     one = LaurentPoly.const(variables, 1)
     for n in range(steps):
         w = vals[n + 1 : n + n_]
